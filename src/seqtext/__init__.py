@@ -7,7 +7,7 @@ classifier, mini-batch training with SGD / RMSProp / Adam, and
 confusion-matrix metrics. Everything is deterministic under a seed.
 """
 
-from .cells import GruParams, LstmParams, RnnParams, make_cell, run_sequence
+from .cells import Cell, make_cell, run_sequence
 from .embedding import EmbeddingMatrix, embedding_dim_heuristic, load_pretrained
 from .engine import (Checkpoint, Dataset, ExperimentConfig, LearningCurve,
                      build_model, corpus_stats, emit_learning_curve, evaluate,
@@ -24,7 +24,7 @@ from .pipeline import (PipelineConfig, TokenizedDocument, Vocabulary,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GruParams", "LstmParams", "RnnParams", "make_cell", "run_sequence",
+    "Cell", "make_cell", "run_sequence",
     "EmbeddingMatrix", "embedding_dim_heuristic", "load_pretrained",
     "Checkpoint", "Dataset", "ExperimentConfig", "LearningCurve",
     "build_model", "corpus_stats", "emit_learning_curve", "evaluate", "load_checkpoint",

@@ -1,9 +1,25 @@
-"""Recurrent cells: plain RNN, peephole LSTM, and GRU.
+"""Recurrent cells: plain RNN, peephole LSTM, and GRU, as one cell type.
 
-Each cell provides a single-step forward, a full-sequence forward that
-folds from the zero state, and an exact hand-derived backward pass
-through time. Steps accept a single input vector (shape ``(input,)``)
-or a batch (``(batch, input)``); hidden states follow suit.
+A :class:`Cell` stores the weights of its G gates stacked row-wise, in
+the layout of Appleyard, Kočiský & Blunsom (2016):
+
+    W  (G*H, input)   input weights
+    U  (G*H, H)       recurrent weights
+    b  (G*H,)         biases
+    V  (3*H, H)       LSTM peepholes only, rows i | f | o
+
+with H the hidden size. Row block k of W, U and b belongs to gate k:
+
+    rnn   G = 1   the single pre-activation
+    lstm  G = 4   i | f | o | cand
+    gru   G = 3   z | r | cand
+
+:func:`run_sequence` projects all T inputs with one matrix product
+before the time loop, so each step adds one fused U product (the GRU
+candidate keeps its own, because its U acts on r * h_prev).
+:func:`backward_sequence` keeps only the recurrent terms in its loop;
+the input, recurrent, bias and peephole gradients and the input
+gradients are matrix products over all steps after it.
 
 Update rules, with ``@`` the matrix product and ``*`` elementwise:
 
@@ -18,13 +34,12 @@ LSTM     i = sig(W_i x + U_i h_prev + V_i c_prev + b_i)
          c = f * c_prev + i * cand
          o = sig(W_o x + U_o h_prev + V_o c + b_o)   <- the NEW c
          h = o * tanh(c)
-         The V terms are the peephole connections, stored as full
-         hidden x hidden matrices; with peepholes off they are zero and
-         excluded from training.
+         The V terms are the peephole connections, each a full hidden x
+         hidden matrix; with peepholes off the cell has no V.
 
 GRU      z = sig(W_z x + U_z h_prev + b_z)
          r = sig(W_r x + U_r h_prev + b_r)
-         cand = tanh(W x + U (r * h_prev) + b)
+         cand = tanh(W_c x + U_c (r * h_prev) + b_c)
          h = (1 - z) * h_prev + z * cand
 """
 
@@ -39,7 +54,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .linalg import sigmoid
 
-CellParams = "RnnParams | LstmParams | GruParams"
+GATES = {"rnn": 1, "lstm": 4, "gru": 3}
 
 
 def init_weight(rng: np.random.Generator, rows: int, cols: int, scaled: bool = True) -> np.ndarray:
@@ -51,62 +66,45 @@ def init_weight(rng: np.random.Generator, rows: int, cols: int, scaled: bool = T
     return w
 
 
-def _outer(da: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.outer(da, x) if da.ndim == 1 else da.T @ x
-
-
-def _sumb(da: np.ndarray) -> np.ndarray:
-    return da.copy() if da.ndim == 1 else da.sum(axis=0)
-
-
-def _check_dims(name: str, x: np.ndarray, h_prev: np.ndarray, input_size: int, hidden_size: int):
-    if x.shape[-1] != input_size:
-        raise ShapeError(f"{name}: input has size {x.shape[-1]}, parameters expect {input_size}")
-    if h_prev.shape[-1] != hidden_size:
-        raise ShapeError(f"{name}: state has size {h_prev.shape[-1]}, parameters expect {hidden_size}")
-    if x.ndim != h_prev.ndim:
-        raise ShapeError(f"{name}: input is {x.ndim}-D but state is {h_prev.ndim}-D")
-
-
 @dataclass
 class CellState:
     h: np.ndarray
     c: Optional[np.ndarray] = None
 
 
-# ---------------------------------------------------------------------------
-# RNN
-
-
-@dataclass
-class RnnParams:
+@dataclass(eq=False)
+class Cell:
+    kind: str                       # rnn | lstm | gru
     W: np.ndarray
     U: np.ndarray
     b: np.ndarray
-    nonlinearity: str = "tanh"
-    literal_mode: bool = False
+    V: Optional[np.ndarray] = None
+    nonlinearity: str = "tanh"      # rnn: tanh or sigmoid
+    literal_mode: bool = False      # rnn: U = I and b = 0, both untrained
 
     def __post_init__(self):
-        if self.nonlinearity not in ("tanh", "sigmoid"):
-            raise ShapeError(f"RNN nonlinearity must be tanh or sigmoid, got {self.nonlinearity!r}")
-        h, i = self.W.shape
-        if self.U.shape != (h, h) or self.b.shape != (h,):
-            raise ShapeError(
-                f"RNN shapes do not conform: W{self.W.shape}, U{self.U.shape}, b{self.b.shape}"
-            )
-
-    @classmethod
-    def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator,
-             nonlinearity: str = "tanh", literal_mode: bool = False,
-             scaled: bool = True) -> "RnnParams":
-        W = init_weight(rng, hidden_size, input_size, scaled)
-        if literal_mode:
-            U = np.eye(hidden_size)
-            b = np.zeros(hidden_size)
-        else:
-            U = init_weight(rng, hidden_size, hidden_size, scaled)
-            b = np.zeros(hidden_size)
-        return cls(W=W, U=U, b=b, nonlinearity=nonlinearity, literal_mode=literal_mode)
+        if self.kind not in GATES:
+            raise ConfigError(f"unknown cell kind {self.kind!r} (expected rnn, lstm or gru)")
+        if self.nonlinearity not in ("tanh", "sigmoid") or (
+                self.kind != "rnn" and self.nonlinearity != "tanh"):
+            raise ConfigError(f"{self.kind} cell cannot use nonlinearity {self.nonlinearity!r}")
+        if not isinstance(self.literal_mode, bool) or (self.literal_mode and self.kind != "rnn"):
+            raise ConfigError(f"literal_mode must be a boolean, and true only for rnn, "
+                              f"got {self.literal_mode!r} for {self.kind}")
+        if self.V is not None and self.kind != "lstm":
+            raise ConfigError(f"only the lstm cell has peephole weights, not {self.kind}")
+        G = GATES[self.kind]
+        H = self.U.shape[-1] if self.U.ndim == 2 else 0
+        D = self.W.shape[-1] if self.W.ndim == 2 else 0
+        shapes = [("W", self.W, (G * H, D)), ("U", self.U, (G * H, H)), ("b", self.b, (G * H,))]
+        if self.V is not None:
+            shapes.append(("V", self.V, (3 * H, H)))
+        for name, arr, want in shapes:
+            if arr.shape != want or H < 1 or D < 1:
+                raise ShapeError(f"{self.kind} cell block {name} has shape {arr.shape}, "
+                                 f"expected {want} for {G} stacked gates of hidden size {H}")
+        if self.literal_mode and (not np.array_equal(self.U, np.eye(H)) or self.b.any()):
+            raise ConfigError("literal_mode pins U to the identity and b to zero")
 
     @property
     def input_size(self) -> int:
@@ -114,398 +112,209 @@ class RnnParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.W.shape[0]
+        return self.U.shape[1]
 
-    def named_params(self) -> list[tuple[str, np.ndarray]]:
-        if self.literal_mode:
-            return [("W", self.W)]
-        return [("W", self.W), ("U", self.U), ("b", self.b)]
-
-    def state_blocks(self) -> list[tuple[str, np.ndarray]]:
-        return [("W", self.W), ("U", self.U), ("b", self.b)]
-
-
-class RnnTrace(NamedTuple):
-    x: np.ndarray
-    h_prev: np.ndarray
-    h: np.ndarray
-
-
-def rnn_step(x: np.ndarray, h_prev: np.ndarray, p: RnnParams) -> tuple[np.ndarray, RnnTrace]:
-    _check_dims("rnn_step", x, h_prev, p.input_size, p.hidden_size)
-    if p.literal_mode:
-        z = x @ p.W.T + h_prev
-    else:
-        z = x @ p.W.T + h_prev @ p.U.T + p.b
-    h = np.tanh(z) if p.nonlinearity == "tanh" else sigmoid(z)
-    return h, RnnTrace(x=x, h_prev=h_prev, h=h)
-
-
-def _rnn_backward_step(tr: RnnTrace, dh: np.ndarray, p: RnnParams, grads: dict):
-    if p.nonlinearity == "tanh":
-        da = dh * (1.0 - tr.h * tr.h)
-    else:
-        da = dh * tr.h * (1.0 - tr.h)
-    grads["W"] += _outer(da, tr.x)
-    if not p.literal_mode:
-        grads["U"] += _outer(da, tr.h_prev)
-        grads["b"] += _sumb(da)
-        dh_prev = da @ p.U
-    else:
-        dh_prev = da
-    dx = da @ p.W
-    return dx, dh_prev
-
-
-# ---------------------------------------------------------------------------
-# LSTM
-
-
-@dataclass
-class LstmParams:
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    U_i: np.ndarray
-    U_f: np.ndarray
-    U_o: np.ndarray
-    U_c: np.ndarray
-    V_i: np.ndarray
-    V_f: np.ndarray
-    V_o: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
-    peepholes: bool = True
-
-    def __post_init__(self):
-        h, i = self.W_i.shape
-        for name in ("W_i", "W_f", "W_o", "W_c"):
-            if getattr(self, name).shape != (h, i):
-                raise ShapeError(f"LSTM {name} has shape {getattr(self, name).shape}, expected {(h, i)}")
-        for name in ("U_i", "U_f", "U_o", "U_c", "V_i", "V_f", "V_o"):
-            if getattr(self, name).shape != (h, h):
-                raise ShapeError(f"LSTM {name} has shape {getattr(self, name).shape}, expected {(h, h)}")
-        for name in ("b_i", "b_f", "b_o", "b_c"):
-            if getattr(self, name).shape != (h,):
-                raise ShapeError(f"LSTM {name} has shape {getattr(self, name).shape}, expected {(h,)}")
-
-    @classmethod
-    def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator,
-             peepholes: bool = True, scaled: bool = True) -> "LstmParams":
-        def w():
-            return init_weight(rng, hidden_size, input_size, scaled)
-
-        def u():
-            return init_weight(rng, hidden_size, hidden_size, scaled)
-
-        def v():
-            # Peephole matrices start at zero even in scaled mode: the cell
-            # state is unbounded, so any all-positive V feeds back into the
-            # forget gate and saturates c within ~20 steps. Their gradient
-            # is nonzero at V = 0, so they still train. Unscaled mode keeps
-            # the plain positive draw for fidelity runs.
-            if peepholes and not scaled:
-                return init_weight(rng, hidden_size, hidden_size, scaled)
-            return np.zeros((hidden_size, hidden_size))
-
-        def b():
-            return np.zeros(hidden_size)
-
-        return cls(W_i=w(), W_f=w(), W_o=w(), W_c=w(),
-                   U_i=u(), U_f=u(), U_o=u(), U_c=u(),
-                   V_i=v(), V_f=v(), V_o=v(),
-                   b_i=b(), b_f=b(), b_o=b(), b_c=b(),
-                   peepholes=peepholes)
-
-    @property
-    def input_size(self) -> int:
-        return self.W_i.shape[1]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W_i.shape[0]
-
-    def named_params(self) -> list[tuple[str, np.ndarray]]:
-        names = ["W_i", "W_f", "W_o", "W_c", "U_i", "U_f", "U_o", "U_c"]
-        if self.peepholes:
-            names += ["V_i", "V_f", "V_o"]
-        names += ["b_i", "b_f", "b_o", "b_c"]
-        return [(n, getattr(self, n)) for n in names]
+    def settings(self) -> dict:
+        """The non-array fields, as a checkpoint header records them."""
+        return {"kind": self.kind, "nonlinearity": self.nonlinearity,
+                "literal_mode": self.literal_mode}
 
     def state_blocks(self) -> list[tuple[str, np.ndarray]]:
-        names = ["W_i", "W_f", "W_o", "W_c", "U_i", "U_f", "U_o", "U_c",
-                 "V_i", "V_f", "V_o", "b_i", "b_f", "b_o", "b_c"]
-        return [(n, getattr(self, n)) for n in names]
-
-
-class LstmTrace(NamedTuple):
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    cand: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-
-
-def lstm_step(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              p: LstmParams) -> tuple[np.ndarray, np.ndarray, LstmTrace]:
-    _check_dims("lstm_step", x, h_prev, p.input_size, p.hidden_size)
-    if c_prev.shape != h_prev.shape:
-        raise ShapeError(f"lstm_step: cell state shape {c_prev.shape} != hidden shape {h_prev.shape}")
-    a_i = x @ p.W_i.T + h_prev @ p.U_i.T + p.b_i
-    a_f = x @ p.W_f.T + h_prev @ p.U_f.T + p.b_f
-    if p.peepholes:
-        a_i = a_i + c_prev @ p.V_i.T
-        a_f = a_f + c_prev @ p.V_f.T
-    i = sigmoid(a_i)
-    f = sigmoid(a_f)
-    cand = np.tanh(x @ p.W_c.T + h_prev @ p.U_c.T + p.b_c)
-    c = f * c_prev + i * cand
-    a_o = x @ p.W_o.T + h_prev @ p.U_o.T + p.b_o
-    if p.peepholes:
-        a_o = a_o + c @ p.V_o.T  # output gate peeks at the updated cell
-    o = sigmoid(a_o)
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return h, c, LstmTrace(x=x, h_prev=h_prev, c_prev=c_prev, i=i, f=f, o=o,
-                           cand=cand, c=c, tanh_c=tanh_c)
-
-
-def _lstm_backward_step(tr: LstmTrace, dh: np.ndarray, dc_in: np.ndarray,
-                        p: LstmParams, grads: dict):
-    do = dh * tr.tanh_c
-    da_o = do * tr.o * (1.0 - tr.o)
-    dc = dh * tr.o * (1.0 - tr.tanh_c * tr.tanh_c) + dc_in
-    if p.peepholes:
-        dc = dc + da_o @ p.V_o
-    di = dc * tr.cand
-    df = dc * tr.c_prev
-    dcand = dc * tr.i
-    da_i = di * tr.i * (1.0 - tr.i)
-    da_f = df * tr.f * (1.0 - tr.f)
-    da_c = dcand * (1.0 - tr.cand * tr.cand)
-
-    grads["W_i"] += _outer(da_i, tr.x)
-    grads["W_f"] += _outer(da_f, tr.x)
-    grads["W_o"] += _outer(da_o, tr.x)
-    grads["W_c"] += _outer(da_c, tr.x)
-    grads["U_i"] += _outer(da_i, tr.h_prev)
-    grads["U_f"] += _outer(da_f, tr.h_prev)
-    grads["U_o"] += _outer(da_o, tr.h_prev)
-    grads["U_c"] += _outer(da_c, tr.h_prev)
-    if p.peepholes:
-        grads["V_i"] += _outer(da_i, tr.c_prev)
-        grads["V_f"] += _outer(da_f, tr.c_prev)
-        grads["V_o"] += _outer(da_o, tr.c)
-    grads["b_i"] += _sumb(da_i)
-    grads["b_f"] += _sumb(da_f)
-    grads["b_o"] += _sumb(da_o)
-    grads["b_c"] += _sumb(da_c)
-
-    dc_prev = dc * tr.f
-    if p.peepholes:
-        dc_prev = dc_prev + da_i @ p.V_i + da_f @ p.V_f
-    dh_prev = da_i @ p.U_i + da_f @ p.U_f + da_o @ p.U_o + da_c @ p.U_c
-    dx = da_i @ p.W_i + da_f @ p.W_f + da_o @ p.W_o + da_c @ p.W_c
-    return dx, dh_prev, dc_prev
-
-
-# ---------------------------------------------------------------------------
-# GRU
-
-
-@dataclass
-class GruParams:
-    W_z: np.ndarray
-    W_r: np.ndarray
-    W: np.ndarray
-    U_z: np.ndarray
-    U_r: np.ndarray
-    U: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        h, i = self.W_z.shape
-        for name in ("W_z", "W_r", "W"):
-            if getattr(self, name).shape != (h, i):
-                raise ShapeError(f"GRU {name} has shape {getattr(self, name).shape}, expected {(h, i)}")
-        for name in ("U_z", "U_r", "U"):
-            if getattr(self, name).shape != (h, h):
-                raise ShapeError(f"GRU {name} has shape {getattr(self, name).shape}, expected {(h, h)}")
-        for name in ("b_z", "b_r", "b"):
-            if getattr(self, name).shape != (h,):
-                raise ShapeError(f"GRU {name} has shape {getattr(self, name).shape}, expected {(h,)}")
-
-    @classmethod
-    def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator,
-             scaled: bool = True) -> "GruParams":
-        def w():
-            return init_weight(rng, hidden_size, input_size, scaled)
-
-        def u():
-            return init_weight(rng, hidden_size, hidden_size, scaled)
-
-        def b():
-            return np.zeros(hidden_size)
-
-        return cls(W_z=w(), W_r=w(), W=w(), U_z=u(), U_r=u(), U=u(),
-                   b_z=b(), b_r=b(), b=b())
-
-    @property
-    def input_size(self) -> int:
-        return self.W_z.shape[1]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W_z.shape[0]
+        """Every block, trained or pinned, for checkpointing."""
+        out = [("W", self.W), ("U", self.U), ("b", self.b)]
+        return out + ([("V", self.V)] if self.V is not None else [])
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
-        names = ["W_z", "W_r", "W", "U_z", "U_r", "U", "b_z", "b_r", "b"]
-        return [(n, getattr(self, n)) for n in names]
-
-    state_blocks = named_params
-
-
-class GruTrace(NamedTuple):
-    x: np.ndarray
-    h_prev: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
-    rh: np.ndarray
-    cand: np.ndarray
+        """The trained blocks."""
+        pinned = ("U", "b") if self.literal_mode else ()
+        return [(n, a) for n, a in self.state_blocks() if n not in pinned]
 
 
-def gru_step(x: np.ndarray, h_prev: np.ndarray, p: GruParams) -> tuple[np.ndarray, GruTrace]:
-    _check_dims("gru_step", x, h_prev, p.input_size, p.hidden_size)
-    z = sigmoid(x @ p.W_z.T + h_prev @ p.U_z.T + p.b_z)
-    r = sigmoid(x @ p.W_r.T + h_prev @ p.U_r.T + p.b_r)
-    rh = r * h_prev  # reset applied to the previous state before U
-    cand = np.tanh(x @ p.W.T + rh @ p.U.T + p.b)
-    h = (1.0 - z) * h_prev + z * cand
-    return h, GruTrace(x=x, h_prev=h_prev, z=z, r=r, rh=rh, cand=cand)
+def make_cell(kind: str, input_size: int, hidden_size: int, rng: np.random.Generator,
+              literal_mode: bool = False, peepholes: bool = True, scaled: bool = True) -> Cell:
+    """Initialize a cell. The stacked blocks are drawn in the order of
+    per-gate draws: every W gate, then every U gate, then the peepholes."""
+    if kind not in GATES:
+        raise ConfigError(f"unknown cell kind {kind!r} (expected rnn, lstm or gru)")
+    rows = GATES[kind] * hidden_size
+    W = init_weight(rng, rows, input_size, scaled)
+    if literal_mode:
+        U = np.eye(hidden_size)
+    else:
+        U = init_weight(rng, rows, hidden_size, scaled)
+    V = None
+    if kind == "lstm" and peepholes:
+        # Peephole matrices start at zero even in scaled mode: the cell
+        # state is unbounded, so any all-positive V feeds back into the
+        # forget gate and saturates c within ~20 steps. Their gradient
+        # is nonzero at V = 0, so they still train. Unscaled mode keeps
+        # the plain positive draw for fidelity runs.
+        if scaled:
+            V = np.zeros((3 * hidden_size, hidden_size))
+        else:
+            V = init_weight(rng, 3 * hidden_size, hidden_size, scaled)
+    return Cell(kind=kind, W=W, U=U, b=np.zeros(rows), V=V, literal_mode=literal_mode)
 
 
-def _gru_backward_step(tr: GruTrace, dh: np.ndarray, p: GruParams, grads: dict):
-    dz = dh * (tr.cand - tr.h_prev)
-    dcand = dh * tr.z
-    da_z = dz * tr.z * (1.0 - tr.z)
-    da_c = dcand * (1.0 - tr.cand * tr.cand)
-    drh = da_c @ p.U
-    dr = drh * tr.h_prev
-    da_r = dr * tr.r * (1.0 - tr.r)
-
-    grads["W_z"] += _outer(da_z, tr.x)
-    grads["W_r"] += _outer(da_r, tr.x)
-    grads["W"] += _outer(da_c, tr.x)
-    grads["U_z"] += _outer(da_z, tr.h_prev)
-    grads["U_r"] += _outer(da_r, tr.h_prev)
-    grads["U"] += _outer(da_c, tr.rh)
-    grads["b_z"] += _sumb(da_z)
-    grads["b_r"] += _sumb(da_r)
-    grads["b"] += _sumb(da_c)
-
-    dh_prev = dh * (1.0 - tr.z) + drh * tr.r + da_z @ p.U_z + da_r @ p.U_r
-    dx = da_z @ p.W_z + da_r @ p.W_r + da_c @ p.W
-    return dx, dh_prev
+class SequenceCache(NamedTuple):
+    """What the backward pass needs of a forward pass over (T, B) steps."""
+    xs: np.ndarray              # (T, B, input)
+    hs: np.ndarray              # (T+1, B, H); hs[0] is the initial state
+    acts: np.ndarray            # (T, B, G*H) gate activations
+    cs: Optional[np.ndarray]    # lstm: (T+1, B, H) cell states
 
 
-# ---------------------------------------------------------------------------
-# Sequence folding
-
-
-def zero_state(p, like: np.ndarray) -> CellState:
-    """All-zero initial state matching a reference input's batch shape."""
-    shape = (p.hidden_size,) if like.ndim == 1 else (like.shape[0], p.hidden_size)
-    h = np.zeros(shape)
-    c = np.zeros(shape) if isinstance(p, LstmParams) else None
-    return CellState(h=h, c=c)
-
-
-def step(x: np.ndarray, state: CellState, p) -> tuple[CellState, tuple]:
-    """Single-step dispatch over the three parameter kinds."""
-    if isinstance(p, RnnParams):
-        h, tr = rnn_step(x, state.h, p)
-        return CellState(h=h), tr
-    if isinstance(p, LstmParams):
-        h, c, tr = lstm_step(x, state.h, state.c, p)
-        return CellState(h=h, c=c), tr
-    if isinstance(p, GruParams):
-        h, tr = gru_step(x, state.h, p)
-        return CellState(h=h), tr
-    raise TypeError(f"unknown cell parameter type {type(p).__name__}")
-
-
-def run_sequence(xs, p, collect_traces: bool = True):
-    """Fold the step over a sequence from the zero state.
+def run_sequence(xs, cell: Cell, state: Optional[CellState] = None):
+    """Fold the cell over a sequence from ``state`` (zero by default).
 
     ``xs`` is (T, input) for a single document or (T, batch, input) for a
     batch; a list of vectors is also accepted. Returns the final hidden
-    state and the per-step traces (None when not collected).
+    state and the :class:`SequenceCache` for :func:`backward_sequence`.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim not in (2, 3):
         raise ShapeError(f"run_sequence expects (T, input) or (T, batch, input), got {xs.shape}")
     if xs.shape[0] == 0:
         raise ShapeError("run_sequence requires a nonempty sequence")
-    state = zero_state(p, xs[0])
-    traces = [] if collect_traces else None
-    for t in range(xs.shape[0]):
-        state, tr = step(xs[t], state, p)
-        if collect_traces:
-            traces.append(tr)
-    return state.h, traces
+    if xs.shape[-1] != cell.input_size:
+        raise ShapeError(f"run_sequence: input has size {xs.shape[-1]}, "
+                         f"the cell expects {cell.input_size}")
+    single = xs.ndim == 2
+    T, D, H = xs.shape[0], cell.input_size, cell.hidden_size
+    xs = xs.reshape(T, -1, D)
+    B = xs.shape[1]
+    lstm, gru = cell.kind == "lstm", cell.kind == "gru"
+
+    # One buffer holds the input projections, then each step's gate
+    # activations, and after backward_sequence the gate deltas.
+    acts = xs @ cell.W.T
+    hs = np.empty((T + 1, B, H))
+    cs = np.empty((T + 1, B, H)) if lstm else None
+    if state is not None:
+        for s in (state.h, state.c):
+            if s is not None and np.shape(s) not in ((H,), (B, H)):
+                raise ShapeError(f"run_sequence: initial state has shape {np.shape(s)}, "
+                                 f"expected ({B}, {H})")
+    hs[0] = 0.0 if state is None else state.h
+    if lstm:
+        cs[0] = 0.0 if state is None or state.c is None else state.c
+
+    Ut, b = cell.U.T, cell.b
+    if gru:
+        Uzr, Uc, bzr, bc = Ut[:, :2 * H], Ut[:, 2 * H:], b[:2 * H], b[2 * H:]
+        for t in range(T):
+            a, h = acts[t], hs[t]
+            zr = a[:, :2 * H]
+            zr += h @ Uzr
+            zr += bzr
+            zr[...] = sigmoid(zr)
+            z = a[:, :H]
+            rh = a[:, H:2 * H] * h  # the reset acts before U
+            cand = a[:, 2 * H:]
+            cand += rh @ Uc
+            cand += bc
+            np.tanh(cand, out=cand)
+            hs[t + 1] = (1.0 - z) * h + z * cand
+    elif lstm:
+        V = cell.V
+        for t in range(T):
+            a, c = acts[t], cs[t]
+            a += hs[t] @ Ut
+            a += b
+            ifg = a[:, :2 * H]
+            if V is not None:
+                ifg += c @ V[:2 * H].T
+            ifg[...] = sigmoid(ifg)
+            cand = a[:, 3 * H:]
+            np.tanh(cand, out=cand)
+            c = cs[t + 1] = a[:, H:2 * H] * c + a[:, :H] * cand
+            o = a[:, 2 * H:3 * H]
+            if V is not None:
+                o += c @ V[2 * H:].T  # the output gate peeks at the updated cell
+            o[...] = sigmoid(o)
+            hs[t + 1] = o * np.tanh(c)
+    else:
+        g = np.tanh if cell.nonlinearity == "tanh" else sigmoid
+        for t in range(T):
+            a = acts[t]
+            a += hs[t] @ Ut
+            a += b
+            hs[t + 1] = g(a)
+    h = hs[T, 0] if single else hs[T]
+    return h.copy(), SequenceCache(xs=xs, hs=hs, acts=acts, cs=cs)
 
 
-def grad_blocks(p) -> dict:
-    """Zero gradient accumulators matching named_params."""
-    return {name: np.zeros_like(arr) for name, arr in p.named_params()}
-
-
-def backward_sequence(traces, grad_h_final: np.ndarray, p) -> tuple[dict, np.ndarray]:
+def backward_sequence(cache: SequenceCache, grad_h_final: np.ndarray,
+                      cell: Cell) -> tuple[dict, np.ndarray]:
     """Exact reverse-mode gradients through a recorded forward pass.
 
-    Returns (parameter gradients keyed like named_params, input
-    gradients shaped like the forward input sequence).
+    Returns (parameter gradients keyed like ``named_params``, input
+    gradients shaped like the forward input sequence; a 1-D
+    ``grad_h_final`` marks a single document). The gate deltas overwrite
+    ``cache.acts``, so a cache serves one backward pass.
     """
-    if not traces:
-        raise ShapeError("backward_sequence requires at least one trace")
-    grads = grad_blocks(p)
+    xs, hs, acts, cs = cache
+    T, B, D = xs.shape
+    H = cell.hidden_size
     dh = np.asarray(grad_h_final, dtype=np.float64)
-    dxs = []
-    if isinstance(p, LstmParams):
-        dc = np.zeros_like(traces[-1].c)
-        for tr in reversed(traces):
-            dx, dh, dc = _lstm_backward_step(tr, dh, dc, p, grads)
-            dxs.append(dx)
-    elif isinstance(p, RnnParams):
-        for tr in reversed(traces):
-            dx, dh = _rnn_backward_step(tr, dh, p, grads)
-            dxs.append(dx)
-    elif isinstance(p, GruParams):
-        for tr in reversed(traces):
-            dx, dh = _gru_backward_step(tr, dh, p, grads)
-            dxs.append(dx)
+    single = dh.ndim == 1
+    if dh.size != B * H:
+        raise ShapeError(f"backward_sequence: gradient shape {dh.shape} does not match "
+                         f"{B} rows of hidden size {H}")
+    dh = dh.reshape(B, H)
+    U = cell.U
+
+    if cell.kind == "gru":
+        Uzr, Uc = U[:2 * H], U[2 * H:]
+        rh = acts[:, :, H:2 * H] * hs[:-1]  # U_c's input, before the deltas replace r
+        for t in range(T - 1, -1, -1):
+            a, h_prev = acts[t], hs[t]
+            z, r, cand = a[:, :H], a[:, H:2 * H], a[:, 2 * H:]
+            da_z = dh * (cand - h_prev) * z * (1.0 - z)
+            da_c = dh * z * (1.0 - cand * cand)
+            drh = da_c @ Uc
+            da_r = drh * h_prev * r * (1.0 - r)
+            dh_direct = dh * (1.0 - z) + drh * r
+            a[:, :H], a[:, H:2 * H], a[:, 2 * H:] = da_z, da_r, da_c
+            dh = dh_direct + a[:, :2 * H] @ Uzr
+    elif cell.kind == "lstm":
+        V = cell.V
+        dc = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            a, tanh_c, c_prev = acts[t], np.tanh(cs[t + 1]), cs[t]
+            i, f, o, cand = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+            da_o = dh * tanh_c * o * (1.0 - o)
+            dc = dh * o * (1.0 - tanh_c * tanh_c) + dc
+            if V is not None:
+                dc = dc + da_o @ V[2 * H:]
+            da_i = dc * cand * i * (1.0 - i)
+            da_f = dc * c_prev * f * (1.0 - f)
+            da_c = dc * i * (1.0 - cand * cand)
+            dc = dc * f
+            a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:] = da_i, da_f, da_o, da_c
+            if V is not None:
+                dc = dc + a[:, :2 * H] @ V[:2 * H]
+            dh = a @ U
     else:
-        raise TypeError(f"unknown cell parameter type {type(p).__name__}")
-    dxs.reverse()
-    return grads, np.stack(dxs)
+        tanh = cell.nonlinearity == "tanh"
+        for t in range(T - 1, -1, -1):
+            h = hs[t + 1]
+            da = dh * (1.0 - h * h) if tanh else dh * h * (1.0 - h)
+            acts[t] = da
+            dh = da @ U
 
-
-def make_cell(kind: str, input_size: int, hidden_size: int, rng: np.random.Generator,
-              literal_mode: bool = False, peepholes: bool = True, scaled: bool = True):
-    """Parameter factory keyed by cell name."""
-    if kind == "rnn":
-        return RnnParams.init(input_size, hidden_size, rng, literal_mode=literal_mode, scaled=scaled)
-    if kind == "lstm":
-        return LstmParams.init(input_size, hidden_size, rng, peepholes=peepholes, scaled=scaled)
-    if kind == "gru":
-        return GruParams.init(input_size, hidden_size, rng, scaled=scaled)
-    raise ConfigError(f"unknown cell kind {kind!r} (expected rnn, lstm or gru)")
+    DA = acts.reshape(T * B, -1)
+    grads = {"W": DA.T @ xs.reshape(T * B, D)}
+    if not cell.literal_mode:
+        h_prev = hs[:-1].reshape(T * B, H)
+        if cell.kind == "gru":
+            grads["U"] = np.concatenate([DA[:, :2 * H].T @ h_prev,
+                                         DA[:, 2 * H:].T @ rh.reshape(T * B, H)])
+        else:
+            grads["U"] = DA.T @ h_prev
+        grads["b"] = DA.sum(axis=0)
+    if cell.V is not None:
+        grads["V"] = np.concatenate([DA[:, :2 * H].T @ cs[:-1].reshape(T * B, H),
+                                     DA[:, 2 * H:3 * H].T @ cs[1:].reshape(T * B, H)])
+    dxs = (DA @ cell.W).reshape(T, B, D)
+    return grads, (dxs[:, 0] if single else dxs)

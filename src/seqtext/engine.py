@@ -718,33 +718,59 @@ class Checkpoint:
     pipeline: Optional[PipelineConfig]
 
 
-def _cell_kind(cell) -> str:
-    if isinstance(cell, cells.RnnParams):
-        return "rnn"
-    if isinstance(cell, cells.LstmParams):
-        return "lstm"
-    if isinstance(cell, cells.GruParams):
-        return "gru"
-    raise ConfigError(f"unknown cell type {type(cell).__name__}")
+CHECKPOINT_FORMAT = 2
+DATASET_FORMAT = 1
+_OPTIONAL = type(None)
+# Header fields each reader uses, with the JSON types they may take.
+_CHECKPOINT_HEADER = {
+    "config": dict, "class_names": list, "head": str,
+    "n_classes": int, "cell": dict, "embedding_trainable": bool,
+    "vocab_sha": (str, _OPTIONAL), "vocab_text": (str, _OPTIONAL),
+    "pipeline": (dict, _OPTIONAL),
+}
+_DATASET_HEADER = {
+    "class_names": list, "vocab_sha": str, "vocab_text": str,
+    "pipeline": dict, "has_split": bool,
+}
+
+
+def _check_header(path, header: dict, kind: str, fmt: int, schema: dict) -> None:
+    """Reject an artifact of another kind or format, or whose header lacks
+    a field or holds one of the wrong JSON type."""
+    if header.get("kind") != kind:
+        what = "an encoded dataset" if kind == "dataset" else "a checkpoint"
+        raise DataError(f"{path}: this is a {header.get('kind')!r} artifact, not {what}")
+    found = header.get("format")
+    if type(found) is not int or found != fmt:
+        raise IntegrityError(f"{path}: {kind} format {found!r} is not supported "
+                             f"(this version reads format {fmt})")
+    for name, types in schema.items():
+        value = header.get(name)
+        # JSON true/false load as bool, which Python also counts as int
+        if (name not in header or not isinstance(value, types)
+                or (isinstance(value, bool) and types is int)):
+            raise IntegrityError(f"{path}: header field {name!r} is missing or has the wrong type")
+
+
+def _from_header(path, what: str, build, *args):
+    """Build an object from header fields; any rejection is an integrity error."""
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as e:
+        raise IntegrityError(f"{path}: {what}: {e}") from None
 
 
 def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
                     class_names: list, vocab: Optional[Vocabulary] = None,
                     pipeline_cfg: Optional[PipelineConfig] = None) -> None:
-    cell_meta = {"kind": _cell_kind(model.cell)}
-    if cell_meta["kind"] == "rnn":
-        cell_meta["nonlinearity"] = model.cell.nonlinearity
-        cell_meta["literal_mode"] = model.cell.literal_mode
-    if cell_meta["kind"] == "lstm":
-        cell_meta["peepholes"] = model.cell.peepholes
     header = {
         "kind": "checkpoint",
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "config": config.to_dict(),
         "class_names": list(class_names),
         "head": model.head,
         "n_classes": model.n_classes,
-        "cell": cell_meta,
+        "cell": model.cell.settings(),
         "embedding_trainable": model.embedding.trainable,
         "vocab_sha": model.vocab_sha,
         "vocab_text": vocab.serialize() if vocab is not None else None,
@@ -753,56 +779,42 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
     write_container(path, header, model.state_blocks())
 
 
-_CELL_BLOCKS = {
-    "rnn": ("W", "U", "b"),
-    "lstm": ("W_i", "W_f", "W_o", "W_c", "U_i", "U_f", "U_o", "U_c",
-             "V_i", "V_f", "V_o", "b_i", "b_f", "b_o", "b_c"),
-    "gru": ("W_z", "W_r", "W", "U_z", "U_r", "U", "b_z", "b_r", "b"),
-}
-
-
 def load_checkpoint(path) -> Checkpoint:
     header, arrays = read_container(path)
-    if header.get("kind") != "checkpoint":
-        raise DataError(f"{path}: this is a {header.get('kind')!r} artifact, not a checkpoint")
-    cfg = ExperimentConfig.from_dict(header["config"])
+    _check_header(path, header, "checkpoint", CHECKPOINT_FORMAT, _CHECKPOINT_HEADER)
+    cfg = _from_header(path, "config", ExperimentConfig.from_dict, header["config"])
 
     def block(name):
         if name not in arrays:
             raise IntegrityError(f"{path}: parameter block {name!r} is missing")
         return arrays[name]
 
-    meta = header["cell"]
-    kind = meta["kind"]
-    if kind not in _CELL_BLOCKS:
-        raise IntegrityError(f"{path}: unknown cell kind {kind!r}")
-    parts = {n: block(f"cell.{n}") for n in _CELL_BLOCKS[kind]}
-    if kind == "rnn":
-        cell = cells.RnnParams(nonlinearity=meta.get("nonlinearity", "tanh"),
-                               literal_mode=bool(meta.get("literal_mode", False)), **parts)
-    elif kind == "lstm":
-        cell = cells.LstmParams(peepholes=bool(meta.get("peepholes", True)), **parts)
-    else:
-        cell = cells.GruParams(**parts)
+    cell_blocks = {n[len("cell."):]: a for n, a in arrays.items() if n.startswith("cell.")}
+    cell = _from_header(path, "cell", lambda: cells.Cell(**header["cell"], **cell_blocks))
     emb = EmbeddingMatrix(weights=block("embedding.weights"),
-                          trainable=bool(header.get("embedding_trainable", True)))
+                          trainable=header["embedding_trainable"])
     model = ClassifierModel(
         embedding=emb, cell=cell,
         dense_W=block("dense.W"), dense_b=block("dense.b"),
         head_W=block("head.W"), head_b=block("head.b"),
-        head=header["head"], n_classes=int(header["n_classes"]),
-        vocab_sha=header.get("vocab_sha"),
+        head=header["head"], n_classes=header["n_classes"],
+        vocab_sha=header["vocab_sha"],
     )
-    if (emb.dim != cell.input_size
-            or model.dense_W.shape[1] != cell.hidden_size
-            or model.head_W.shape[1] != model.dense_W.shape[0]):
+    _from_header(path, "head", validate_head_loss, model.head, default_loss(model.head),
+                 model.n_classes)
+    if (emb.weights.ndim != 2 or emb.dim != cell.input_size
+            or model.dense_W.shape[1:] != (cell.hidden_size,)
+            or model.head_W.shape[1:] != model.dense_W.shape[:1]
+            or model.head_W.shape[0] != (1 if model.head == "sigmoid" else model.n_classes)):
         raise IntegrityError(f"{path}: parameter shapes do not form a consistent model")
     vocab = None
-    if header.get("vocab_text"):
-        vocab = Vocabulary.from_text(header["vocab_text"])
+    if header["vocab_text"]:
+        vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
         if model.vocab_sha and vocab.sha256() != model.vocab_sha:
             raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
-    pipe = PipelineConfig.from_dict(header["pipeline"]) if header.get("pipeline") else None
+    pipe = None
+    if header["pipeline"]:
+        pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
     return Checkpoint(model=model, config=cfg, class_names=list(header["class_names"]),
                       vocab=vocab, pipeline=pipe)
 
@@ -814,7 +826,7 @@ def save_dataset(path, dataset: Dataset, vocab: Vocabulary,
                  pipeline_cfg: PipelineConfig) -> None:
     header = {
         "kind": "dataset",
-        "format": 1,
+        "format": DATASET_FORMAT,
         "class_names": list(dataset.class_names),
         "vocab_sha": vocab.sha256(),
         "vocab_text": vocab.serialize(),
@@ -835,8 +847,7 @@ def save_dataset(path, dataset: Dataset, vocab: Vocabulary,
 
 def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
     header, arrays = read_container(path)
-    if header.get("kind") != "dataset":
-        raise DataError(f"{path}: this is a {header.get('kind')!r} artifact, not an encoded dataset")
+    _check_header(path, header, "dataset", DATASET_FORMAT, _DATASET_HEADER)
     for name in ("indices", "labels", "original_lengths"):
         if name not in arrays:
             raise IntegrityError(f"{path}: block {name!r} is missing")
@@ -845,24 +856,27 @@ def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
     lengths = arrays["original_lengths"]
     if idx.ndim != 2 or labels.shape != (idx.shape[0],) or lengths.shape != (idx.shape[0],):
         raise IntegrityError(f"{path}: dataset blocks have inconsistent shapes")
+    vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
+    if vocab.sha256() != header["vocab_sha"]:
+        raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
+    bad = (idx < 0) | (idx >= vocab.size)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise IntegrityError(f"{path}: row {row} holds token index {idx[row, col]}, "
+                             f"outside the vocabulary range [0, {vocab.size})")
+    pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
     docs = [TokenizedDocument(indices=idx[i], label=int(labels[i]),
                               original_length=int(lengths[i]))
             for i in range(idx.shape[0])]
-    train_idx = arrays.get("train_idx")
-    test_idx = arrays.get("test_idx")
-    if header.get("has_split"):
-        if train_idx is None or test_idx is None:
+    train_idx = test_idx = None
+    if header["has_split"]:
+        if "train_idx" not in arrays or "test_idx" not in arrays:
             raise IntegrityError(f"{path}: split blocks are missing")
-        train_idx = train_idx.astype(np.int64)
-        test_idx = test_idx.astype(np.int64)
-    vocab = Vocabulary.from_text(header["vocab_text"])
-    if vocab.sha256() != header.get("vocab_sha"):
-        raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
-    pipe = PipelineConfig.from_dict(header["pipeline"])
-    ds = Dataset(documents=docs, class_names=list(header["class_names"]),
-                 train_idx=train_idx if header.get("has_split") else None,
-                 test_idx=test_idx if header.get("has_split") else None,
-                 vocab_sha=header.get("vocab_sha"))
+        train_idx = arrays["train_idx"].astype(np.int64)
+        test_idx = arrays["test_idx"].astype(np.int64)
+    ds = _from_header(path, "dataset", lambda: Dataset(
+        documents=docs, class_names=list(header["class_names"]), train_idx=train_idx,
+        test_idx=test_idx, vocab_sha=header["vocab_sha"]))
     return ds, vocab, pipe
 
 

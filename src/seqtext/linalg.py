@@ -1,90 +1,18 @@
-"""Dense float64 kernels: matrix/vector products and activations.
-
-Conventions used throughout the package: a Matrix is a 2-D row-major
-``numpy.ndarray`` of float64, a Vector is a 1-D one. Operations validate
-shapes explicitly and raise :class:`ShapeError` rather than relying on
-numpy broadcasting to catch mistakes.
-"""
+"""Elementwise float64 kernels shared by the cells and the model head."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-
-Matrix = np.ndarray
-Vector = np.ndarray
-
-
-def matrix(data) -> Matrix:
-    """Build a 2-D float64 array from nested sequences."""
-    m = np.array(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"matrix requires 2 dimensions, got {m.ndim}")
-    return m
-
-
-def vector(data) -> Vector:
-    """Build a 1-D float64 array."""
-    v = np.array(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"vector requires 1 dimension, got {v.ndim}")
-    return v
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit conformance check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul shape mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
-
-
-def hadamard(a: Vector, b: Vector) -> Vector:
-    """Element-wise product of two same-shape arrays."""
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
 
 def sigmoid(x):
     """Numerically stable logistic function, elementwise.
 
-    Branches on the sign of x so exp() is only ever taken of a
-    non-positive argument; never overflows for finite input.
+    exp() is only ever taken of -|x|, so it never overflows for finite
+    input; the sign of x picks 1/(1+e) or e/(1+e). No masked indexing,
+    so strided gate slices cost no gather or scatter.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def relu(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def sigmoid_deriv(x):
-    """d/dx sigmoid(x) = s(1-s)."""
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
-def tanh_deriv(x):
-    """d/dx tanh(x) = 1 - tanh(x)^2."""
-    t = np.tanh(np.asarray(x, dtype=np.float64))
-    return 1.0 - t * t
-
-
-def relu_deriv(x):
-    """Step function; the kink at 0 takes the left value 0."""
-    return (np.asarray(x, dtype=np.float64) > 0).astype(np.float64)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)

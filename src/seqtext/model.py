@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import cells
-from .embedding import EmbeddingMatrix
+from .embedding import EmbeddingMatrix, lookup
 from .errors import ConfigError, ShapeError
 from .linalg import sigmoid
 from .pipeline import PAD_INDEX
@@ -95,15 +95,6 @@ def cce_loss(probs: np.ndarray, y) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def mse_loss(pred, target) -> np.ndarray:
-    """Mean squared error per example; not used by the classification
-    defaults, kept as an optional regression-style objective."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    sq = (pred - target) ** 2
-    return sq.mean(axis=-1) if sq.ndim > 1 else sq
-
-
 def cost(losses) -> float:
     """Mean per-example loss over a batch."""
     losses = np.asarray(losses, dtype=np.float64)
@@ -114,7 +105,7 @@ def cost(losses) -> float:
 
 class ModelTrace(NamedTuple):
     indices: np.ndarray        # (batch, T) int
-    cell_traces: list
+    cell_cache: cells.SequenceCache
     h_final: np.ndarray        # (batch, hidden)
     dense_pre: np.ndarray      # (batch, dense)
     dense_out: np.ndarray      # (batch, dense)
@@ -124,7 +115,7 @@ class ModelTrace(NamedTuple):
 @dataclass
 class ClassifierModel:
     embedding: EmbeddingMatrix
-    cell: object               # RnnParams | LstmParams | GruParams
+    cell: cells.Cell
     dense_W: np.ndarray        # (dense, hidden)
     dense_b: np.ndarray
     head_W: np.ndarray         # (out, dense)
@@ -134,7 +125,7 @@ class ClassifierModel:
     vocab_sha: Optional[str] = None
 
     @classmethod
-    def build(cls, embedding: EmbeddingMatrix, cell, dense_size: int, head: str,
+    def build(cls, embedding: EmbeddingMatrix, cell: cells.Cell, dense_size: int, head: str,
               n_classes: int, rng: np.random.Generator,
               vocab_sha: Optional[str] = None) -> "ClassifierModel":
         """Wire the dimension chain and initialize the dense/head weights.
@@ -187,16 +178,16 @@ def forward(model: ClassifierModel, indices) -> tuple[np.ndarray, ModelTrace]:
 
     ``indices`` is (batch, T) or a single (T,) row. Sigmoid heads return
     (batch,) positive-class probabilities; softmax heads (batch, C) rows
-    summing to 1.
+    summing to 1. An index outside the embedding table raises IndexError.
     """
     idx = np.asarray(indices)
     single = idx.ndim == 1
     idx = np.atleast_2d(idx)
     if idx.shape[1] == 0:
         raise ShapeError("cannot classify an empty index sequence")
-    emb = model.embedding.weights[idx]          # (B, T, D)
+    emb = lookup(idx, model.embedding)          # (B, T, D)
     xs = np.swapaxes(emb, 0, 1)                 # (T, B, D)
-    h, traces = cells.run_sequence(xs, model.cell)
+    h, cache = cells.run_sequence(xs, model.cell)
     dense_pre = h @ model.dense_W.T + model.dense_b
     dense_out = np.maximum(dense_pre, 0.0)
     logits = dense_out @ model.head_W.T + model.head_b
@@ -204,7 +195,7 @@ def forward(model: ClassifierModel, indices) -> tuple[np.ndarray, ModelTrace]:
         probs = sigmoid(logits[:, 0])
     else:
         probs = softmax(logits)
-    tr = ModelTrace(indices=idx, cell_traces=traces, h_final=h,
+    tr = ModelTrace(indices=idx, cell_cache=cache, h_final=h,
                     dense_pre=dense_pre, dense_out=dense_out, probs=probs)
     return (probs[0] if single else probs), tr
 
@@ -223,7 +214,8 @@ def backward(model: ClassifierModel, trace: ModelTrace, y,
     Uses the fused head gradient (probabilities minus targets) at the
     logits, then walks the dense layer, the cell (through time) and the
     embedding rows. The pad embedding row's gradient is forced to zero.
-    ``scale`` overrides the default 1/batch averaging weight.
+    ``scale`` overrides the default 1/batch averaging weight. The cell
+    part of the trace is overwritten, so a trace serves one backward pass.
     """
     B = trace.indices.shape[0]
     w = (1.0 / B) if scale is None else scale
@@ -249,7 +241,7 @@ def backward(model: ClassifierModel, trace: ModelTrace, y,
     grads["dense.b"] = dpre.sum(axis=0)
     dh = dpre @ model.dense_W
 
-    cell_grads, dxs = cells.backward_sequence(trace.cell_traces, dh, model.cell)
+    cell_grads, dxs = cells.backward_sequence(trace.cell_cache, dh, model.cell)
     for name, g in cell_grads.items():
         grads[f"cell.{name}"] = g
 

@@ -7,6 +7,9 @@ the scalar loss from current parameter values.
 
 import numpy as np
 
+from seqtext.cells import GATES, Cell, CellState, run_sequence
+from seqtext.engine import read_container, write_container
+
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     """Norm-based relative disagreement between two gradient blocks.
@@ -38,3 +41,43 @@ def fd_gradient(loss_fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         flat[k] = orig
         gflat[k] = (above - below) / (2.0 * eps)
     return grad
+
+
+def gate_errors(analytic: np.ndarray, numeric: np.ndarray, hidden: int) -> list:
+    """rel_error of each ``hidden``-row gate slice of a stacked block, so a
+    large gate cannot hide the error of a small one in a shared norm."""
+    n = analytic.shape[0] // hidden
+    return [rel_error(a, b) for a, b in zip(np.split(analytic, n), np.split(numeric, n))]
+
+
+def rewrite_artifact(src, dst, edit_header=None, edit_arrays=None):
+    """Write ``src`` to ``dst`` with its header or blocks changed in place
+    by the edit functions, under a valid checksum; returns ``dst``."""
+    header, arrays = read_container(src)
+    del header["blocks"]
+    if edit_header:
+        edit_header(header)
+    if edit_arrays:
+        edit_arrays(arrays)
+    write_container(dst, header, list(arrays.items()))
+    return dst
+
+
+def zero_cell(kind: str, hidden: int, inputs: int, **settings) -> Cell:
+    """A cell whose weights are all zero, but for the U = I that literal
+    mode pins; an LSTM gets zero peepholes."""
+    G = GATES[kind]
+    U = np.eye(hidden) if settings.get("literal_mode") else np.zeros((G * hidden, hidden))
+    V = np.zeros((3 * hidden, hidden)) if kind == "lstm" else None
+    return Cell(kind, W=np.zeros((G * hidden, inputs)), U=U, b=np.zeros(G * hidden), V=V,
+                **settings)
+
+
+def one_step(x, cell: Cell, h_prev, c_prev=None):
+    """Hidden state, cell state (None but for an LSTM) and the list of
+    gate activations after one step of a single document from the given
+    state."""
+    h, cache = run_sequence(np.asarray(x, dtype=float)[None], cell,
+                            CellState(h=np.asarray(h_prev, dtype=float), c=c_prev))
+    c = cache.cs[1, 0] if cache.cs is not None else None
+    return h, c, np.split(cache.acts[0, 0], GATES[cell.kind])

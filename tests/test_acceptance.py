@@ -12,17 +12,7 @@ import pytest
 
 from seqtext import cli, engine, linalg, metrics
 from seqtext import model as M
-from seqtext.cells import (
-    GruParams,
-    LstmParams,
-    RnnParams,
-    backward_sequence,
-    gru_step,
-    lstm_step,
-    make_cell,
-    rnn_step,
-    run_sequence,
-)
+from seqtext.cells import Cell, CellState, backward_sequence, make_cell, run_sequence
 from seqtext.embedding import EmbeddingMatrix
 from seqtext.engine import (
     ExperimentConfig,
@@ -34,7 +24,7 @@ from seqtext.engine import (
 )
 from seqtext.pipeline import PipelineConfig, build_vocabulary, encode
 
-from helpers import fd_gradient, rel_error
+from helpers import fd_gradient, gate_errors, one_step, rel_error, zero_cell
 
 
 def _verdict(capsys, ok: bool, name: str, detail: str) -> None:
@@ -64,20 +54,24 @@ def test_1_scoring_fixtures(capsys):
 # --- gradients ---------------------------------------------------------
 
 def _peephole_lstm(i, h, r):
-    p = LstmParams.init(i, h, r, peepholes=True)
-    p.V_i[:] = r.normal(size=(h, h)) * 0.3
-    p.V_f[:] = r.normal(size=(h, h)) * 0.3
-    p.V_o[:] = r.normal(size=(h, h)) * 0.3
+    p = make_cell("lstm", i, h, r, peepholes=True)
+    for k in range(3):  # V rows i | f | o
+        p.V[k * h:(k + 1) * h] = r.normal(size=(h, h)) * 0.3
     return p
 
 
+def _sigmoid_rnn(i, h, r):
+    p = make_cell("rnn", i, h, r)
+    return Cell("rnn", p.W, p.U, p.b, nonlinearity="sigmoid")
+
+
 _CELL_VARIANTS = [
-    ("rnn tanh", lambda i, h, r: RnnParams.init(i, h, r)),
-    ("rnn sigmoid", lambda i, h, r: RnnParams.init(i, h, r, nonlinearity="sigmoid")),
-    ("rnn literal", lambda i, h, r: RnnParams.init(i, h, r, literal_mode=True)),
+    ("rnn tanh", lambda i, h, r: make_cell("rnn", i, h, r)),
+    ("rnn sigmoid", _sigmoid_rnn),
+    ("rnn literal", lambda i, h, r: make_cell("rnn", i, h, r, literal_mode=True)),
     ("lstm peepholes", _peephole_lstm),
-    ("lstm plain", lambda i, h, r: LstmParams.init(i, h, r, peepholes=False)),
-    ("gru", lambda i, h, r: GruParams.init(i, h, r)),
+    ("lstm plain", lambda i, h, r: make_cell("lstm", i, h, r, peepholes=False)),
+    ("gru", lambda i, h, r: make_cell("gru", i, h, r)),
 ]
 
 
@@ -93,7 +87,8 @@ def test_2_gradient_checks(capsys):
     worst = 0.0
     cases = 0
 
-    # every cell variant: all parameter blocks plus the input sequence
+    # every cell variant: each gate slice of every stacked parameter
+    # block, plus the input sequence
     for label, factory in _CELL_VARIANTS:
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
@@ -108,11 +103,12 @@ def test_2_gradient_checks(capsys):
                 h, _ = run_sequence(xs, p)
                 return float(h @ w)
 
-            _, traces = run_sequence(xs, p)
-            grads, dxs = backward_sequence(traces, w, p)
+            _, cache = run_sequence(xs, p)
+            grads, dxs = backward_sequence(cache, w, p)
             for name, arr in p.named_params():
-                worst = max(worst, rel_error(grads[name], fd_gradient(loss, arr)))
-                cases += 1
+                errs = gate_errors(grads[name], fd_gradient(loss, arr), hidden)
+                worst = max(worst, *errs)
+                cases += len(errs)
             worst = max(worst, rel_error(dxs, fd_gradient(loss, xs)))
             cases += 1
 
@@ -136,8 +132,10 @@ def test_2_gradient_checks(capsys):
                     fd = fd_gradient(loss, arr)
                     if name == "embedding.weights":
                         fd[0] = 0.0  # the pad row is pinned to zero
-                    worst = max(worst, rel_error(grads[name], fd))
-                    cases += 1
+                    errs = (gate_errors(grads[name], fd, m.cell.hidden_size)
+                            if name.startswith("cell.") else [rel_error(grads[name], fd)])
+                    worst = max(worst, *errs)
+                    cases += len(errs)
 
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 60.0
@@ -151,39 +149,31 @@ def test_2_gradient_checks(capsys):
 def test_3_single_step_arithmetic(capsys):
     checks = []
     # plain recurrence, identity feedback: h = tanh(x + h_prev)
-    p = RnnParams(W=np.array([[1.0]]), U=np.eye(1), b=np.zeros(1),
-                  literal_mode=True)
-    h, _ = rnn_step(np.array([1.0]), np.zeros(1), p)
+    p = Cell("rnn", W=np.array([[1.0]]), U=np.eye(1), b=np.zeros(1), literal_mode=True)
+    h, _, _ = one_step([1.0], p, np.zeros(1))
     checks.append(abs(h[0] - 0.7615941559557649) < 1e-12)
-    h0, _ = rnn_step(np.zeros(1), np.zeros(1), p)
+    h0, _, _ = one_step([0.0], p, np.zeros(1))
     checks.append(h0[0] == 0.0)
 
     # zero-weight sigmoid recurrence settles at one half
-    ps = RnnParams(W=np.zeros((2, 1)), U=np.zeros((2, 2)), b=np.zeros(2),
-                   nonlinearity="sigmoid")
-    hs, _ = rnn_step(np.zeros(1), np.zeros(2), ps)
+    ps = zero_cell("rnn", 2, 1, nonlinearity="sigmoid")
+    hs, _, _ = one_step([0.0], ps, np.zeros(2))
     checks.append(np.all(hs == 0.5))
 
     # zero-weight gated memory: halve the carried cell, gate the output
-    z = lambda *s: np.zeros(s)
-    pl = LstmParams(W_i=z(1, 1), W_f=z(1, 1), W_o=z(1, 1), W_c=z(1, 1),
-                    U_i=z(1, 1), U_f=z(1, 1), U_o=z(1, 1), U_c=z(1, 1),
-                    V_i=z(1, 1), V_f=z(1, 1), V_o=z(1, 1),
-                    b_i=z(1), b_f=z(1), b_o=z(1), b_c=z(1))
-    hl, cl, _ = lstm_step(np.zeros(1), np.zeros(1), np.array([2.0]), pl)
+    pl = zero_cell("lstm", 1, 1)
+    hl, cl, _ = one_step([0.0], pl, np.zeros(1), np.array([2.0]))
     checks.append(cl[0] == 1.0)
     checks.append(abs(hl[0] - 0.3807970779778824) < 1e-12)
 
     # zero-weight update gate blends half old state, half candidate
-    pg = GruParams(W_z=z(1, 1), W_r=z(1, 1), W=z(1, 1),
-                   U_z=z(1, 1), U_r=z(1, 1), U=z(1, 1),
-                   b_z=z(1), b_r=z(1), b=z(1))
-    hg, _ = gru_step(np.zeros(1), np.ones(1), pg)
+    pg = zero_cell("gru", 1, 1)
+    hg, _, _ = one_step([0.0], pg, np.ones(1))
     checks.append(hg[0] == 0.5)
 
     # a hard-closed update gate preserves the state
-    pg.b_z[:] = -40.0
-    hk, _ = gru_step(np.ones(1), np.ones(1), pg)
+    pg.b[:1] = -40.0  # the z row
+    hk, _, _ = one_step([1.0], pg, np.ones(1))
     checks.append(abs(hk[0] - 1.0) < 1e-6)
 
     _verdict(capsys, all(checks), "3. single-step arithmetic",
@@ -336,19 +326,19 @@ def test_9_numeric_invariants(capsys, tmp_path):
     interpolates = True
     for seed in range(10):
         r = np.random.default_rng(seed)
-        pl = LstmParams.init(3, 4, r)
-        _, _, tr = lstm_step(r.normal(size=3), r.normal(size=4),
-                             r.normal(size=4), pl)
-        for gate in (tr.i, tr.f, tr.o):
+        pl = make_cell("lstm", 3, 4, r)
+        _, _, (i, f, o, cand) = one_step(r.normal(size=3), pl, r.normal(size=4),
+                                      r.normal(size=4))
+        for gate in (i, f, o):
             in_range &= bool(np.all((gate > 0) & (gate < 1)))
-        in_range &= bool(np.all(np.abs(tr.cand) <= 1.0))
-        pg = GruParams.init(3, 4, r)
+        in_range &= bool(np.all(np.abs(cand) <= 1.0))
+        pg = make_cell("gru", 3, 4, r)
         h_prev = r.normal(size=4)
-        hg, trg = gru_step(r.normal(size=3), h_prev, pg)
-        for gate in (trg.z, trg.r):
+        hg, _, (z, rg, gcand) = one_step(r.normal(size=3), pg, h_prev)
+        for gate in (z, rg):
             in_range &= bool(np.all((gate > 0) & (gate < 1)))
-        lo = np.minimum(h_prev, trg.cand) - 1e-12
-        hi = np.maximum(h_prev, trg.cand) + 1e-12
+        lo = np.minimum(h_prev, gcand) - 1e-12
+        hi = np.maximum(h_prev, gcand) + 1e-12
         interpolates &= bool(np.all((hg >= lo) & (hg <= hi)))
     if not in_range:
         failures.append("gate ranges")
@@ -356,17 +346,13 @@ def test_9_numeric_invariants(capsys, tmp_path):
         failures.append("gated interpolation")
 
     # a forced-open forget gate carries the cell through 50 noisy steps
-    z = lambda *s: np.zeros(s)
-    pl = LstmParams(W_i=z(3, 2), W_f=z(3, 2), W_o=z(3, 2), W_c=z(3, 2),
-                    U_i=z(3, 3), U_f=z(3, 3), U_o=z(3, 3), U_c=z(3, 3),
-                    V_i=z(3, 3), V_f=z(3, 3), V_o=z(3, 3),
-                    b_i=np.full(3, -40.0), b_f=np.full(3, 40.0),
-                    b_o=z(3), b_c=z(3), peepholes=False)
+    pl = Cell("lstm", W=np.zeros((12, 2)), U=np.zeros((12, 3)),
+              b=np.concatenate([np.full(3, -40.0), np.full(3, 40.0), np.zeros(6)]))
     target = np.array([0.7, -1.3, 2.2])
-    h_cur, c_cur = np.zeros(3), target.copy()
     r = np.random.default_rng(5)
-    for _ in range(50):
-        h_cur, c_cur, _ = lstm_step(r.normal(size=2), h_cur, c_cur, pl)
+    xs = np.stack([r.normal(size=2) for _ in range(50)])
+    _, cache = run_sequence(xs, pl, CellState(h=np.zeros(3), c=target.copy()))
+    c_cur = cache.cs[-1, 0]
     if not np.all(np.abs(c_cur - target) < 1e-6):
         failures.append("long-range memory carry")
 

@@ -1,8 +1,9 @@
 """Recurrent cell step semantics, sequence folding, and exact gradients.
 
 Every backward pass is checked against central finite differences on
-randomized small instances; the analytic step fixtures pin the update
-rules themselves to hand-computed values.
+randomized small instances, one gate slice of each stacked block at a
+time; the analytic step fixtures pin the update rules themselves to
+hand-computed values.
 """
 
 import math
@@ -10,75 +11,53 @@ import math
 import numpy as np
 import pytest
 
-from seqtext import cells
-from seqtext.cells import (CellState, GruParams, LstmParams, RnnParams,
-                           backward_sequence, gru_step, lstm_step, make_cell,
-                           rnn_step, run_sequence, step, zero_state)
+from seqtext.cells import (GATES, Cell, CellState, backward_sequence, init_weight,
+                           make_cell, run_sequence)
 from seqtext.errors import ConfigError, ShapeError
+from seqtext.linalg import sigmoid
 
-from helpers import fd_gradient, rel_error
-
-
-def zero_rnn(h, i, **kw):
-    return RnnParams(W=np.zeros((h, i)), U=np.zeros((h, h)), b=np.zeros(h), **kw)
-
-
-def zero_lstm(h, i, peepholes=True):
-    z = lambda: np.zeros((h, h))
-    return LstmParams(W_i=np.zeros((h, i)), W_f=np.zeros((h, i)),
-                      W_o=np.zeros((h, i)), W_c=np.zeros((h, i)),
-                      U_i=z(), U_f=z(), U_o=z(), U_c=z(),
-                      V_i=z(), V_f=z(), V_o=z(),
-                      b_i=np.zeros(h), b_f=np.zeros(h), b_o=np.zeros(h),
-                      b_c=np.zeros(h), peepholes=peepholes)
-
-
-def zero_gru(h, i):
-    z = lambda: np.zeros((h, h))
-    return GruParams(W_z=np.zeros((h, i)), W_r=np.zeros((h, i)), W=np.zeros((h, i)),
-                     U_z=z(), U_r=z(), U=z(),
-                     b_z=np.zeros(h), b_r=np.zeros(h), b=np.zeros(h))
+from helpers import fd_gradient, gate_errors, one_step, zero_cell
 
 
 class TestAnalyticSteps:
     def test_literal_rnn_zero_fixed_point(self):
-        p = zero_rnn(2, 3, literal_mode=True)
-        h, _ = rnn_step(np.zeros(3), np.zeros(2), p)
+        p = zero_cell("rnn", 2, 3, literal_mode=True)
+        h, _ = run_sequence(np.zeros((1, 3)), p)
         np.testing.assert_array_equal(h, np.zeros(2))
 
     def test_literal_rnn_carries_state_through_tanh(self):
-        p = zero_rnn(1, 2, literal_mode=True)
-        h, _ = rnn_step(np.array([5.0, -3.0]), np.array([1.0]), p)
+        p = zero_cell("rnn", 1, 2, literal_mode=True)
+        h, _, _ = one_step([5.0, -3.0], p, [1.0])
         assert abs(h[0] - 0.7615941559557649) < 1e-10
 
     def test_literal_rnn_sigmoid_variant(self):
-        p = zero_rnn(1, 1, nonlinearity="sigmoid", literal_mode=True)
-        h, _ = rnn_step(np.array([0.0]), np.array([0.0]), p)
+        p = zero_cell("rnn", 1, 1, nonlinearity="sigmoid", literal_mode=True)
+        h, _ = run_sequence(np.zeros((1, 1)), p)
         assert h[0] == 0.5
 
     def test_lstm_zero_params_cell_carry(self):
         # all gates at sigmoid(0) = 0.5; c = 0.5 * 2 = 1; h = 0.5 * tanh(1)
-        p = zero_lstm(1, 2)
-        h, c, _ = lstm_step(np.array([7.0, -7.0]), np.zeros(1), np.array([2.0]), p)
+        p = zero_cell("lstm", 1, 2)
+        h, c, _ = one_step([7.0, -7.0], p, np.zeros(1), np.array([2.0]))
         assert abs(c[0] - 1.0) < 1e-12
         assert abs(h[0] - 0.38080) < 1e-5
 
     def test_lstm_zero_everything_stays_zero(self):
-        p = zero_lstm(3, 2)
-        h, c, _ = lstm_step(np.array([1.0, 2.0]), np.zeros(3), np.zeros(3), p)
+        p = zero_cell("lstm", 3, 2)
+        h, c, _ = one_step([1.0, 2.0], p, np.zeros(3), np.zeros(3))
         np.testing.assert_array_equal(c, np.zeros(3))
         np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_gru_zero_params_halves_state(self):
-        p = zero_gru(1, 2)
-        h, _ = gru_step(np.array([4.0, 4.0]), np.array([1.0]), p)
+        p = zero_cell("gru", 1, 2)
+        h, _, _ = one_step([4.0, 4.0], p, [1.0])
         assert abs(h[0] - 0.5) < 1e-12
 
     def test_gru_closed_update_gate_keeps_state(self):
-        p = zero_gru(2, 2)
-        p.b_z[:] = -40.0  # z -> 0, so h must equal h_prev
+        p = zero_cell("gru", 2, 2)
+        p.b[:2] = -40.0  # the z rows: z -> 0, so h must equal h_prev
         h_prev = np.array([0.3, -0.8])
-        h, _ = gru_step(np.ones(2), h_prev, p)
+        h, _, _ = one_step(np.ones(2), p, h_prev)
         assert np.abs(h - h_prev).max() < 1e-6
 
 
@@ -87,29 +66,29 @@ class TestGateRangesAndConvexity:
         rng = np.random.default_rng(0)
         for seed in range(10):
             r = np.random.default_rng(seed)
-            lp = LstmParams.init(3, 4, r)
-            gp = GruParams.init(3, 4, r)
+            lp = make_cell("lstm", 3, 4, r)
+            gp = make_cell("gru", 3, 4, r)
             x = rng.normal(size=3) * 3
             h_prev = rng.uniform(-1, 1, size=4)
             c_prev = rng.normal(size=4)
-            _, _, tr = lstm_step(x, h_prev, c_prev, lp)
-            for gate in (tr.i, tr.f, tr.o):
+            _, _, (i, f, o, cand) = one_step(x, lp, h_prev, c_prev)
+            for gate in (i, f, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
-            assert np.all(np.abs(tr.cand) < 1.0)
-            _, gtr = gru_step(x, h_prev, gp)
-            for gate in (gtr.z, gtr.r):
+            assert np.all(np.abs(cand) < 1.0)
+            _, _, (z, rg, gcand) = one_step(x, gp, h_prev)
+            for gate in (z, rg):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
-            assert np.all(np.abs(gtr.cand) < 1.0)
+            assert np.all(np.abs(gcand) < 1.0)
 
     def test_gru_convex_combination(self):
         rng = np.random.default_rng(1)
         for seed in range(10):
-            p = GruParams.init(2, 5, np.random.default_rng(seed))
+            p = make_cell("gru", 2, 5, np.random.default_rng(seed))
             x = rng.normal(size=2)
             h_prev = rng.uniform(-1, 1, size=5)
-            h, tr = gru_step(x, h_prev, p)
-            lo = np.minimum(h_prev, tr.cand)
-            hi = np.maximum(h_prev, tr.cand)
+            h, _, (_, _, cand) = one_step(x, p, h_prev)
+            lo = np.minimum(h_prev, cand)
+            hi = np.maximum(h_prev, cand)
             assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
 
 
@@ -117,43 +96,48 @@ def test_lstm_memory_carry_over_50_steps():
     # f pinned at ~1 and i at ~0 by large biases; the cell value must
     # survive 50 steps of noisy input essentially unchanged
     rng = np.random.default_rng(2)
-    p = LstmParams.init(2, 3, rng, peepholes=False)
-    p.b_f[:] = 40.0
-    p.b_i[:] = -40.0
-    c = np.array([0.7, -1.3, 2.2])
-    c0 = c.copy()
-    h = np.zeros(3)
-    for _ in range(50):
-        h, c, _ = lstm_step(rng.normal(size=2), h, c, p)
-    assert np.abs(c - c0).max() < 1e-6
+    p = make_cell("lstm", 2, 3, rng, peepholes=False)
+    p.b[3:6] = 40.0    # f rows
+    p.b[:3] = -40.0    # i rows
+    c0 = np.array([0.7, -1.3, 2.2])
+    xs = np.stack([rng.normal(size=2) for _ in range(50)])
+    _, cache = run_sequence(xs, p, CellState(h=np.zeros(3), c=c0))
+    assert np.abs(cache.cs[-1, 0] - c0).max() < 1e-6
 
 
 class TestRunSequence:
     def test_length_one_equals_single_step(self):
-        p = GruParams.init(2, 3, np.random.default_rng(3))
+        # one GRU step from the zero state, by the documented update rule
+        p = make_cell("gru", 2, 3, np.random.default_rng(3))
+        p.b[:] = np.random.default_rng(4).normal(size=9)
         x = np.array([[0.5, -0.5]])
         h_run, _ = run_sequence(x, p)
-        h_one, _ = gru_step(x[0], np.zeros(3), p)
-        np.testing.assert_array_equal(h_run, h_one)
+        Wz, _, Wc = np.split(p.W, 3)
+        bz, _, bc = np.split(p.b, 3)
+        z = sigmoid(Wz @ x[0] + bz)
+        cand = np.tanh(Wc @ x[0] + bc)  # U_c acts on r * h_prev = 0
+        np.testing.assert_allclose(h_run, z * cand, rtol=1e-14, atol=0)
 
     def test_all_pad_literal_rnn_stays_zero(self):
-        p = zero_rnn(3, 2, literal_mode=True)
+        p = zero_cell("rnn", 3, 2, literal_mode=True)
         h, _ = run_sequence(np.zeros((6, 2)), p)
         np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_matches_manual_composition(self):
+        # seven steps at once equal seven one-step runs chained by state
         for kind in ("rnn", "lstm", "gru"):
             p = make_cell(kind, 2, 3, np.random.default_rng(4))
             xs = np.random.default_rng(5).normal(size=(7, 2))
-            h_run, traces = run_sequence(xs, p)
-            state = zero_state(p, xs[0])
+            h_run, cache = run_sequence(xs, p)
+            state = CellState(h=np.zeros(3), c=np.zeros(3) if kind == "lstm" else None)
             for t in range(7):
-                state, _ = step(xs[t], state, p)
+                h, step = run_sequence(xs[t:t + 1], p, state)
+                state = CellState(h=h, c=step.cs[-1, 0] if kind == "lstm" else None)
             np.testing.assert_array_equal(h_run, state.h)
-            assert len(traces) == 7
+            assert cache.acts.shape == (7, 1, GATES[kind] * 3)
 
     def test_empty_sequence_rejected(self):
-        p = GruParams.init(2, 3, np.random.default_rng(0))
+        p = make_cell("gru", 2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             run_sequence(np.zeros((0, 2)), p)
 
@@ -169,21 +153,20 @@ class TestRunSequence:
 
 class TestBackwardSequence:
     def test_zero_upstream_gradient(self):
-        p = LstmParams.init(2, 3, np.random.default_rng(8))
+        p = make_cell("lstm", 2, 3, np.random.default_rng(8))
         xs = np.random.default_rng(9).normal(size=(4, 2))
-        _, traces = run_sequence(xs, p)
-        grads, dxs = backward_sequence(traces, np.zeros(3), p)
+        _, cache = run_sequence(xs, p)
+        grads, dxs = backward_sequence(cache, np.zeros(3), p)
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
         np.testing.assert_array_equal(dxs, np.zeros_like(xs))
 
     def test_length_one_rnn_matches_hand_gradient(self):
-        p = RnnParams.init(2, 3, np.random.default_rng(10))
+        p = make_cell("rnn", 2, 3, np.random.default_rng(10))
         x = np.array([0.3, -1.1])
-        _, traces = run_sequence(x[None, :], p)
+        h, cache = run_sequence(x[None, :], p)
         w = np.array([1.0, -2.0, 0.5])
-        grads, dxs = backward_sequence(traces, w, p)
-        h = traces[0].h
+        grads, dxs = backward_sequence(cache, w, p)
         da = w * (1.0 - h * h)
         np.testing.assert_allclose(grads["W"], np.outer(da, x), atol=1e-12)
         np.testing.assert_allclose(grads["b"], da, atol=1e-12)
@@ -195,35 +178,44 @@ class TestBackwardSequence:
             p = make_cell(kind, 2, 3, np.random.default_rng(11))
             xs = np.random.default_rng(12).normal(size=(4, 3, 2))
             w = np.random.default_rng(13).normal(size=(3, 3))
-            _, traces = run_sequence(xs, p)
-            grads_b, dxs_b = backward_sequence(traces, w, p)
+            _, cache = run_sequence(xs, p)
+            grads_b, dxs_b = backward_sequence(cache, w, p)
             summed = {name: np.zeros_like(g) for name, g in grads_b.items()}
             for b in range(3):
-                _, tr = run_sequence(xs[:, b, :], p)
-                g_one, dx_one = backward_sequence(tr, w[b], p)
+                _, one = run_sequence(xs[:, b, :], p)
+                g_one, dx_one = backward_sequence(one, w[b], p)
                 for name in summed:
                     summed[name] += g_one[name]
                 np.testing.assert_allclose(dxs_b[:, b, :], dx_one, atol=1e-10)
             for name in summed:
                 np.testing.assert_allclose(grads_b[name], summed[name], atol=1e-10)
 
+    def test_gradient_shape_mismatch_rejected(self):
+        p = make_cell("gru", 2, 3, np.random.default_rng(0))
+        _, cache = run_sequence(np.zeros((4, 2, 2)), p)
+        with pytest.raises(ShapeError):
+            backward_sequence(cache, np.zeros((3, 3)), p)
+
 
 CELL_VARIANTS = [
-    ("rnn tanh", lambda i, h, r: RnnParams.init(i, h, r)),
-    ("rnn sigmoid", lambda i, h, r: RnnParams.init(i, h, r, nonlinearity="sigmoid")),
-    ("rnn literal", lambda i, h, r: RnnParams.init(i, h, r, literal_mode=True)),
+    ("rnn tanh", lambda i, h, r: make_cell("rnn", i, h, r)),
+    ("rnn sigmoid", lambda i, h, r: _sigmoid_rnn(i, h, r)),
+    ("rnn literal", lambda i, h, r: make_cell("rnn", i, h, r, literal_mode=True)),
     ("lstm peepholes", lambda i, h, r: _unscaled_peephole_lstm(i, h, r)),
-    ("lstm plain", lambda i, h, r: LstmParams.init(i, h, r, peepholes=False)),
-    ("gru", lambda i, h, r: GruParams.init(i, h, r)),
+    ("lstm plain", lambda i, h, r: make_cell("lstm", i, h, r, peepholes=False)),
+    ("gru", lambda i, h, r: make_cell("gru", i, h, r)),
 ]
+
+
+def _sigmoid_rnn(i, h, r):
+    p = make_cell("rnn", i, h, r)
+    return Cell("rnn", p.W, p.U, p.b, nonlinearity="sigmoid")
 
 
 def _unscaled_peephole_lstm(i, h, r):
     # random nonzero peephole matrices so their gradients are exercised
-    p = LstmParams.init(i, h, r, peepholes=True)
-    p.V_i[:] = r.normal(size=(h, h)) * 0.3
-    p.V_f[:] = r.normal(size=(h, h)) * 0.3
-    p.V_o[:] = r.normal(size=(h, h)) * 0.3
+    p = make_cell("lstm", i, h, r, peepholes=True)
+    p.V[:] = r.normal(size=(3 * h, h)) * 0.3
     return p
 
 
@@ -242,51 +234,64 @@ def test_gradients_match_finite_differences(label, factory):
             h, _ = run_sequence(xs, p)
             return float(h @ w)
 
-        _, traces = run_sequence(xs, p)
-        grads, dxs = backward_sequence(traces, w, p)
+        _, cache = run_sequence(xs, p)
+        grads, dxs = backward_sequence(cache, w, p)
+        assert sorted(grads) == sorted(n for n, _ in p.named_params())
         for name, arr in p.named_params():
-            err = rel_error(grads[name], fd_gradient(loss, arr))
-            assert err < 1e-5, f"{label} seed {seed} block {name}: rel err {err:.2e}"
-        err = rel_error(dxs, fd_gradient(loss, xs))
+            for k, err in enumerate(gate_errors(grads[name], fd_gradient(loss, arr), hidden)):
+                assert err < 1e-5, f"{label} seed {seed} block {name} gate {k}: rel err {err:.2e}"
+        err = gate_errors(dxs, fd_gradient(loss, xs), T)[0]
         assert err < 1e-5, f"{label} seed {seed} inputs: rel err {err:.2e}"
 
 
 class TestShapesAndValidation:
     def test_step_input_size_mismatch(self):
-        p = RnnParams.init(2, 3, np.random.default_rng(0))
+        p = make_cell("rnn", 2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            rnn_step(np.zeros(5), np.zeros(3), p)
+            run_sequence(np.zeros((1, 5)), p)
         with pytest.raises(ShapeError):
-            rnn_step(np.zeros(2), np.zeros(4), p)
+            run_sequence(np.zeros((1, 2)), p, CellState(h=np.zeros(4)))
 
     def test_lstm_cell_state_shape_mismatch(self):
-        p = LstmParams.init(2, 3, np.random.default_rng(0))
+        p = make_cell("lstm", 2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            lstm_step(np.zeros(2), np.zeros(3), np.zeros(4), p)
+            run_sequence(np.zeros((1, 2)), p, CellState(h=np.zeros(3), c=np.zeros(4)))
 
     def test_param_shape_validation(self):
         with pytest.raises(ShapeError):
-            RnnParams(W=np.zeros((3, 2)), U=np.zeros((2, 2)), b=np.zeros(3))
-        with pytest.raises(ShapeError):
-            RnnParams(W=np.zeros((3, 2)), U=np.zeros((3, 3)), b=np.zeros(3),
-                      nonlinearity="relu")
+            Cell("rnn", W=np.zeros((3, 2)), U=np.zeros((2, 2)), b=np.zeros(3))
+        with pytest.raises(ShapeError):  # three gates' rows where an lstm has four
+            Cell("lstm", W=np.zeros((9, 2)), U=np.zeros((9, 3)), b=np.zeros(9))
+        with pytest.raises(ShapeError):  # peepholes are 3H x H, rows i | f | o
+            Cell("lstm", W=np.zeros((12, 2)), U=np.zeros((12, 3)), b=np.zeros(12),
+                 V=np.zeros((12, 3)))
+        with pytest.raises(ConfigError):
+            Cell("rnn", W=np.zeros((3, 2)), U=np.zeros((3, 3)), b=np.zeros(3),
+                 nonlinearity="relu")
+        with pytest.raises(ConfigError):
+            Cell("gru", W=np.zeros((9, 2)), U=np.zeros((9, 3)), b=np.zeros(9),
+                 V=np.zeros((9, 3)))
 
     def test_make_cell_unknown_kind(self):
         with pytest.raises(ConfigError):
             make_cell("transformer", 2, 3, np.random.default_rng(0))
 
     def test_literal_mode_pins_recurrence(self):
-        p = RnnParams.init(2, 3, np.random.default_rng(0), literal_mode=True)
+        p = make_cell("rnn", 2, 3, np.random.default_rng(0), literal_mode=True)
         np.testing.assert_array_equal(p.U, np.eye(3))
         np.testing.assert_array_equal(p.b, np.zeros(3))
         assert [n for n, _ in p.named_params()] == ["W"]
+        with pytest.raises(ConfigError):
+            Cell("rnn", W=p.W, U=np.zeros((3, 3)), b=p.b, literal_mode=True)
 
     def test_peepholes_off_zeroes_v_blocks(self):
-        p = LstmParams.init(2, 3, np.random.default_rng(0), peepholes=False)
-        for v in (p.V_i, p.V_f, p.V_o):
-            np.testing.assert_array_equal(v, np.zeros((3, 3)))
-        names = [n for n, _ in p.named_params()]
-        assert "V_i" not in names and "V_f" not in names and "V_o" not in names
+        # no peepholes means no V to train, and acts as V = 0 would
+        p = make_cell("lstm", 2, 3, np.random.default_rng(0), peepholes=False)
+        assert p.V is None
+        assert [n for n, _ in p.named_params()] == ["W", "U", "b"]
+        zero_v = Cell("lstm", W=p.W, U=p.U, b=p.b, V=np.zeros((9, 3)))
+        xs = np.random.default_rng(1).normal(size=(6, 2, 2))
+        np.testing.assert_array_equal(run_sequence(xs, p)[0], run_sequence(xs, zero_v)[0])
 
     def test_init_determinism(self):
         for kind in ("rnn", "lstm", "gru"):
@@ -296,19 +301,47 @@ class TestShapesAndValidation:
                 np.testing.assert_array_equal(arr_a, arr_b)
 
     def test_unscaled_init_keeps_raw_uniform_range(self):
-        p = RnnParams.init(4, 50, np.random.default_rng(1), scaled=False)
+        p = make_cell("rnn", 4, 50, np.random.default_rng(1), scaled=False)
         assert p.W.max() > 1.0 / math.sqrt(4)  # would be impossible when scaled
         assert p.W.min() >= 0.0 and p.W.max() <= 1.0
 
 
+@pytest.mark.parametrize("kind,kw", [
+    ("rnn", {}), ("rnn", {"literal_mode": True}), ("lstm", {}),
+    ("lstm", {"peepholes": False}), ("lstm", {"scaled": False}), ("gru", {}),
+])
+def test_stacked_init_equals_per_gate_draws(kind, kw):
+    # one draw per gate block, in the order W gates, U gates, peepholes
+    D, H, G = 3, 4, GATES[kind]
+    scaled = kw.get("scaled", True)
+    rng, cell_rng = np.random.default_rng(9), np.random.default_rng(9)
+    W = np.concatenate([init_weight(rng, H, D, scaled) for _ in range(G)])
+    U = np.eye(H) if kw.get("literal_mode") else np.concatenate(
+        [init_weight(rng, H, H, scaled) for _ in range(G)])
+    cell = make_cell(kind, D, H, cell_rng, **kw)
+    np.testing.assert_array_equal(cell.W, W)
+    np.testing.assert_array_equal(cell.U, U)
+    np.testing.assert_array_equal(cell.b, np.zeros(G * H))
+    if kind == "lstm" and kw.get("peepholes", True):
+        V = np.zeros((3 * H, H)) if scaled else np.concatenate(
+            [init_weight(rng, H, H, scaled) for _ in range(3)])
+        np.testing.assert_array_equal(cell.V, V)
+    else:
+        assert cell.V is None
+    # both generators end in the same state, so later inits (dense, head) match too
+    assert rng.random() == cell_rng.random()
+
+
 def test_zero_state_shapes():
-    lp = LstmParams.init(2, 3, np.random.default_rng(0))
-    st_single = zero_state(lp, np.zeros(2))
-    assert st_single.h.shape == (3,) and st_single.c.shape == (3,)
-    st_batch = zero_state(lp, np.zeros((5, 2)))
-    assert st_batch.h.shape == (5, 3) and st_batch.c.shape == (5, 3)
-    gp = GruParams.init(2, 3, np.random.default_rng(0))
-    assert zero_state(gp, np.zeros(2)).c is None
+    lp = make_cell("lstm", 2, 3, np.random.default_rng(0))
+    h, cache = run_sequence(np.ones((4, 2)), lp)
+    assert h.shape == (3,)
+    assert cache.hs.shape == (5, 1, 3) and cache.cs.shape == (5, 1, 3)
+    _, cache = run_sequence(np.ones((4, 5, 2)), lp)
+    np.testing.assert_array_equal(cache.hs[0], np.zeros((5, 3)))
+    np.testing.assert_array_equal(cache.cs[0], np.zeros((5, 3)))
+    gp = make_cell("gru", 2, 3, np.random.default_rng(0))
+    assert run_sequence(np.ones((4, 2)), gp)[1].cs is None
 
 
 def test_cell_state_dataclass():

@@ -8,6 +8,8 @@ import pytest
 
 from seqtext import cli, engine, pipeline
 
+from helpers import rewrite_artifact
+
 
 def _read_metrics(path):
     out = {}
@@ -265,6 +267,38 @@ class TestExitCodes:
         rc = cli.entry(["predict", "--model", str(bare)])
         assert rc == 2
         assert "no embedded vocabulary" in capsys.readouterr().err
+
+
+def _run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "seqtext", *map(str, args)],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestMalformedArtifacts:
+    """Well-formed containers with bad contents exit 2 without a traceback."""
+
+    @pytest.mark.parametrize("bad", [1_000_000, -1])
+    def test_dataset_index_outside_vocabulary(self, workspace, tmp_path, bad):
+        data = rewrite_artifact(workspace["pre"] / "dataset.sqt", tmp_path / "bad.sqt",
+                                edit_arrays=lambda a: a["indices"].__setitem__((2, 5), bad))
+        proc = _run_cli("evaluate", "--model", workspace["run"] / "model.sqt",
+                        "--data", data, "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"row 2 holds token index {bad}" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_checkpoint_without_config(self, workspace, tmp_path, command):
+        model = rewrite_artifact(workspace["run"] / "model.sqt", tmp_path / "bad.sqt",
+                                 edit_header=lambda h: h.pop("config"))
+        args = ["--model", model]
+        if command == "evaluate":
+            args += ["--data", workspace["pre"] / "dataset.sqt", "--out-dir", tmp_path]
+        proc = _run_cli(command, *args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "'config'" in proc.stderr
 
 
 class TestModuleEntry:

@@ -34,6 +34,8 @@ from seqtext.errors import (
     VocabularyMismatchError,
 )
 
+from helpers import rewrite_artifact
+
 
 class TestConfigParsing:
     def test_typed_values_and_comments(self):
@@ -621,6 +623,66 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestCheckpointHeader:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        ds, vocab, pcfg, cfg = _toy_setup(epochs=0, cell="lstm")
+        model, _ = train(cfg, ds, vocab)
+        path = tmp_path / "model.sqt"
+        save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
+        return path
+
+    def test_stacked_cell_blocks_and_format(self, ckpt):
+        header, arrays = read_container(ckpt)
+        assert header["format"] == 2
+        assert header["cell"] == {"kind": "lstm", "nonlinearity": "tanh", "literal_mode": False}
+        assert sorted(n for n in arrays if n.startswith("cell.")) == \
+            ["cell.U", "cell.V", "cell.W", "cell.b"]
+        assert arrays["cell.W"].shape == (4 * 6, 8) and arrays["cell.V"].shape == (3 * 6, 6)
+
+    @pytest.mark.parametrize("field", ["config", "cell", "head", "n_classes", "class_names",
+                                       "embedding_trainable", "vocab_sha", "format"])
+    def test_missing_field_is_integrity_error(self, ckpt, field):
+        rewrite_artifact(ckpt, ckpt, lambda h: h.pop(field))
+        with pytest.raises(IntegrityError, match="format" if field == "format" else field):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("field,value", [
+        ("config", "lstm"), ("n_classes", "2"), ("n_classes", True), ("head", 1),
+        ("class_names", "neg,pos"), ("pipeline", 3), ("embedding_trainable", 1),
+    ])
+    def test_wrong_field_type_is_integrity_error(self, ckpt, field, value):
+        rewrite_artifact(ckpt, ckpt, lambda h: h.update({field: value}))
+        with pytest.raises(IntegrityError, match=field):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(format=1),
+        lambda h: h["config"].update(hidden_size="six"),
+        lambda h: h["config"].update(learning_rate="fast"),
+        lambda h: h["cell"].update(kind="transformer"),
+        lambda h: h["cell"].update(literal_mode=True),
+        lambda h: h["cell"].update(gates=4),
+        lambda h: h.update(head="argmax"),
+        lambda h: h.update(n_classes=3),
+        lambda h: h["pipeline"].update(max_len=0),
+    ], ids=["format1", "config-int", "config-float", "cell-kind", "cell-literal",
+            "cell-unknown-key", "head", "n_classes", "pipeline"])
+    def test_bad_field_contents_are_integrity_errors(self, ckpt, edit):
+        rewrite_artifact(ckpt, ckpt, edit)
+        with pytest.raises(IntegrityError):
+            load_checkpoint(ckpt)
+
+    def test_cell_validates_its_own_blocks(self, ckpt):
+        rewrite_artifact(ckpt, ckpt,
+                         edit_arrays=lambda a: a.update({"cell.U": a["cell.U"][:18]}))
+        with pytest.raises(IntegrityError, match="cell"):
+            load_checkpoint(ckpt)
+        rewrite_artifact(ckpt, ckpt, edit_arrays=lambda a: a.pop("cell.W"))
+        with pytest.raises(IntegrityError, match="argument: 'W'"):
+            load_checkpoint(ckpt)
+
+
 class TestDatasetArtifact:
     def test_round_trip_with_split(self, tmp_path):
         ds, vocab, pcfg = make_synthetic_corpus(12, 2, seed=5)
@@ -645,6 +707,27 @@ class TestDatasetArtifact:
         save_dataset(path, ds, vocab, pcfg)
         back, _, _ = load_dataset(path)
         assert back.train_idx is None and back.test_idx is None
+
+    @pytest.mark.parametrize("bad", [-1, None, 1_000_000])  # None: the vocabulary size
+    def test_index_outside_vocabulary_names_the_row(self, tmp_path, bad):
+        ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
+        bad = vocab.size if bad is None else bad
+        path = tmp_path / "data.sqt"
+        save_dataset(path, ds, vocab, pcfg)
+        rewrite_artifact(path, path,
+                         edit_arrays=lambda a: a["indices"].__setitem__((5, 3), bad))
+        with pytest.raises(IntegrityError, match=f"row 5 holds token index {bad}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["class_names", "vocab_text", "vocab_sha",
+                                       "pipeline", "has_split"])
+    def test_missing_header_field_is_integrity_error(self, tmp_path, field):
+        ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
+        path = tmp_path / "data.sqt"
+        save_dataset(path, ds, vocab, pcfg)
+        rewrite_artifact(path, path, lambda h: h.pop(field))
+        with pytest.raises(IntegrityError, match=field):
+            load_dataset(path)
 
     def test_identical_bytes_across_writes(self, tmp_path):
         ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
