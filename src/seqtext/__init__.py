@@ -18,8 +18,7 @@ from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      ShapeError, VocabularyMismatchError)
 from .metrics import EvalReport, confusion, format_report, scores
 from .model import ClassifierModel, bce_loss, cce_loss, cost, forward, softmax
-from .pipeline import (PipelineConfig, TokenizedDocument, Vocabulary,
-                       build_vocabulary, clean, encode, make_document)
+from .pipeline import PipelineConfig, Vocabulary, build_vocabulary, clean, encode
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,6 @@ __all__ = [
     "ShapeError", "VocabularyMismatchError",
     "EvalReport", "confusion", "format_report", "scores",
     "ClassifierModel", "bce_loss", "cce_loss", "cost", "forward", "softmax",
-    "PipelineConfig", "TokenizedDocument", "Vocabulary",
-    "build_vocabulary", "clean", "encode", "make_document",
+    "PipelineConfig", "Vocabulary", "build_vocabulary", "clean", "encode",
     "__version__",
 ]

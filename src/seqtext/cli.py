@@ -21,7 +21,7 @@ from . import engine, metrics
 from .engine import ExperimentConfig, parse_config_text, parse_config_value
 from .errors import ConfigError, DataError, DivergenceError
 from .model import forward
-from .pipeline import PipelineConfig, Vocabulary, clean, load_stopwords, make_document
+from .pipeline import PipelineConfig, Vocabulary, clean, encode, load_stopwords
 
 _CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
 
@@ -154,8 +154,7 @@ def _cmd_predict(args) -> int:
     names = ckpt.class_names
     for line in sys.stdin:
         tokens = clean(line.rstrip("\n"), ckpt.pipeline)
-        doc = make_document(tokens, 0, ckpt.vocab, ckpt.pipeline)
-        probs, _ = forward(model, doc.indices)
+        probs, _ = forward(model, encode(tokens, ckpt.vocab, ckpt.pipeline))
         if model.head == "sigmoid":
             cls = 1 if probs >= 0.5 else 0
             prob = float(probs)

@@ -26,8 +26,8 @@ from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      VocabularyMismatchError)
 from .model import (LOSS_KINDS, ClassifierModel, backward, cost, default_loss,
                     forward, loss_values, predict_classes, validate_head_loss)
-from .pipeline import (PipelineConfig, TokenizedDocument, Vocabulary,
-                       build_vocabulary, clean, make_document)
+from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
+                       build_vocabulary, clean, encode)
 
 TASKS = ("binary", "multiclass")
 CELL_KINDS = ("rnn", "gru", "lstm")
@@ -222,38 +222,50 @@ _CONFIG_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 
 @dataclass
 class Dataset:
-    documents: list                      # TokenizedDocument
+    """An encoded corpus as the row-aligned arrays of the dataset file:
+    ``indices`` (N, max_len) int32 front-padded token indices, ``labels``
+    (N,) int64 class indices (int32 in the file) and ``lengths`` (N,)
+    token counts before truncation. A split is a pair of row-index arrays
+    that together name every row exactly once."""
+
+    indices: np.ndarray
+    labels: np.ndarray
+    lengths: np.ndarray
     class_names: list
     train_idx: Optional[np.ndarray] = None
     test_idx: Optional[np.ndarray] = None
     vocab_sha: Optional[str] = None
 
     def __post_init__(self):
+        N = self.indices.shape[0] if self.indices.ndim == 2 else -1
+        if N < 0 or self.labels.shape != (N,) or self.lengths.shape != (N,):
+            raise DataError(
+                f"dataset arrays have inconsistent shapes: indices {self.indices.shape}, "
+                f"labels {self.labels.shape}, lengths {self.lengths.shape}")
         C = len(self.class_names)
-        for i, d in enumerate(self.documents):
-            if not 0 <= d.label < C:
-                raise DataError(f"document {i} has label {d.label}, but only {C} classes are named")
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= C))
+        if bad.size:
+            i = bad[0]
+            raise DataError(f"document {i} has label {self.labels[i]}, but only {C} classes are named")
         if self.train_idx is not None and self.test_idx is not None:
-            tr = set(np.asarray(self.train_idx).tolist())
-            te = set(np.asarray(self.test_idx).tolist())
-            if tr & te:
+            if np.intersect1d(self.train_idx, self.test_idx).size:
                 raise ConfigError("train and test splits overlap")
-            if tr | te != set(range(len(self.documents))):
+            both = np.concatenate([self.train_idx, self.test_idx]).astype(np.int64)
+            if both.size and (both.min() < 0 or both.max() >= N):
+                raise ConfigError(f"split rows must lie in [0, {N})")
+            if both.size != N or not np.bincount(both, minlength=N).all():
                 raise ConfigError("splits must cover every document exactly once")
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return self.indices.shape[0]
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def labels(self) -> np.ndarray:
-        return np.array([d.label for d in self.documents], dtype=np.int64)
-
     def train_indices(self) -> np.ndarray:
         if self.train_idx is None:
-            return np.arange(len(self.documents))
+            return np.arange(len(self))
         return np.asarray(self.train_idx)
 
     def test_indices(self) -> np.ndarray:
@@ -262,8 +274,31 @@ class Dataset:
         return np.asarray(self.test_idx)
 
 
-def _stack_indices(documents) -> np.ndarray:
-    return np.stack([d.indices for d in documents]).astype(np.int64, copy=False)
+def _encode_corpus(token_lists: list, labels: list, class_names: list,
+                   vocab: Vocabulary, cfg: PipelineConfig) -> Dataset:
+    """The Dataset of ``token_lists``: ``encode`` writes each document's
+    row of a preallocated (N, max_len) int32 matrix."""
+    indices = np.empty((len(token_lists), cfg.max_len), dtype=np.int32)
+    for row, tokens in enumerate(token_lists):
+        indices[row] = encode(tokens, vocab, cfg)
+    return Dataset(indices=indices, labels=np.array(labels, dtype=np.int64),
+                   lengths=np.array([len(t) for t in token_lists], dtype=np.int32),
+                   class_names=class_names, vocab_sha=vocab.sha256())
+
+
+def _read_csv(path):
+    """The rows of a UTF-8 CSV file, header first. A byte that does not
+    decode is a DataError naming the file; the decoder reads ahead of the
+    csv reader, so its line is not known. A field over the csv module's
+    limit is a DataError naming the file and the line."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from None
 
 
 def load_csv_dataset(path, text_column: str, label_column: str, cfg: PipelineConfig,
@@ -271,33 +306,36 @@ def load_csv_dataset(path, text_column: str, label_column: str, cfg: PipelineCon
                      class_names: Optional[list] = None) -> tuple[Dataset, Vocabulary]:
     """Read a header-bearing CSV into an encoded Dataset.
 
+    The file must be UTF-8 (a leading BOM is allowed) and no field may
+    exceed the csv module's default limit of 131,072 characters; either
+    violation is a DataError naming the file.
+
     Label values map to class indices by first appearance unless
     ``class_names`` pins an existing order (needed when encoding a test
     file against a model's classes). When ``vocab`` is given it is
     reused instead of built, so indices stay comparable across files.
     """
     texts, raw = [], []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        for col in (text_column, label_column):
-            if col not in header:
-                raise ConfigError(f"{path}: no column named {col!r} in header {header}")
-        t_i = header.index(text_column)
-        l_i = header.index(label_column)
-        width = max(t_i, l_i) + 1
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < width:
-                raise DataError(f"{path}: row {rownum} has {len(row)} fields, expected at least {width}")
-            label = row[l_i].strip()
-            if not label:
-                raise DataError(f"{path}: row {rownum} has an empty label")
-            texts.append(row[t_i])
-            raw.append((rownum, label))
+    rows = _read_csv(path)
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    for col in (text_column, label_column):
+        if col not in header:
+            raise ConfigError(f"{path}: no column named {col!r} in header {header}")
+    t_i = header.index(text_column)
+    l_i = header.index(label_column)
+    width = max(t_i, l_i) + 1
+    for rownum, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) < width:
+            raise DataError(f"{path}: row {rownum} has {len(row)} fields, expected at least {width}")
+        label = row[l_i].strip()
+        if not label:
+            raise DataError(f"{path}: row {rownum} has an empty label")
+        texts.append(row[t_i])
+        raw.append((rownum, label))
     if not texts:
         raise DataError(f"{path}: no data rows")
 
@@ -318,9 +356,7 @@ def load_csv_dataset(path, text_column: str, label_column: str, cfg: PipelineCon
     token_lists = [clean(t, cfg) for t in texts]
     if vocab is None:
         vocab = build_vocabulary(token_lists, cfg)
-    docs = [make_document(toks, lab, vocab, cfg) for toks, lab in zip(token_lists, labels)]
-    ds = Dataset(documents=docs, class_names=names, vocab_sha=vocab.sha256())
-    return ds, vocab
+    return _encode_corpus(token_lists, labels, names, vocab, cfg), vocab
 
 
 def _apportion(counts: list, total: int) -> list:
@@ -342,7 +378,7 @@ def split(dataset: Dataset, train_fraction: Optional[float] = None,
     """Deterministic stratified split; the fractional remainder of each
     class goes to the training side.
 
-    Returns a new Dataset sharing the documents, with index sets filled;
+    Returns a new Dataset sharing the arrays, with index sets filled;
     give either a fraction in (0, 1) or explicit counts summing to the
     corpus size.
     """
@@ -350,8 +386,8 @@ def split(dataset: Dataset, train_fraction: Optional[float] = None,
     by_count = train_count is not None or test_count is not None
     if by_fraction == by_count:
         raise ConfigError("give either train_fraction or train_count/test_count, not both")
-    N = len(dataset.documents)
-    y = dataset.labels()
+    N = len(dataset)
+    y = dataset.labels
     C = dataset.n_classes
     class_idx = [np.flatnonzero(y == j) for j in range(C)]
     for j, idx in enumerate(class_idx):
@@ -390,28 +426,16 @@ def split(dataset: Dataset, train_fraction: Optional[float] = None,
 def corpus_stats(dataset: Dataset) -> dict:
     """Document count, class histogram, mean pre-truncation length, OOV
     rate over non-pad positions, and truncated-document count."""
-    from .pipeline import OOV_INDEX, PAD_INDEX
-
-    hist = {name: 0 for name in dataset.class_names}
-    total_len = 0
-    oov = 0
-    nonpad = 0
-    truncated = 0
-    for d in dataset.documents:
-        hist[dataset.class_names[d.label]] += 1
-        total_len += d.original_length
-        kept = d.indices[d.indices != PAD_INDEX]
-        oov += int((kept == OOV_INDEX).sum())
-        nonpad += int(kept.size)
-        if d.original_length > d.indices.size:
-            truncated += 1
-    n = len(dataset.documents)
+    n = len(dataset)
+    counts = np.bincount(dataset.labels, minlength=dataset.n_classes).tolist()
+    oov = int(np.count_nonzero(dataset.indices == OOV_INDEX))
+    nonpad = int(np.count_nonzero(dataset.indices != PAD_INDEX))
     return {
         "documents": n,
-        "classes": hist,
-        "avg_length": total_len / n if n else 0.0,
+        "classes": dict(zip(dataset.class_names, counts)),
+        "avg_length": int(dataset.lengths.sum()) / n if n else 0.0,
         "oov_rate": oov / nonpad if nonpad else 0.0,
-        "truncated": truncated,
+        "truncated": int(np.count_nonzero(dataset.lengths > dataset.indices.shape[1])),
     }
 
 
@@ -519,7 +543,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset,
     accuracy already on the curve.
     """
     cfg.validate()
-    if not dataset.documents:
+    if len(dataset) == 0:
         raise ConfigError("dataset is empty")
     model = build_model(cfg, dataset.n_classes, vocab,
                         np.random.default_rng(cfg.seed), log)
@@ -531,8 +555,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset,
     te_idx = dataset.test_indices()
     if tr_idx.size == 0:
         raise ConfigError("training split is empty")
-    X = _stack_indices(dataset.documents)
-    y = dataset.labels()
+    X, y = dataset.indices, dataset.labels
     Xtr, ytr = X[tr_idx], y[tr_idx]
     Xte, yte = X[te_idx], y[te_idx]
 
@@ -599,13 +622,13 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test",
     elif which == "test":
         idx = dataset.test_indices()
     elif which == "all":
-        idx = np.arange(len(dataset.documents))
+        idx = np.arange(len(dataset))
     else:
         raise ConfigError(f"split must be train, test or all, got {which!r}")
     if idx.size == 0:
         raise ConfigError(f"the {which} split is empty")
-    X = _stack_indices(dataset.documents)[idx]
-    y = dataset.labels()[idx]
+    X = dataset.indices[idx]
+    y = dataset.labels[idx]
     preds = np.empty(idx.size, dtype=np.int64)
     for b0 in range(0, idx.size, batch_size):
         probs, _ = forward(model, X[b0:b0 + batch_size])
@@ -833,50 +856,36 @@ def save_dataset(path, dataset: Dataset, vocab: Vocabulary,
         "pipeline": pipeline_cfg.to_dict(),
         "has_split": dataset.train_idx is not None and dataset.test_idx is not None,
     }
-    arrays = [
-        ("indices", _stack_indices(dataset.documents).astype(np.int32)),
-        ("labels", dataset.labels().astype(np.int32)),
-        ("original_lengths",
-         np.array([d.original_length for d in dataset.documents], dtype=np.int32)),
-    ]
+    blocks = [("indices", dataset.indices), ("labels", dataset.labels),
+              ("original_lengths", dataset.lengths)]
     if header["has_split"]:
-        arrays.append(("train_idx", np.asarray(dataset.train_idx, dtype=np.int32)))
-        arrays.append(("test_idx", np.asarray(dataset.test_idx, dtype=np.int32)))
-    write_container(path, header, arrays)
+        blocks += [("train_idx", dataset.train_idx), ("test_idx", dataset.test_idx)]
+    write_container(path, header, [(n, np.asarray(a, dtype=np.int32)) for n, a in blocks])
 
 
 def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
     header, arrays = read_container(path)
     _check_header(path, header, "dataset", DATASET_FORMAT, _DATASET_HEADER)
-    for name in ("indices", "labels", "original_lengths"):
-        if name not in arrays:
-            raise IntegrityError(f"{path}: block {name!r} is missing")
-    idx = arrays["indices"]
-    labels = arrays["labels"]
-    lengths = arrays["original_lengths"]
-    if idx.ndim != 2 or labels.shape != (idx.shape[0],) or lengths.shape != (idx.shape[0],):
-        raise IntegrityError(f"{path}: dataset blocks have inconsistent shapes")
+    split_blocks = ("train_idx", "test_idx") if header["has_split"] else ()
+    for name in ("indices", "labels", "original_lengths") + split_blocks:
+        if name not in arrays or arrays[name].dtype != np.int32:
+            raise IntegrityError(f"{path}: int32 block {name!r} is missing")
     vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
     if vocab.sha256() != header["vocab_sha"]:
         raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
-    bad = (idx < 0) | (idx >= vocab.size)
+    pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
+    train_idx = test_idx = None
+    if split_blocks:
+        train_idx, test_idx = (arrays[n].astype(np.int64) for n in split_blocks)
+    ds = _from_header(path, "dataset", lambda: Dataset(
+        indices=arrays["indices"], labels=arrays["labels"].astype(np.int64),
+        lengths=arrays["original_lengths"], class_names=list(header["class_names"]),
+        train_idx=train_idx, test_idx=test_idx, vocab_sha=header["vocab_sha"]))
+    bad = (ds.indices < 0) | (ds.indices >= vocab.size)
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise IntegrityError(f"{path}: row {row} holds token index {idx[row, col]}, "
+        raise IntegrityError(f"{path}: row {row} holds token index {ds.indices[row, col]}, "
                              f"outside the vocabulary range [0, {vocab.size})")
-    pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
-    docs = [TokenizedDocument(indices=idx[i], label=int(labels[i]),
-                              original_length=int(lengths[i]))
-            for i in range(idx.shape[0])]
-    train_idx = test_idx = None
-    if header["has_split"]:
-        if "train_idx" not in arrays or "test_idx" not in arrays:
-            raise IntegrityError(f"{path}: split blocks are missing")
-        train_idx = arrays["train_idx"].astype(np.int64)
-        test_idx = arrays["test_idx"].astype(np.int64)
-    ds = _from_header(path, "dataset", lambda: Dataset(
-        documents=docs, class_names=list(header["class_names"]), train_idx=train_idx,
-        test_idx=test_idx, vocab_sha=header["vocab_sha"]))
     return ds, vocab, pipe
 
 
@@ -949,9 +958,7 @@ def make_synthetic_corpus(n_docs: int, n_classes: int, seed: int, *,
     cfg = PipelineConfig(vocab_size=2 + n_classes * tokens_per_class + filler_tokens,
                          max_len=pad_len or max_len)
     vocab = build_vocabulary(token_lists, cfg)
-    docs = [make_document(t, lab, vocab, cfg) for t, lab in zip(token_lists, labels)]
-    ds = Dataset(documents=docs, class_names=names, vocab_sha=vocab.sha256())
-    return ds, vocab, cfg
+    return _encode_corpus(token_lists, labels, names, vocab, cfg), vocab, cfg
 
 
 def make_synthetic_csv(path, n_docs: int, n_classes: int, seed: int, *,

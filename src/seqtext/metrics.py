@@ -33,13 +33,11 @@ class EvalReport:
     confusion: np.ndarray
     zero_division: bool = False
 
-    def headline(self, average: str = "macro") -> tuple:
+    def headline(self) -> tuple:
         """(precision, recall, f1) for table output: the positive class
-        for binary reports, otherwise the requested aggregate."""
+        for binary reports, otherwise the macro aggregate."""
         if len(self.precision) == 2:
             return self.precision[1], self.recall[1], self.f1[1]
-        if average == "weighted":
-            return self.weighted_precision, self.weighted_recall, self.weighted_f1
         return self.macro_precision, self.macro_recall, self.macro_f1
 
 
@@ -161,12 +159,12 @@ def brute_force_scores_oracle(preds, labels, n_classes: int) -> EvalReport:
     )
 
 
-def format_report(report: EvalReport, class_names=None, average: str = "macro") -> str:
+def format_report(report: EvalReport, class_names=None) -> str:
     """Human-readable table: Accuracy, Precision, Recall, F1 Score at two
     decimals, plus per-class rows and the confusion matrix."""
     C = len(report.precision)
     names = list(class_names) if class_names else [str(i) for i in range(C)]
-    p, r, f = report.headline(average)
+    p, r, f = report.headline()
     lines = []
     lines.append(f"{'Accuracy':>10} {'Precision':>10} {'Recall':>10} {'F1 Score':>10}")
     lines.append(f"{report.accuracy:>10.2f} {p:>10.2f} {r:>10.2f} {f:>10.2f}")

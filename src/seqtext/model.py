@@ -207,18 +207,17 @@ def loss_values(model: ClassifierModel, probs: np.ndarray, y: np.ndarray) -> np.
     return cce_loss(probs, y)
 
 
-def backward(model: ClassifierModel, trace: ModelTrace, y,
-             scale: Optional[float] = None) -> dict[str, np.ndarray]:
+def backward(model: ClassifierModel, trace: ModelTrace, y) -> dict[str, np.ndarray]:
     """Gradients of the mean loss over the traced batch.
 
     Uses the fused head gradient (probabilities minus targets) at the
     logits, then walks the dense layer, the cell (through time) and the
     embedding rows. The pad embedding row's gradient is forced to zero.
-    ``scale`` overrides the default 1/batch averaging weight. The cell
-    part of the trace is overwritten, so a trace serves one backward pass.
+    The cell part of the trace is overwritten, so a trace serves one
+    backward pass.
     """
     B = trace.indices.shape[0]
-    w = (1.0 / B) if scale is None else scale
+    w = 1.0 / B
     y = np.asarray(y)
     if model.head == "sigmoid":
         target = np.atleast_1d(y).astype(np.float64)

@@ -58,13 +58,6 @@ class PipelineConfig:
         return cls(**d)
 
 
-@dataclass
-class TokenizedDocument:
-    indices: np.ndarray  # exactly max_len int32 entries
-    label: int
-    original_length: int
-
-
 def clean(raw: str, cfg: PipelineConfig) -> list[str]:
     """Normalize raw text into a token list.
 
@@ -193,10 +186,3 @@ def decode(indices, vocab: Vocabulary) -> list[str]:
     """Tokens for the non-pad suffix of an encoded document."""
     return [vocab.token_of(int(i)) for i in indices if int(i) != PAD_INDEX]
 
-
-def make_document(tokens, label: int, vocab: Vocabulary, cfg: PipelineConfig) -> TokenizedDocument:
-    return TokenizedDocument(
-        indices=encode(tokens, vocab, cfg),
-        label=label,
-        original_length=len(tokens),
-    )

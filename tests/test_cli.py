@@ -219,12 +219,19 @@ class TestExitCodes:
         assert rc == 2
         capsys.readouterr()
 
-    def test_malformed_csv_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content,message", [
+        (b"", "empty file"),
+        ("text,label\ncaf\u00e9,pos\n".encode("latin-1"), "not UTF-8 text"),
+        (b"text,label\nfine,pos\n" + b"w" * 140_000 + b",neg\n",
+         "line 3: field larger than field limit"),
+    ], ids=["empty", "non-utf8", "oversized-field"])
+    def test_malformed_csv_is_data_error(self, tmp_path, content, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text("", encoding="utf-8")
-        rc = cli.entry(["preprocess", "--data", str(bad), "--out-dir", str(tmp_path)])
-        assert rc == 2
-        assert "empty file" in capsys.readouterr().err
+        bad.write_bytes(content)
+        proc = _run_cli("preprocess", "--data", bad, "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"error: {bad}: {message}" in proc.stderr
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, workspace, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Config parsing, splits, CSV loading, training loop, and artifacts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ class TestSplit:
         out = split(ds, train_fraction=0.8, seed=1)
         assert out.train_idx.size == 8
         assert out.test_idx.size == 2
-        y = out.labels()
+        y = out.labels
         assert np.bincount(y[out.train_idx]).tolist() == [4, 4]
         assert np.bincount(y[out.test_idx]).tolist() == [1, 1]
 
@@ -167,7 +168,7 @@ class TestSplit:
         # 5 + 5 + 5 examples, 10 train slots: the first class wins the tie
         ds, _, _ = make_synthetic_corpus(15, 3, seed=0)
         out = split(ds, train_count=10, test_count=5, seed=0)
-        y = out.labels()
+        y = out.labels
         assert np.bincount(y[out.train_idx]).tolist() == [4, 3, 3]
 
     def test_seed_determinism(self):
@@ -203,9 +204,10 @@ class TestSplit:
 
     def test_tiny_class_rejected(self):
         ds, _, _ = make_synthetic_corpus(6, 2, seed=0)
-        lonely = Dataset(documents=[d for d in ds.documents if d.label == 1][:1]
-                         + [d for d in ds.documents if d.label == 0],
-                         class_names=ds.class_names)
+        keep = np.concatenate([np.flatnonzero(ds.labels == 1)[:1],
+                               np.flatnonzero(ds.labels == 0)])
+        lonely = Dataset(indices=ds.indices[keep], labels=ds.labels[keep],
+                         lengths=ds.lengths[keep], class_names=ds.class_names)
         with pytest.raises(DataError, match="at least 2 per class"):
             split(lonely, train_fraction=0.5)
 
@@ -229,7 +231,7 @@ class TestLoadCsv:
         assert len(ds) == 3
         # class order follows first appearance in the file
         assert ds.class_names == ["pos", "neg"]
-        assert ds.labels().tolist() == [0, 1, 0]
+        assert ds.labels.tolist() == [0, 1, 0]
         assert vocab.index_of("good") >= 2
         assert ds.vocab_sha == vocab.sha256()
 
@@ -271,7 +273,7 @@ class TestLoadCsv:
         cfg = pipeline.PipelineConfig(vocab_size=10, max_len=4)
         ds, _ = load_csv_dataset(p, "text", "label", cfg, class_names=["neg", "pos"])
         assert ds.class_names == ["neg", "pos"]
-        assert ds.labels().tolist() == [1, 0]
+        assert ds.labels.tolist() == [1, 0]
         with pytest.raises(DataError, match="row 2.*'pos'"):
             load_csv_dataset(p, "text", "label", cfg, class_names=["neg", "other"])
 
@@ -286,6 +288,20 @@ class TestLoadCsv:
         assert vocab_b is vocab
         assert ds_b.vocab_sha == ds_a.vocab_sha
 
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("text,label\ncaf\u00e9,pos\n".encode("latin-1"))
+        cfg = pipeline.PipelineConfig(vocab_size=10, max_len=4)
+        with pytest.raises(DataError, match=r"latin1\.csv: not UTF-8 text"):
+            load_csv_dataset(p, "text", "label", cfg)
+
+    def test_field_over_the_csv_limit_names_the_line(self, tmp_path):
+        p = tmp_path / "long.csv"
+        p.write_text("text,label\nfine,pos\n" + "w" * 140_000 + ",neg\n", encoding="utf-8")
+        cfg = pipeline.PipelineConfig(vocab_size=10, max_len=4)
+        with pytest.raises(DataError, match=r"long\.csv: line 3: field larger than field limit"):
+            load_csv_dataset(p, "text", "label", cfg)
+
     def test_utf8_bom_is_transparent(self, tmp_path):
         p = tmp_path / "bom.csv"
         _write_csv(p, [("fine", "pos"), ("bad", "neg")], encoding="utf-8-sig")
@@ -297,7 +313,7 @@ class TestLoadCsv:
 class TestSyntheticCorpus:
     def test_balanced_labels_and_names(self):
         ds, vocab, cfg = make_synthetic_corpus(30, 3, seed=1)
-        assert np.bincount(ds.labels()).tolist() == [10, 10, 10]
+        assert np.bincount(ds.labels).tolist() == [10, 10, 10]
         assert ds.class_names == ["class0", "class1", "class2"]
         binary, _, _ = make_synthetic_corpus(10, 2, seed=1)
         assert binary.class_names == ["neg", "pos"]
@@ -305,18 +321,17 @@ class TestSyntheticCorpus:
     def test_own_tokens_in_document_tail(self):
         # two class markers always land in the final five positions
         ds, vocab, _ = make_synthetic_corpus(60, 3, seed=4, pad_len=64)
-        for doc in ds.documents:
-            toks = pipeline.decode(doc.indices, vocab)
+        for row, label in zip(ds.indices, ds.labels):
+            toks = pipeline.decode(row, vocab)
             tail = toks[-5:]
-            own = sum(1 for t in tail if t.startswith(f"sig{doc.label}"))
+            own = sum(1 for t in tail if t.startswith(f"sig{label}"))
             assert own >= 2
 
     def test_determinism(self):
         a, va, _ = make_synthetic_corpus(20, 2, seed=9)
         b, vb, _ = make_synthetic_corpus(20, 2, seed=9)
         assert va.sha256() == vb.sha256()
-        for da, db in zip(a.documents, b.documents):
-            assert np.array_equal(da.indices, db.indices)
+        assert np.array_equal(a.indices, b.indices)
 
     def test_csv_variant_loads_back(self, tmp_path):
         p = tmp_path / "syn.csv"
@@ -328,6 +343,24 @@ class TestSyntheticCorpus:
         stats = corpus_stats(ds)
         assert stats["documents"] == 12
         assert stats["truncated"] == 0
+
+    def test_corpus_stats_equals_per_document_loop(self, tmp_path):
+        p = tmp_path / "syn.csv"
+        make_synthetic_csv(p, 30, 3, seed=2, filler_tokens=60, min_len=5, max_len=40)
+        cfg = pipeline.PipelineConfig(vocab_size=40, max_len=24)
+        ds, _ = load_csv_dataset(p, "text", "label", cfg)
+        hist = dict.fromkeys(ds.class_names, 0)
+        oov = nonpad = truncated = 0
+        for row, label, length in zip(ds.indices, ds.labels, ds.lengths):
+            hist[ds.class_names[label]] += 1
+            kept = row[row != pipeline.PAD_INDEX]
+            oov += int((kept == pipeline.OOV_INDEX).sum())
+            nonpad += kept.size
+            truncated += int(length > row.size)
+        assert 0 < truncated < 30 and oov > 0
+        assert corpus_stats(ds) == {
+            "documents": 30, "classes": hist, "avg_length": sum(ds.lengths.tolist()) / 30,
+            "oov_rate": oov / nonpad, "truncated": truncated}
 
     def test_corpus_stats_fields(self):
         ds, _, _ = make_synthetic_corpus(10, 2, seed=0, min_len=12, max_len=12, pad_len=6)
@@ -355,7 +388,7 @@ class TestTrain:
         ds, vocab, _, cfg = _toy_setup(epochs=0)
         model, curve = train(cfg, ds, vocab)
         assert len(curve) == 0
-        probs, _ = engine.forward(model, engine._stack_indices(ds.documents))
+        probs, _ = engine.forward(model, ds.indices)
         assert probs.shape == (len(ds),)
 
     def test_curve_has_one_point_per_epoch(self):
@@ -428,15 +461,16 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self):
         _, vocab, _, cfg = _toy_setup()
-        empty = Dataset(documents=[], class_names=["neg", "pos"])
+        empty = Dataset(indices=np.zeros((0, 4), dtype=np.int32),
+                        labels=np.zeros(0, dtype=np.int64),
+                        lengths=np.zeros(0, dtype=np.int32), class_names=["neg", "pos"])
         with pytest.raises(ConfigError, match="empty"):
             train(cfg, empty, vocab)
 
     def test_empty_training_split_rejected(self):
         ds, vocab, _, cfg = _toy_setup()
-        starved = Dataset(documents=ds.documents, class_names=ds.class_names,
-                          train_idx=np.array([], dtype=np.int64),
-                          test_idx=np.arange(len(ds.documents)))
+        starved = replace(ds, train_idx=np.array([], dtype=np.int64),
+                          test_idx=np.arange(len(ds)))
         with pytest.raises(ConfigError, match="training split is empty"):
             train(cfg, starved, vocab)
 
@@ -593,9 +627,8 @@ class TestCheckpoint:
         path = tmp_path / "model.sqt"
         save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
         ck = load_checkpoint(path)
-        X = engine._stack_indices(ds.documents)
-        p1, _ = engine.forward(model, X)
-        p2, _ = engine.forward(ck.model, X)
+        p1, _ = engine.forward(model, ds.indices)
+        p2, _ = engine.forward(ck.model, ds.indices)
         assert np.array_equal(p1, p2)
 
     def test_wrong_artifact_kind_rejected(self, tmp_path):
@@ -683,6 +716,81 @@ class TestCheckpointHeader:
             load_checkpoint(ckpt)
 
 
+def _blocks(ds):
+    """The arrays of a split Dataset, named as the dataset file names them."""
+    return {"indices": ds.indices.copy(), "labels": ds.labels.copy(),
+            "original_lengths": ds.lengths.copy(),
+            "train_idx": ds.train_idx.copy(), "test_idx": ds.test_idx.copy()}
+
+
+# Each case breaks the blocks of an 8-document, 2-class, 4/4-split dataset.
+_BAD_BLOCKS = [
+    pytest.param(lambda a: a["labels"].__setitem__(3, 2), DataError,
+                 "document 3 has label 2", id="label-too-large"),
+    pytest.param(lambda a: a["labels"].__setitem__(3, -1), DataError,
+                 "document 3 has label -1", id="label-negative"),
+    pytest.param(lambda a: a.update(test_idx=np.append(a["test_idx"][1:], a["train_idx"][0])),
+                 ConfigError, "overlap", id="overlapping-splits"),
+    pytest.param(lambda a: a.update(test_idx=a["test_idx"][1:]), ConfigError,
+                 "cover every document exactly once", id="split-misses-a-row"),
+    pytest.param(lambda a: a["train_idx"].__setitem__(0, a["train_idx"][1]), ConfigError,
+                 "cover every document exactly once", id="split-repeats-a-row"),
+    pytest.param(lambda a: a["test_idx"].__setitem__(0, 8), ConfigError,
+                 r"split rows must lie in \[0, 8\)", id="split-row-out-of-range"),
+    pytest.param(lambda a: a.update(labels=a["labels"][:-1]), DataError,
+                 "inconsistent shapes", id="short-labels"),
+    pytest.param(lambda a: a.update(original_lengths=a["original_lengths"][:-1]), DataError,
+                 "inconsistent shapes", id="short-lengths"),
+    pytest.param(lambda a: a.update(indices=a["indices"][0]), DataError,
+                 "inconsistent shapes", id="1-d-indices"),
+]
+
+
+class TestDatasetChecks:
+    """A Dataset checks its own arrays; a dataset file holding the same
+    faults is an integrity error."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
+        ds = split(ds, train_fraction=0.5, seed=2)
+        path = tmp_path / "data.sqt"
+        save_dataset(path, ds, vocab, pcfg)
+        return ds, path
+
+    @pytest.mark.parametrize("edit,error,match", _BAD_BLOCKS)
+    def test_constructor_rejects(self, saved, edit, error, match):
+        ds, _ = saved
+        a = _blocks(ds)
+        edit(a)
+        with pytest.raises(error, match=match):
+            Dataset(indices=a["indices"], labels=a["labels"], lengths=a["original_lengths"],
+                    class_names=ds.class_names, train_idx=a["train_idx"],
+                    test_idx=a["test_idx"])
+
+    @pytest.mark.parametrize("edit,error,match", _BAD_BLOCKS)
+    def test_file_is_integrity_error(self, saved, edit, error, match):
+        _, path = saved
+        rewrite_artifact(path, path, edit_arrays=edit)
+        with pytest.raises(IntegrityError, match=match):
+            load_dataset(path)
+
+    def test_valid_arrays_are_accepted(self, saved):
+        ds, _ = saved
+        a = _blocks(ds)
+        back = Dataset(indices=a["indices"], labels=a["labels"], lengths=a["original_lengths"],
+                       class_names=ds.class_names, train_idx=a["train_idx"],
+                       test_idx=a["test_idx"])
+        assert len(back) == 8
+
+    @pytest.mark.parametrize("name", ["indices", "labels", "original_lengths", "train_idx"])
+    def test_block_not_int32_is_integrity_error(self, saved, name):
+        _, path = saved
+        rewrite_artifact(path, path, edit_arrays=lambda a: a.update({name: a[name] * 1.0}))
+        with pytest.raises(IntegrityError, match=f"int32 block '{name}'"):
+            load_dataset(path)
+
+
 class TestDatasetArtifact:
     def test_round_trip_with_split(self, tmp_path):
         ds, vocab, pcfg = make_synthetic_corpus(12, 2, seed=5)
@@ -696,10 +804,9 @@ class TestDatasetArtifact:
         assert pcfg2.to_dict() == pcfg.to_dict()
         assert np.array_equal(back.train_idx, ds.train_idx)
         assert np.array_equal(back.test_idx, ds.test_idx)
-        for d1, d2 in zip(ds.documents, back.documents):
-            assert np.array_equal(d1.indices, d2.indices)
-            assert d1.label == d2.label
-            assert d1.original_length == d2.original_length
+        for name in ("indices", "labels", "lengths"):
+            a, b = getattr(ds, name), getattr(back, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_round_trip_without_split(self, tmp_path):
         ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
@@ -728,6 +835,16 @@ class TestDatasetArtifact:
         rewrite_artifact(path, path, lambda h: h.pop(field))
         with pytest.raises(IntegrityError, match=field):
             load_dataset(path)
+
+    @pytest.mark.parametrize("with_split", [True, False])
+    def test_load_then_save_is_byte_identical(self, tmp_path, with_split):
+        ds, vocab, pcfg = make_synthetic_corpus(12, 2, seed=5)
+        if with_split:
+            ds = split(ds, train_fraction=0.5, seed=2)
+        p1, p2 = tmp_path / "a.sqt", tmp_path / "b.sqt"
+        save_dataset(p1, ds, vocab, pcfg)
+        save_dataset(p2, *load_dataset(p1))
+        assert p2.read_bytes() == p1.read_bytes()
 
     def test_identical_bytes_across_writes(self, tmp_path):
         ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
@@ -768,7 +885,6 @@ class TestEvaluate:
         ds, vocab, _, cfg = _toy_setup(epochs=0)
         model, _ = train(cfg, ds, vocab)
         tri, _, _ = make_synthetic_corpus(15, 3, seed=1)
-        tri = Dataset(documents=tri.documents, class_names=tri.class_names,
-                      vocab_sha=None)
+        tri = replace(tri, vocab_sha=None)
         with pytest.raises(ConfigError, match="classes"):
             evaluate(model, tri, which="all")

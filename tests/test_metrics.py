@@ -149,11 +149,6 @@ class TestScores:
         cm = np.array([[3, 1, 0], [0, 4, 1], [1, 0, 2]])
         rep = metrics.scores(cm)
         assert rep.headline() == (rep.macro_precision, rep.macro_recall, rep.macro_f1)
-        assert rep.headline("weighted") == (
-            rep.weighted_precision,
-            rep.weighted_recall,
-            rep.weighted_f1,
-        )
 
 
 def _reports_equal(a, b):

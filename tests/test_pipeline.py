@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from seqtext.engine import load_csv_dataset
 from seqtext.errors import ConfigError, DataError
 from seqtext.pipeline import (PAD_INDEX, OOV_INDEX, PipelineConfig, Vocabulary,
                               build_vocabulary, clean, decode, encode,
-                              load_stopwords, make_document)
+                              load_stopwords)
 
 
 def small_cfg(**kw):
@@ -162,10 +163,11 @@ def test_config_dict_round_trip():
     assert again == cfg
 
 
-def test_make_document_records_original_length():
-    cfg = small_cfg(vocab_size=10, max_len=3)
-    vocab = build_vocabulary([["a", "b", "c", "d"]], cfg)
-    doc = make_document(["a", "b", "c", "d"], 1, vocab, cfg)
-    assert doc.original_length == 4
-    assert doc.indices.shape == (3,)
-    assert doc.label == 1
+def test_make_document_records_original_length(tmp_path):
+    # an encoded dataset keeps each document's token count before truncation
+    p = tmp_path / "toy.csv"
+    p.write_text("text,label\nz,neg\na b c d,pos\n", encoding="utf-8")
+    ds, _ = load_csv_dataset(p, "text", "label", small_cfg(vocab_size=10, max_len=3))
+    assert ds.lengths.tolist() == [1, 4]
+    assert ds.indices.shape == (2, 3) and ds.indices.dtype == np.int32
+    assert ds.labels.tolist() == [0, 1]
