@@ -16,11 +16,14 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+from itertools import islice
+
+import numpy as np
 
 from . import engine, metrics
 from .engine import ExperimentConfig, parse_config_text, parse_config_value
 from .errors import ConfigError, DataError, DivergenceError
-from .model import forward
+from .model import forward, predict_classes
 from .pipeline import PipelineConfig, Vocabulary, clean, encode, load_stopwords
 
 _CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
@@ -150,18 +153,19 @@ def _cmd_predict(args) -> int:
         raise DataError(f"{args.model}: checkpoint has no embedded vocabulary, "
                         "so raw text cannot be encoded")
     _print_resolved(ckpt.config, ckpt.vocab.size)
-    model = ckpt.model
-    names = ckpt.class_names
-    for line in sys.stdin:
-        tokens = clean(line.rstrip("\n"), ckpt.pipeline)
-        probs, _ = forward(model, encode(tokens, ckpt.vocab, ckpt.pipeline))
-        if model.head == "sigmoid":
-            cls = 1 if probs >= 0.5 else 0
-            prob = float(probs)
-        else:
-            cls = int(probs.argmax())
-            prob = float(probs[cls])
-        print(f"{names[cls]}\t{prob:.6f}")
+    model, names = ckpt.model, ckpt.class_names
+    vocab, pipe = ckpt.vocab, ckpt.pipeline
+    # One forward pass per chunk of lines. Answers keep input order and
+    # are flushed per chunk, so a line's answer appears once its chunk
+    # fills or stdin ends.
+    while lines := list(islice(sys.stdin, engine.INFERENCE_BATCH_SIZE)):
+        rows = np.stack([encode(clean(line.rstrip("\n"), pipe), vocab, pipe)
+                         for line in lines])
+        probs = forward(model, rows)[0]
+        classes = predict_classes(model, probs)
+        chosen = probs if model.head == "sigmoid" else probs.max(axis=1)
+        sys.stdout.write("".join(f"{names[c]}\t{p:.6f}\n" for c, p in zip(classes, chosen)))
+        sys.stdout.flush()
     return 0
 
 

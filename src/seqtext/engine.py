@@ -27,10 +27,15 @@ from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
 from .model import (LOSS_KINDS, ClassifierModel, backward, cost, default_loss,
                     forward, loss_values, predict_classes, validate_head_loss)
 from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
-                       build_vocabulary, clean, encode)
+                       build_vocabulary, clean, encode, text_sha256)
 
 TASKS = ("binary", "multiclass")
 CELL_KINDS = ("rnn", "gru", "lstm")
+# Documents per forward pass when only scoring (evaluate, predict). At
+# hidden size 16 a time step costs mostly per-call overhead, which a wide
+# batch spreads over many documents; past about 256 the gain stops and
+# the working set keeps growing.
+INFERENCE_BATCH_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +524,7 @@ def _eval_loss_acc(model: ClassifierModel, X: np.ndarray, y: np.ndarray,
     for b0 in range(0, X.shape[0], batch_size):
         xb = X[b0:b0 + batch_size]
         yb = y[b0:b0 + batch_size]
-        probs, _ = forward(model, xb)
+        probs = forward(model, xb)[0]
         loss_sum += float(loss_values(model, probs, yb).sum())
         correct += int((predict_classes(model, probs) == yb).sum())
     n = X.shape[0]
@@ -602,7 +607,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset,
 
 
 def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test",
-             batch_size: int = 64) -> metrics.EvalReport:
+             batch_size: int = INFERENCE_BATCH_SIZE) -> metrics.EvalReport:
     """Score one split of the dataset.
 
     Refuses to run when both sides carry a vocabulary hash and they
@@ -631,7 +636,7 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test",
     y = dataset.labels[idx]
     preds = np.empty(idx.size, dtype=np.int64)
     for b0 in range(0, idx.size, batch_size):
-        probs, _ = forward(model, X[b0:b0 + batch_size])
+        probs = forward(model, X[b0:b0 + batch_size])[0]
         preds[b0:b0 + batch_size] = predict_classes(model, probs)
     return metrics.scores(metrics.confusion(preds, y, model.n_classes))
 
@@ -783,6 +788,14 @@ def _from_header(path, what: str, build, *args):
         raise IntegrityError(f"{path}: {what}: {e}") from None
 
 
+def _check_vocab_hash(path, text: str, sha: str) -> None:
+    """Compare the recorded hash with the stored vocabulary text itself.
+    Writers store the canonical ``serialize()`` text, so a text in any
+    other form is rejected too."""
+    if text_sha256(text) != sha:
+        raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
+
+
 def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
                     class_names: list, vocab: Optional[Vocabulary] = None,
                     pipeline_cfg: Optional[PipelineConfig] = None) -> None:
@@ -832,9 +845,12 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: parameter shapes do not form a consistent model")
     vocab = None
     if header["vocab_text"]:
+        if model.vocab_sha:
+            _check_vocab_hash(path, header["vocab_text"], model.vocab_sha)
         vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
-        if model.vocab_sha and vocab.sha256() != model.vocab_sha:
-            raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
+        if vocab.size != emb.vocab_size:
+            raise IntegrityError(f"{path}: the embedding table has {emb.vocab_size} rows but "
+                                 f"the embedded vocabulary has {vocab.size} entries")
     pipe = None
     if header["pipeline"]:
         pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
@@ -870,9 +886,8 @@ def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
     for name in ("indices", "labels", "original_lengths") + split_blocks:
         if name not in arrays or arrays[name].dtype != np.int32:
             raise IntegrityError(f"{path}: int32 block {name!r} is missing")
+    _check_vocab_hash(path, header["vocab_text"], header["vocab_sha"])
     vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
-    if vocab.sha256() != header["vocab_sha"]:
-        raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
     pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
     train_idx = test_idx = None
     if split_blocks:

@@ -13,6 +13,7 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -80,6 +81,11 @@ def load_stopwords(path) -> frozenset:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
+def text_sha256(text: str) -> str:
+    """Hex SHA-256 of a vocabulary's canonical text form (``serialize()``)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class Vocabulary:
     """Immutable token <-> dense-index mapping.
 
@@ -116,7 +122,7 @@ class Vocabulary:
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
+        return text_sha256(self.serialize())
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -173,12 +179,15 @@ def build_vocabulary(corpus, cfg: PipelineConfig) -> Vocabulary:
 def encode(tokens, vocab: Vocabulary, cfg: PipelineConfig) -> np.ndarray:
     """Map tokens to indices, truncate the tail, pre-pad with zeros.
 
-    Output always has exactly max_len entries.
+    Output always has exactly max_len entries. Each token maps as
+    ``vocab.index_of`` maps it, but through the dict itself: a method
+    call per token made encoding about 1.5x slower.
     """
-    ids = [vocab.index_of(t) for t in tokens[: cfg.max_len]]
+    tokens = tokens[: cfg.max_len]
     out = np.zeros(cfg.max_len, dtype=np.int32)
-    if ids:
-        out[cfg.max_len - len(ids):] = ids
+    if tokens:
+        ids = map(vocab.token_to_index.get, tokens, repeat(OOV_INDEX))
+        out[cfg.max_len - len(tokens):] = np.fromiter(ids, np.int32, len(tokens))
     return out
 
 

@@ -4,9 +4,11 @@ import io
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from seqtext import cli, engine, pipeline
+from seqtext.model import forward
 
 from helpers import rewrite_artifact
 
@@ -118,6 +120,93 @@ class TestHappyPath:
             assert len(prob.split(".")[1]) == 6
         assert lines[0].split("\t")[0] == "pos"
         assert lines[1].split("\t")[0] == "neg"
+
+
+def _predict_alone(ckpt, line):
+    """The answer for one line, from a forward pass over its row alone."""
+    row = pipeline.encode(pipeline.clean(line, ckpt.pipeline), ckpt.vocab, ckpt.pipeline)
+    probs = forward(ckpt.model, row)[0]
+    if ckpt.model.head == "sigmoid":
+        cls, prob = int(probs >= 0.5), probs
+    else:
+        cls = int(probs.argmax())
+        prob = probs[cls]
+    return f"{ckpt.class_names[cls]}\t{float(prob):.6f}"
+
+
+class _FlushLog(io.StringIO):
+    """A stdout that records how many lines it held at each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed_at = []
+
+    def flush(self):
+        self.flushed_at.append(self.getvalue().count("\n"))
+
+
+class TestBatchedPredict:
+    def test_chunks_keep_input_order(self, workspace, monkeypatch, capsys):
+        texts = [line.split(",")[0] for line in
+                 workspace["csv"].read_text(encoding="utf-8").splitlines()[1:]]
+        lines = [" ".join(texts[i % len(texts)].split()[:3 + i % 7]) for i in range(600)]
+        lines[5] = ""
+        lines[300] = "qqqunseen zzzunseen xyzzy"
+        lines[301] = "sig1w00 sig1w01 sig1w02 sig1w03 sig1w04"
+        lines[599] = "sig0w00 sig0w01 sig0w02 sig0w03 sig0w04"
+        out = _FlushLog()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(l + "\n" for l in lines)))
+        monkeypatch.setattr(sys, "stdout", out)
+        model = workspace["run"] / "model.sqt"
+        assert cli.entry(["predict", "--model", str(model)]) == 0
+        capsys.readouterr()
+        got = out.getvalue().splitlines()
+        assert len(got) == 600
+        ckpt = engine.load_checkpoint(model)
+        assert got == [_predict_alone(ckpt, line) for line in lines]
+        assert got[301].startswith("pos\t") and got[599].startswith("neg\t")
+        # one flush per chunk of 256 lines, the last one partial
+        assert out.flushed_at == [256, 512, 600]
+
+    def test_empty_stdin_prints_nothing(self, workspace, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        rc = cli.entry(["predict", "--model", str(workspace["run"] / "model.sqt")])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+
+    def test_multiclass_prints_argmax_names(self, tmp_path, monkeypatch, capsys):
+        csv = tmp_path / "tri.csv"
+        engine.make_synthetic_csv(csv, 30, 3, seed=2, filler_tokens=20,
+                                  min_len=8, max_len=12)
+        pre, run = tmp_path / "pre", tmp_path / "run"
+        assert cli.entry(["preprocess", "--data", str(csv), "--train-fraction", "0.5",
+                          "--vocab-size", "200", "--max-len", "16", "--seed", "2",
+                          "--out-dir", str(pre)]) == 0
+        assert cli.entry(["train", "--data", str(pre / "dataset.sqt"), "--task", "multiclass",
+                          "--cell", "lstm", "--hidden-size", "6", "--epochs", "20",
+                          "--seed", "2", "--quiet", "--out-dir", str(run)]) == 0
+        lines = [f"sig{i % 3}w{i % 10:02d} sig{i % 3}w{(i + 3) % 10:02d}" for i in range(300)]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(l + "\n" for l in lines)))
+        capsys.readouterr()
+        assert cli.entry(["predict", "--model", str(run / "model.sqt")]) == 0
+        got = capsys.readouterr().out.splitlines()
+        ckpt = engine.load_checkpoint(run / "model.sqt")
+        assert ckpt.model.head == "softmax"
+        assert got == [_predict_alone(ckpt, line) for line in lines]
+        assert {g.split("\t")[0] for g in got} == set(ckpt.class_names)
+
+
+class TestEvaluateBatchSize:
+    def test_confusion_does_not_depend_on_batch_size(self, workspace):
+        ckpt = engine.load_checkpoint(workspace["run"] / "model.sqt")
+        ds, _, _ = engine.load_dataset(workspace["pre"] / "dataset.sqt")
+        for which in ("test", "all"):
+            n = ds.test_idx.size if which == "test" else len(ds)
+            reference = engine.evaluate(ckpt.model, ds, which, batch_size=1).confusion
+            assert reference.sum() == n
+            for batch_size in (5, 64, 256, n):
+                got = engine.evaluate(ckpt.model, ds, which, batch_size=batch_size)
+                assert np.array_equal(got.confusion, reference)
 
 
 class TestDeterminism:
@@ -276,10 +365,9 @@ class TestExitCodes:
         assert "no embedded vocabulary" in capsys.readouterr().err
 
 
-def _run_cli(*args):
+def _run_cli(*args, stdin=""):
     return subprocess.run([sys.executable, "-m", "seqtext", *map(str, args)],
-                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
-                          timeout=120)
+                          input=stdin, capture_output=True, text=True, timeout=120)
 
 
 class TestMalformedArtifacts:
@@ -306,6 +394,21 @@ class TestMalformedArtifacts:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "'config'" in proc.stderr
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_embedding_rows_differ_from_vocabulary(self, workspace, tmp_path, command):
+        cut = lambda a: a.update({"embedding.weights": a["embedding.weights"][:10]})
+        model = rewrite_artifact(workspace["run"] / "model.sqt", tmp_path / "bad.sqt",
+                                 edit_arrays=cut)
+        args = ["--model", model]
+        if command == "evaluate":
+            args += ["--data", workspace["pre"] / "dataset.sqt", "--out-dir", tmp_path]
+        proc = _run_cli(command, *args, stdin="sig1w00 sig1w01 sig1w02\n")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
+        assert "the embedding table has 10 rows" in proc.stderr
 
 
 class TestModuleEntry:

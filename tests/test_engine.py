@@ -656,6 +656,12 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+# Edits to a stored vocabulary text that leave the recorded hash as it was:
+# another token, and the same entries in a non-canonical form.
+_VOCAB_TEXT_EDITS = [lambda t: t.replace("<UNK>", "<OOV>"), lambda t: t + "\n"]
+_VOCAB_TEXT_EDIT_IDS = ["token", "blank-line"]
+
+
 class TestCheckpointHeader:
     @pytest.fixture
     def ckpt(self, tmp_path):
@@ -704,6 +710,18 @@ class TestCheckpointHeader:
     def test_bad_field_contents_are_integrity_errors(self, ckpt, edit):
         rewrite_artifact(ckpt, ckpt, edit)
         with pytest.raises(IntegrityError):
+            load_checkpoint(ckpt)
+
+    def test_embedding_rows_must_match_vocabulary(self, ckpt):
+        rewrite_artifact(ckpt, ckpt, edit_arrays=lambda a: a.update(
+            {"embedding.weights": a["embedding.weights"][:-1]}))
+        with pytest.raises(IntegrityError, match="embedding table has"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit", _VOCAB_TEXT_EDITS, ids=_VOCAB_TEXT_EDIT_IDS)
+    def test_vocab_text_must_match_recorded_hash(self, ckpt, edit):
+        rewrite_artifact(ckpt, ckpt, lambda h: h.update(vocab_text=edit(h["vocab_text"])))
+        with pytest.raises(IntegrityError, match="recorded hash"):
             load_checkpoint(ckpt)
 
     def test_cell_validates_its_own_blocks(self, ckpt):
@@ -834,6 +852,15 @@ class TestDatasetArtifact:
         save_dataset(path, ds, vocab, pcfg)
         rewrite_artifact(path, path, lambda h: h.pop(field))
         with pytest.raises(IntegrityError, match=field):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("edit", _VOCAB_TEXT_EDITS, ids=_VOCAB_TEXT_EDIT_IDS)
+    def test_vocab_text_must_match_recorded_hash(self, tmp_path, edit):
+        ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
+        path = tmp_path / "data.sqt"
+        save_dataset(path, ds, vocab, pcfg)
+        rewrite_artifact(path, path, lambda h: h.update(vocab_text=edit(h["vocab_text"])))
+        with pytest.raises(IntegrityError, match="recorded hash"):
             load_dataset(path)
 
     @pytest.mark.parametrize("with_split", [True, False])
