@@ -9,11 +9,10 @@ confusion-matrix metrics. Everything is deterministic under a seed.
 
 from .cells import Cell, make_cell, run_sequence
 from .embedding import EmbeddingMatrix, embedding_dim_heuristic, load_pretrained
-from .engine import (Checkpoint, Dataset, ExperimentConfig, LearningCurve,
-                     build_model, corpus_stats, emit_learning_curve, evaluate,
-                     load_checkpoint, load_csv_dataset, load_dataset,
-                     make_synthetic_corpus, make_synthetic_csv, save_checkpoint,
-                     save_dataset, split, train)
+from .engine import (Checkpoint, Dataset, ExperimentConfig, build_model,
+                     corpus_stats, emit_learning_curve, evaluate, load_checkpoint,
+                     load_csv_dataset, load_dataset, make_synthetic_corpus,
+                     make_synthetic_csv, save_checkpoint, save_dataset, split, train)
 from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      ShapeError, VocabularyMismatchError)
 from .metrics import EvalReport, confusion, format_report, scores
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Cell", "make_cell", "run_sequence",
     "EmbeddingMatrix", "embedding_dim_heuristic", "load_pretrained",
-    "Checkpoint", "Dataset", "ExperimentConfig", "LearningCurve",
+    "Checkpoint", "Dataset", "ExperimentConfig",
     "build_model", "corpus_stats", "emit_learning_curve", "evaluate", "load_checkpoint",
     "load_csv_dataset", "load_dataset", "make_synthetic_corpus",
     "make_synthetic_csv", "save_checkpoint", "save_dataset", "split", "train",

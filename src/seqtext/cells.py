@@ -57,13 +57,9 @@ from .linalg import sigmoid
 GATES = {"rnn": 1, "lstm": 4, "gru": 3}
 
 
-def init_weight(rng: np.random.Generator, rows: int, cols: int, scaled: bool = True) -> np.ndarray:
-    """U(0,1) draw, scaled by 1/sqrt(fan_in) unless the literal unscaled
-    initialization was requested."""
-    w = rng.uniform(0.0, 1.0, size=(rows, cols))
-    if scaled:
-        w /= math.sqrt(cols)
-    return w
+def init_weight(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """U(0,1) draw scaled by 1/sqrt(fan_in)."""
+    return rng.uniform(0.0, 1.0, size=(rows, cols)) / math.sqrt(cols)
 
 
 @dataclass
@@ -131,28 +127,24 @@ class Cell:
 
 
 def make_cell(kind: str, input_size: int, hidden_size: int, rng: np.random.Generator,
-              literal_mode: bool = False, peepholes: bool = True, scaled: bool = True) -> Cell:
+              literal_mode: bool = False, peepholes: bool = True) -> Cell:
     """Initialize a cell. The stacked blocks are drawn in the order of
-    per-gate draws: every W gate, then every U gate, then the peepholes."""
+    per-gate draws: every W gate, then every U gate."""
     if kind not in GATES:
         raise ConfigError(f"unknown cell kind {kind!r} (expected rnn, lstm or gru)")
     rows = GATES[kind] * hidden_size
-    W = init_weight(rng, rows, input_size, scaled)
+    W = init_weight(rng, rows, input_size)
     if literal_mode:
         U = np.eye(hidden_size)
     else:
-        U = init_weight(rng, rows, hidden_size, scaled)
+        U = init_weight(rng, rows, hidden_size)
     V = None
     if kind == "lstm" and peepholes:
-        # Peephole matrices start at zero even in scaled mode: the cell
-        # state is unbounded, so any all-positive V feeds back into the
-        # forget gate and saturates c within ~20 steps. Their gradient
-        # is nonzero at V = 0, so they still train. Unscaled mode keeps
-        # the plain positive draw for fidelity runs.
-        if scaled:
-            V = np.zeros((3 * hidden_size, hidden_size))
-        else:
-            V = init_weight(rng, 3 * hidden_size, hidden_size, scaled)
+        # Peephole matrices start at zero: the cell state is unbounded,
+        # so any all-positive V feeds back into the forget gate and
+        # saturates c within ~20 steps. Their gradient is nonzero at
+        # V = 0, so they still train.
+        V = np.zeros((3 * hidden_size, hidden_size))
     return Cell(kind=kind, W=W, U=U, b=np.zeros(rows), V=V, literal_mode=literal_mode)
 
 

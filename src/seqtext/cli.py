@@ -129,12 +129,17 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ckpt = engine.load_checkpoint(args.model)
-    ds, _, _ = engine.load_dataset(args.data)
+    ds, vocab, _ = engine.load_dataset(args.data)
     _print_resolved(ckpt.config, ckpt.vocab.size if ckpt.vocab else None)
     if list(ds.class_names) != list(ckpt.class_names):
         raise DataError(
             f"dataset classes {ds.class_names} do not match the checkpoint's "
             f"{ckpt.class_names}")
+    rows = ckpt.model.embedding.vocab_size
+    if vocab.size != rows:
+        raise DataError(f"{args.data}: the dataset's vocabulary has {vocab.size} entries, but "
+                        f"the embedding table of {args.model} has {rows} rows; re-encode "
+                        "the data with the model's vocabulary")
     which = args.split
     if which is None:
         which = "test" if ds.train_idx is not None else "all"

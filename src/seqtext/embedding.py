@@ -19,7 +19,6 @@ from .pipeline import PAD_INDEX, Vocabulary
 @dataclass
 class EmbeddingMatrix:
     weights: np.ndarray  # (vocab_size, dim) float64
-    trainable: bool = True
 
     @property
     def vocab_size(self) -> int:
@@ -30,8 +29,7 @@ class EmbeddingMatrix:
         return self.weights.shape[1]
 
     @classmethod
-    def init(cls, vocab_size: int, dim: int, rng: np.random.Generator,
-             trainable: bool = True) -> "EmbeddingMatrix":
+    def init(cls, vocab_size: int, dim: int, rng: np.random.Generator) -> "EmbeddingMatrix":
         """Random rows in U(0,1)/dim, pad row zeroed.
 
         The plain U(0,1) draw keeps entries slightly above zero; the
@@ -40,7 +38,7 @@ class EmbeddingMatrix:
         """
         w = rng.uniform(0.0, 1.0, size=(vocab_size, dim)) / dim
         w[PAD_INDEX] = 0.0
-        return cls(weights=w, trainable=trainable)
+        return cls(weights=w)
 
 
 def embedding_dim_heuristic(vocab_size: int) -> int:
@@ -63,8 +61,8 @@ def lookup(indices, emb: EmbeddingMatrix) -> np.ndarray:
     return emb.weights[idx]
 
 
-def load_pretrained(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
-                    trainable: bool = True) -> tuple[EmbeddingMatrix, int]:
+def load_pretrained(path, vocab: Vocabulary, dim: int,
+                    rng: np.random.Generator) -> tuple[EmbeddingMatrix, int]:
     """Build an embedding table and copy in matching pretrained rows.
 
     The file holds space-separated "token v1 ... v_dim" lines; an
@@ -73,7 +71,7 @@ def load_pretrained(path, vocab: Vocabulary, dim: int, rng: np.random.Generator,
     from the file keep their random initialization. Returns the table
     and the number of matched tokens.
     """
-    emb = EmbeddingMatrix.init(vocab.size, dim, rng, trainable=trainable)
+    emb = EmbeddingMatrix.init(vocab.size, dim, rng)
     matched = 0
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):

@@ -15,8 +15,8 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from . import cells, metrics, optim
 from .embedding import EmbeddingMatrix, embedding_dim_heuristic, load_pretrained
 from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      VocabularyMismatchError)
-from .model import (LOSS_KINDS, ClassifierModel, backward, cost, default_loss,
-                    forward, loss_values, predict_classes, validate_head_loss)
+from .model import (ClassifierModel, backward, cost, forward, loss_values,
+                    predict_classes, validate_head)
 from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
                        build_vocabulary, clean, encode, text_sha256)
 
@@ -45,8 +45,8 @@ _INT_FIELDS = ("vocab_size", "max_len", "hidden_size", "dense_size",
                "epochs", "batch_size", "seed")
 _FLOAT_FIELDS = ("learning_rate", "gradient_clip")
 _BOOL_FIELDS = ("literal_recurrence", "peepholes")
-_STR_FIELDS = ("task", "cell", "optimizer", "loss", "pretrained_vectors")
-_OPTIONAL_FIELDS = ("learning_rate", "loss", "gradient_clip", "pretrained_vectors")
+_STR_FIELDS = ("task", "cell", "optimizer", "pretrained_vectors")
+_OPTIONAL_FIELDS = ("learning_rate", "gradient_clip", "pretrained_vectors")
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -111,10 +111,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 class ExperimentConfig:
     """Everything that determines a run besides the corpus itself.
 
-    ``learning_rate`` and ``loss`` default to None and resolve by task
-    (0.001 binary / 0.005 multiclass; loss matched to the head), and
-    ``embedding_dim`` may be the literal string "auto" for the
-    fourth-root heuristic.
+    ``learning_rate`` defaults to None and resolves by task (0.001
+    binary / 0.005 multiclass), and ``embedding_dim`` may be the literal
+    string "auto" for the fourth-root heuristic. The task fixes the head
+    and the head fixes the loss, so the loss is not a setting.
     """
 
     task: str = "binary"
@@ -126,7 +126,6 @@ class ExperimentConfig:
     dense_size: int = 8
     learning_rate: Optional[float] = None
     optimizer: str = "adam"
-    loss: Optional[str] = None
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
@@ -142,8 +141,6 @@ class ExperimentConfig:
             raise ConfigError(f"cell must be one of {CELL_KINDS}, got {self.cell!r}")
         if self.optimizer not in optim.OPTIMIZER_KINDS:
             raise ConfigError(f"optimizer must be one of {optim.OPTIMIZER_KINDS}, got {self.optimizer!r}")
-        if self.loss is not None and self.loss not in LOSS_KINDS:
-            raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.vocab_size < 3:
             raise ConfigError(f"vocab_size must be >= 3, got {self.vocab_size}")
         for name, low in (("max_len", 1), ("hidden_size", 1), ("dense_size", 1),
@@ -172,9 +169,6 @@ class ExperimentConfig:
             return self.learning_rate
         return 0.001 if self.task == "binary" else 0.005
 
-    def resolved_loss(self) -> str:
-        return self.loss if self.loss is not None else default_loss(self.head)
-
     def resolve_embedding_dim(self, actual_vocab_size: Optional[int] = None) -> int:
         if self.embedding_dim == "auto":
             return embedding_dim_heuristic(actual_vocab_size or self.vocab_size)
@@ -192,12 +186,6 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        return cls.from_dict(parse_config_text(text, source=str(path)))
-
     def describe(self, actual_vocab_size: Optional[int] = None) -> str:
         """Resolved 'key = value' lines, one per field.
 
@@ -206,7 +194,6 @@ class ExperimentConfig:
         """
         shown = self.to_dict()
         shown["learning_rate"] = self.resolved_learning_rate()
-        shown["loss"] = self.resolved_loss()
         shown["embedding_dim"] = self.resolve_embedding_dim(actual_vocab_size)
         lines = []
         for f in fields(self):
@@ -447,36 +434,13 @@ def corpus_stats(dataset: Dataset) -> dict:
 # ---------------------------------------------------------------------------
 # training
 
-class CurvePoint:
-    __slots__ = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc")
-
-    def __init__(self, epoch, train_loss, train_acc, test_loss, test_acc):
-        self.epoch = int(epoch)
-        self.train_loss = float(train_loss)
-        self.train_acc = float(train_acc)
-        self.test_loss = float(test_loss)
-        self.test_acc = float(test_acc)
-
-    def astuple(self):
-        return (self.epoch, self.train_loss, self.train_acc, self.test_loss, self.test_acc)
-
-    def __repr__(self):
-        return ("CurvePoint(epoch=%d, train_loss=%.4f, train_acc=%.2f, "
-                "test_loss=%.4f, test_acc=%.2f)" % self.astuple())
-
-
-@dataclass
-class LearningCurve:
-    records: list = field(default_factory=list)
-
-    def append(self, point: CurvePoint) -> None:
-        self.records.append(point)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+class CurvePoint(NamedTuple):
+    """One epoch of a learning curve; accuracies are percentages."""
+    epoch: int
+    train_loss: float
+    train_acc: float
+    test_loss: float
+    test_acc: float
 
 
 def build_model(cfg: ExperimentConfig, n_classes: int,
@@ -489,10 +453,6 @@ def build_model(cfg: ExperimentConfig, n_classes: int,
     (a small corpus may not fill vocab_size), otherwise from the config.
     """
     cfg.validate()
-    if cfg.task == "binary" and n_classes != 2:
-        raise ConfigError(f"binary task needs exactly 2 classes, got {n_classes}")
-    if n_classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {n_classes}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     rows = vocab.size if vocab is not None else cfg.vocab_size
@@ -500,7 +460,6 @@ def build_model(cfg: ExperimentConfig, n_classes: int,
         raise ConfigError(
             f"vocabulary has {vocab.size} entries but the config allows {cfg.vocab_size}")
     dim = cfg.resolve_embedding_dim(rows)
-    validate_head_loss(cfg.head, cfg.resolved_loss(), n_classes)
     if cfg.pretrained_vectors:
         if vocab is None:
             raise ConfigError("pretrained_vectors needs a vocabulary to match tokens against")
@@ -535,7 +494,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset,
           vocab: Optional[Vocabulary] = None, log=None,
           stop_when_train_acc: Optional[float] = None,
           stop_when_test_acc: Optional[float] = None
-          ) -> tuple[ClassifierModel, LearningCurve]:
+          ) -> tuple[ClassifierModel, list[CurvePoint]]:
     """Run the full mini-batch loop and record one curve point per epoch.
 
     Train-side curve values are the running means over the epoch's
@@ -564,7 +523,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset,
     Xtr, ytr = X[tr_idx], y[tr_idx]
     Xte, yte = X[te_idx], y[te_idx]
 
-    curve = LearningCurve()
+    curve = []
     B = cfg.batch_size
     for ep in range(cfg.epochs):
         order = rng_epochs.permutation(tr_idx.size)
@@ -641,7 +600,7 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test",
     return metrics.scores(metrics.confusion(preds, y, model.n_classes))
 
 
-def emit_learning_curve(curve: LearningCurve, path) -> None:
+def emit_learning_curve(curve: list[CurvePoint], path) -> None:
     """Comma-separated per-epoch table at full float precision."""
     lines = ["epoch,train_loss,train_acc,test_loss,test_acc"]
     for p in curve:
@@ -746,13 +705,13 @@ class Checkpoint:
     pipeline: Optional[PipelineConfig]
 
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 DATASET_FORMAT = 1
 _OPTIONAL = type(None)
 # Header fields each reader uses, with the JSON types they may take.
 _CHECKPOINT_HEADER = {
     "config": dict, "class_names": list, "head": str,
-    "n_classes": int, "cell": dict, "embedding_trainable": bool,
+    "n_classes": int, "cell": dict,
     "vocab_sha": (str, _OPTIONAL), "vocab_text": (str, _OPTIONAL),
     "pipeline": (dict, _OPTIONAL),
 }
@@ -807,7 +766,6 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
         "head": model.head,
         "n_classes": model.n_classes,
         "cell": model.cell.settings(),
-        "embedding_trainable": model.embedding.trainable,
         "vocab_sha": model.vocab_sha,
         "vocab_text": vocab.serialize() if vocab is not None else None,
         "pipeline": pipeline_cfg.to_dict() if pipeline_cfg is not None else None,
@@ -827,8 +785,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     cell_blocks = {n[len("cell."):]: a for n, a in arrays.items() if n.startswith("cell.")}
     cell = _from_header(path, "cell", lambda: cells.Cell(**header["cell"], **cell_blocks))
-    emb = EmbeddingMatrix(weights=block("embedding.weights"),
-                          trainable=header["embedding_trainable"])
+    emb = EmbeddingMatrix(weights=block("embedding.weights"))
     model = ClassifierModel(
         embedding=emb, cell=cell,
         dense_W=block("dense.W"), dense_b=block("dense.b"),
@@ -836,8 +793,7 @@ def load_checkpoint(path) -> Checkpoint:
         head=header["head"], n_classes=header["n_classes"],
         vocab_sha=header["vocab_sha"],
     )
-    _from_header(path, "head", validate_head_loss, model.head, default_loss(model.head),
-                 model.n_classes)
+    _from_header(path, "head", validate_head, model.head, model.n_classes)
     if (emb.weights.ndim != 2 or emb.dim != cell.input_size
             or model.dense_W.shape[1:] != (cell.hidden_size,)
             or model.head_W.shape[1:] != model.dense_W.shape[:1]

@@ -2,9 +2,9 @@
 
 Binary models end in a single sigmoid unit trained with binary
 cross-entropy; multiclass models end in a C-way softmax trained with
-categorical cross-entropy (one-hot or sparse integer targets). Both
-heads share the fused gradient at the logits: probabilities minus
-targets.
+categorical cross-entropy on integer class targets. The head fixes the
+loss, so the loss is not a setting. Both heads share the fused
+gradient at the logits: probabilities minus targets.
 """
 
 from __future__ import annotations
@@ -23,24 +23,14 @@ from .pipeline import PAD_INDEX
 PROB_FLOOR = 1e-12
 
 HEAD_KINDS = ("sigmoid", "softmax")
-LOSS_KINDS = ("bce", "cce", "sparse_cce")
 
 
-def default_loss(head: str) -> str:
-    return "bce" if head == "sigmoid" else "sparse_cce"
-
-
-def validate_head_loss(head: str, loss: str, n_classes: int) -> None:
+def validate_head(head: str, n_classes: int) -> None:
+    """A sigmoid head scores exactly 2 classes, a softmax head 2 or more."""
     if head not in HEAD_KINDS:
         raise ConfigError(f"unknown head kind {head!r}")
-    if loss not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {loss!r}")
-    if head == "sigmoid" and loss != "bce":
-        raise ConfigError("a sigmoid head pairs only with the bce loss")
-    if head == "softmax" and loss == "bce":
-        raise ConfigError("a softmax head pairs with cce or sparse_cce, not bce")
     if head == "sigmoid" and n_classes != 2:
-        raise ConfigError(f"a sigmoid head is binary; got {n_classes} classes")
+        raise ConfigError(f"a sigmoid head needs exactly 2 classes, got {n_classes}")
     if head == "softmax" and n_classes < 2:
         raise ConfigError(f"a softmax head needs at least 2 classes, got {n_classes}")
 
@@ -72,25 +62,16 @@ def bce_loss(y_hat, y) -> np.ndarray:
 
 
 def cce_loss(probs: np.ndarray, y) -> np.ndarray:
-    """-log of the true-class probability.
-
-    ``y`` may be integer class indices (sparse) or one-hot rows; the two
-    forms agree exactly. Accepts a single probability vector or a batch.
+    """-log of the true-class probability, for integer class indices
+    ``y``. Accepts a single probability vector or a batch.
     """
     p = np.asarray(probs, dtype=np.float64)
     squeeze = p.ndim == 1
     p = np.atleast_2d(p)
-    y = np.asarray(y)
-    if y.ndim == p.ndim - 1 or (squeeze and y.ndim == 0):
-        idx = np.atleast_1d(y).astype(int)
-        if (idx < 0).any() or (idx >= p.shape[-1]).any():
-            raise ConfigError(f"class index out of range [0, {p.shape[-1]})")
-        picked = p[np.arange(p.shape[0]), idx]
-    else:
-        onehot = np.atleast_2d(y).astype(np.float64)
-        if onehot.shape != p.shape:
-            raise ShapeError(f"one-hot targets {onehot.shape} do not match probabilities {p.shape}")
-        picked = (onehot * p).sum(axis=-1)
+    idx = np.atleast_1d(y).astype(int)
+    if (idx < 0).any() or (idx >= p.shape[-1]).any():
+        raise ConfigError(f"class index out of range [0, {p.shape[-1]})")
+    picked = p[np.arange(p.shape[0]), idx]
     out = -np.log(np.maximum(picked, PROB_FLOOR))
     return out[0] if squeeze else out
 
@@ -135,10 +116,7 @@ class ClassifierModel:
             raise ConfigError(
                 f"embedding dim {embedding.dim} does not match cell input size {cell.input_size}"
             )
-        if head not in HEAD_KINDS:
-            raise ConfigError(f"unknown head kind {head!r}")
-        if head == "sigmoid" and n_classes != 2:
-            raise ConfigError(f"sigmoid head is binary; got {n_classes} classes")
+        validate_head(head, n_classes)
         out = 1 if head == "sigmoid" else n_classes
         # The dense and head layers use a zero-centered draw: recurrent
         # activations are all positive under the positive cell init, so a
@@ -153,9 +131,7 @@ class ClassifierModel:
 
     def named_params(self) -> dict[str, np.ndarray]:
         """Trainable blocks, in a fixed order, keyed by dotted names."""
-        out = {}
-        if self.embedding.trainable:
-            out["embedding.weights"] = self.embedding.weights
+        out = {"embedding.weights": self.embedding.weights}
         for name, arr in self.cell.named_params():
             out[f"cell.{name}"] = arr
         out["dense.W"] = self.dense_W
@@ -165,7 +141,7 @@ class ClassifierModel:
         return out
 
     def state_blocks(self) -> list[tuple[str, np.ndarray]]:
-        """Every parameter array, trainable or not, for checkpointing."""
+        """Every parameter array, trained or pinned, for checkpointing."""
         out = [("embedding.weights", self.embedding.weights)]
         out += [(f"cell.{n}", a) for n, a in self.cell.state_blocks()]
         out += [("dense.W", self.dense_W), ("dense.b", self.dense_b),
@@ -218,17 +194,14 @@ def backward(model: ClassifierModel, trace: ModelTrace, y) -> dict[str, np.ndarr
     """
     B = trace.indices.shape[0]
     w = 1.0 / B
-    y = np.asarray(y)
+    y = np.atleast_1d(y)
     if model.head == "sigmoid":
-        target = np.atleast_1d(y).astype(np.float64)
+        target = y.astype(np.float64)
         dlogits = ((trace.probs - target) * w)[:, None]          # (B, 1)
     else:
         probs = np.atleast_2d(trace.probs)
-        if y.ndim == probs.ndim:                                  # one-hot rows
-            target = y.astype(np.float64)
-        else:
-            target = np.zeros_like(probs)
-            target[np.arange(B), np.atleast_1d(y).astype(int)] = 1.0
+        target = np.zeros_like(probs)
+        target[np.arange(B), y.astype(int)] = 1.0
         dlogits = (probs - target) * w                            # (B, C)
 
     grads: dict[str, np.ndarray] = {}
@@ -244,13 +217,12 @@ def backward(model: ClassifierModel, trace: ModelTrace, y) -> dict[str, np.ndarr
     for name, g in cell_grads.items():
         grads[f"cell.{name}"] = g
 
-    if model.embedding.trainable:
-        demb = np.zeros_like(model.embedding.weights)
-        flat_idx = trace.indices.reshape(-1)                      # (B*T,)
-        flat_dx = np.swapaxes(dxs, 0, 1).reshape(flat_idx.shape[0], -1)
-        np.add.at(demb, flat_idx, flat_dx)
-        demb[PAD_INDEX] = 0.0
-        grads["embedding.weights"] = demb
+    demb = np.zeros_like(model.embedding.weights)
+    flat_idx = trace.indices.reshape(-1)                          # (B*T,)
+    flat_dx = np.swapaxes(dxs, 0, 1).reshape(flat_idx.shape[0], -1)
+    np.add.at(demb, flat_idx, flat_dx)
+    demb[PAD_INDEX] = 0.0
+    grads["embedding.weights"] = demb
     return grads
 
 

@@ -9,6 +9,8 @@ import numpy as np
 
 from seqtext.cells import GATES, Cell, CellState, run_sequence
 from seqtext.engine import read_container, write_container
+from seqtext.errors import ConfigError, ShapeError
+from seqtext.metrics import EvalReport
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -81,3 +83,52 @@ def one_step(x, cell: Cell, h_prev, c_prev=None):
                             CellState(h=np.asarray(h_prev, dtype=float), c=c_prev))
     c = cache.cs[1, 0] if cache.cs is not None else None
     return h, c, np.split(cache.acts[0, 0], GATES[cell.kind])
+
+
+def brute_force_scores_oracle(preds, labels, n_classes: int) -> EvalReport:
+    """Same report computed by direct pairwise counting, with no
+    confusion-matrix intermediate. Exists to cross-check scores()."""
+    preds = [int(p) for p in np.asarray(preds).tolist()]
+    labels = [int(l) for l in np.asarray(labels).tolist()]
+    if len(preds) != len(labels) or not preds:
+        raise ShapeError("predictions and labels must be equal-length and nonempty")
+    if any(v < 0 or v >= n_classes for v in preds + labels):
+        raise ConfigError(f"class out of range [0, {n_classes})")
+    total = len(labels)
+    correct = sum(1 for p, l in zip(preds, labels) if p == l)
+    precision, recall, f1, support = [], [], [], []
+    zero_division = False
+    for j in range(n_classes):
+        tp = sum(1 for p, l in zip(preds, labels) if p == j and l == j)
+        fp = sum(1 for p, l in zip(preds, labels) if p == j and l != j)
+        fn = sum(1 for p, l in zip(preds, labels) if p != j and l == j)
+        if tp + fp == 0:
+            p_j = 0.0
+            zero_division = True
+        else:
+            p_j = tp / (tp + fp) * 100.0
+        if tp + fn == 0:
+            r_j = 0.0
+            zero_division = True
+        else:
+            r_j = tp / (tp + fn) * 100.0
+        precision.append(p_j)
+        recall.append(r_j)
+        f1.append(0.0 if p_j + r_j == 0.0 else 2.0 * p_j * r_j / (p_j + r_j))
+        support.append(tp + fn)
+    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for p, l in zip(preds, labels):
+        cm[l, p] += 1
+    wp = sum(p * n for p, n in zip(precision, support)) / total
+    wr = sum(r * n for r, n in zip(recall, support)) / total
+    wf = sum(f * n for f, n in zip(f1, support)) / total
+    return EvalReport(
+        accuracy=correct / total * 100.0,
+        precision=precision, recall=recall, f1=f1, support=support,
+        macro_precision=sum(precision) / n_classes,
+        macro_recall=sum(recall) / n_classes,
+        macro_f1=sum(f1) / n_classes,
+        weighted_precision=wp, weighted_recall=wr, weighted_f1=wf,
+        confusion=cm,
+        zero_division=zero_division,
+    )

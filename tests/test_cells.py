@@ -6,8 +6,6 @@ time; the analytic step fixtures pin the update rules themselves to
 hand-computed values.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -201,7 +199,7 @@ CELL_VARIANTS = [
     ("rnn tanh", lambda i, h, r: make_cell("rnn", i, h, r)),
     ("rnn sigmoid", lambda i, h, r: _sigmoid_rnn(i, h, r)),
     ("rnn literal", lambda i, h, r: make_cell("rnn", i, h, r, literal_mode=True)),
-    ("lstm peepholes", lambda i, h, r: _unscaled_peephole_lstm(i, h, r)),
+    ("lstm peepholes", lambda i, h, r: _random_peephole_lstm(i, h, r)),
     ("lstm plain", lambda i, h, r: make_cell("lstm", i, h, r, peepholes=False)),
     ("gru", lambda i, h, r: make_cell("gru", i, h, r)),
 ]
@@ -212,7 +210,7 @@ def _sigmoid_rnn(i, h, r):
     return Cell("rnn", p.W, p.U, p.b, nonlinearity="sigmoid")
 
 
-def _unscaled_peephole_lstm(i, h, r):
+def _random_peephole_lstm(i, h, r):
     # random nonzero peephole matrices so their gradients are exercised
     p = make_cell("lstm", i, h, r, peepholes=True)
     p.V[:] = r.normal(size=(3 * h, h)) * 0.3
@@ -300,32 +298,25 @@ class TestShapesAndValidation:
             for (name, arr_a), (_, arr_b) in zip(a.state_blocks(), b.state_blocks()):
                 np.testing.assert_array_equal(arr_a, arr_b)
 
-    def test_unscaled_init_keeps_raw_uniform_range(self):
-        p = make_cell("rnn", 4, 50, np.random.default_rng(1), scaled=False)
-        assert p.W.max() > 1.0 / math.sqrt(4)  # would be impossible when scaled
-        assert p.W.min() >= 0.0 and p.W.max() <= 1.0
-
 
 @pytest.mark.parametrize("kind,kw", [
     ("rnn", {}), ("rnn", {"literal_mode": True}), ("lstm", {}),
-    ("lstm", {"peepholes": False}), ("lstm", {"scaled": False}), ("gru", {}),
+    ("lstm", {"peepholes": False}), ("gru", {"peepholes": False}), ("gru", {}),
 ])
 def test_stacked_init_equals_per_gate_draws(kind, kw):
-    # one draw per gate block, in the order W gates, U gates, peepholes
+    # one draw per gate block, in the order W gates, U gates; the
+    # peepholes start at zero and draw nothing
     D, H, G = 3, 4, GATES[kind]
-    scaled = kw.get("scaled", True)
     rng, cell_rng = np.random.default_rng(9), np.random.default_rng(9)
-    W = np.concatenate([init_weight(rng, H, D, scaled) for _ in range(G)])
+    W = np.concatenate([init_weight(rng, H, D) for _ in range(G)])
     U = np.eye(H) if kw.get("literal_mode") else np.concatenate(
-        [init_weight(rng, H, H, scaled) for _ in range(G)])
+        [init_weight(rng, H, H) for _ in range(G)])
     cell = make_cell(kind, D, H, cell_rng, **kw)
     np.testing.assert_array_equal(cell.W, W)
     np.testing.assert_array_equal(cell.U, U)
     np.testing.assert_array_equal(cell.b, np.zeros(G * H))
     if kind == "lstm" and kw.get("peepholes", True):
-        V = np.zeros((3 * H, H)) if scaled else np.concatenate(
-            [init_weight(rng, H, H, scaled) for _ in range(3)])
-        np.testing.assert_array_equal(cell.V, V)
+        np.testing.assert_array_equal(cell.V, np.zeros((3 * H, H)))
     else:
         assert cell.V is None
     # both generators end in the same state, so later inits (dense, head) match too

@@ -411,6 +411,82 @@ class TestMalformedArtifacts:
         assert "the embedding table has 10 rows" in proc.stderr
 
 
+def _bare_short_checkpoint(ws, tmp):
+    """The trained checkpoint saved without its vocabulary, so only the
+    vocabulary hash ties it to the data, with its embedding table cut to
+    10 rows."""
+    ckpt = engine.load_checkpoint(ws["run"] / "model.sqt")
+    bare = tmp / "bare.sqt"
+    engine.save_checkpoint(bare, ckpt.model, ckpt.config, ckpt.class_names)
+    return rewrite_artifact(bare, bare, edit_arrays=lambda a: a.update(
+        {"embedding.weights": a["embedding.weights"][:10]}))
+
+
+def _format_2_checkpoint(ws, tmp):
+    """The trained checkpoint with a format-2 header: the `loss` config key
+    and the `embedding_trainable` field that format carried."""
+    def downgrade(h):
+        h.update(format=2, embedding_trainable=True)
+        h["config"]["loss"] = None
+    return rewrite_artifact(ws["run"] / "model.sqt", tmp / "old.sqt", edit_header=downgrade)
+
+
+def _loss_config_file(tmp):
+    cfg = tmp / "run.cfg"
+    cfg.write_text("epochs = 1\nloss = bce\n", encoding="utf-8")
+    return cfg
+
+
+# (id, command line from the workspace and tmp_path, exit code, stderr text)
+_EXIT_CODE_CASES = [
+    ("train", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--epochs", 1, "--quiet",
+        "--out-dir", tmp], 0, "wrote"),
+    ("evaluate", lambda ws, tmp: [
+        "evaluate", "--model", ws["run"] / "model.sqt", "--data", ws["pre"] / "dataset.sqt",
+        "--out-dir", tmp], 0, "eval_metrics.txt"),
+    ("predict", lambda ws, tmp: ["predict", "--model", ws["run"] / "model.sqt"], 0,
+     "resolved configuration:"),
+    ("loss-flag", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--loss", "bce", "--out-dir", tmp], 1,
+     "unrecognized arguments: --loss bce"),
+    ("loss-config-line", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--config", _loss_config_file(tmp),
+        "--out-dir", tmp], 1,
+     "unknown configuration key 'loss'"),
+    ("missing-file", lambda ws, tmp: ["train", "--data", tmp / "absent.sqt"], 2,
+     "No such file"),
+    ("format-2-checkpoint", lambda ws, tmp: [
+        "evaluate", "--model", _format_2_checkpoint(ws, tmp), "--data", ws["pre"] / "dataset.sqt",
+        "--out-dir", tmp], 2, "checkpoint format 2 is not supported"),
+    ("short-embedding-table", lambda ws, tmp: [
+        "evaluate", "--model", _bare_short_checkpoint(ws, tmp),
+        "--data", ws["pre"] / "dataset.sqt", "--out-dir", tmp], 2,
+     "has 10 rows; re-encode the data"),
+    ("divergence", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--cell", "rnn", "--optimizer", "sgd",
+        "--learning-rate", "1e12", "--epochs", 40, "--quiet", "--out-dir", tmp], 3,
+     "diverged at epoch"),
+]
+
+
+class TestExitCodeTable:
+    """The README's exit codes, from the command line as a user runs it:
+    0 success, 1 usage or configuration error, 2 data or file error,
+    3 divergence; never a traceback."""
+
+    @pytest.mark.parametrize("make_args,code,message",
+                             [c[1:] for c in _EXIT_CODE_CASES],
+                             ids=[c[0] for c in _EXIT_CODE_CASES])
+    def test_documented_exit_code(self, workspace, tmp_path, make_args, code, message):
+        proc = _run_cli(*make_args(workspace, tmp_path), stdin="sig1w00 sig1w01\n")
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        if code:
+            assert "error:" in proc.stderr
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs(self):
         proc = subprocess.run(

@@ -71,7 +71,7 @@ class TestLoadPretrained:
         vocab = _tiny_vocab(["cat"])
         emb, matched = load_pretrained(p, vocab, 2, np.random.default_rng(0))
         assert matched == 1
-        np.testing.assert_array_equal(emb.weights[vocab.index_of("cat")], [1.0, 2.0])
+        np.testing.assert_array_equal(emb.weights[vocab.token_to_index["cat"]], [1.0, 2.0])
 
     def test_unmatched_token_is_noop(self, tmp_path):
         p = tmp_path / "vec.txt"
@@ -100,7 +100,7 @@ class TestLoadPretrained:
         vocab = _tiny_vocab(["cat"])
         emb, matched = load_pretrained(p, vocab, 2, np.random.default_rng(0))
         assert matched == 1
-        np.testing.assert_array_equal(emb.weights[vocab.index_of("cat")], [3.0, 4.0])
+        np.testing.assert_array_equal(emb.weights[vocab.token_to_index["cat"]], [3.0, 4.0])
 
     def test_header_dim_mismatch(self, tmp_path):
         p = tmp_path / "vec.txt"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from seqtext import engine, pipeline
+from seqtext import model as M
 from seqtext.engine import (
     Dataset,
     ExperimentConfig,
@@ -88,11 +89,15 @@ class TestExperimentConfig:
         assert ExperimentConfig(learning_rate=0.2).resolved_learning_rate() == 0.2
 
     def test_loss_resolution_by_head(self):
-        assert ExperimentConfig(task="binary").head == "sigmoid"
-        assert ExperimentConfig(task="multiclass").head == "softmax"
-        assert ExperimentConfig(task="binary").resolved_loss() == "bce"
-        assert ExperimentConfig(task="multiclass").resolved_loss() == "sparse_cce"
-        assert ExperimentConfig(task="multiclass", loss="cce").resolved_loss() == "cce"
+        # the task fixes the head, and the head fixes the loss
+        for task, head, n_classes, loss in [("binary", "sigmoid", 2, M.bce_loss),
+                                             ("multiclass", "softmax", 3, M.cce_loss)]:
+            cfg = ExperimentConfig(task=task, vocab_size=20, max_len=4)
+            assert cfg.head == head
+            model = build_model(cfg, n_classes)
+            probs = M.forward(model, np.array([[0, 2, 3, 4], [5, 6, 7, 8]]))[0]
+            y = np.array([1, 0])
+            np.testing.assert_array_equal(M.loss_values(model, probs, y), loss(probs, y))
 
     def test_embedding_dim_auto_uses_vocab_size(self):
         cfg = ExperimentConfig(embedding_dim="auto", vocab_size=65536)
@@ -106,7 +111,7 @@ class TestExperimentConfig:
             {"task": "regression"},
             {"cell": "transformer"},
             {"optimizer": "lbfgs"},
-            {"loss": "hinge"},
+            {"hidden_size": 0},
             {"vocab_size": 2},
             {"max_len": 0},
             {"epochs": -1},
@@ -133,7 +138,6 @@ class TestExperimentConfig:
         assert back.seed == 5
         # resolution is baked into the described form
         assert back.learning_rate == 0.005
-        assert back.loss == "sparse_cce"
         assert back.embedding_dim == engine.embedding_dim_heuristic(500)
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -143,7 +147,7 @@ class TestExperimentConfig:
     def test_from_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("cell = rnn\nепochs = 3\n".replace("еп", "ep"), encoding="utf-8")
-        cfg = ExperimentConfig.from_file(p)
+        cfg = ExperimentConfig.from_dict(parse_config_text(p.read_text(encoding="utf-8")))
         assert cfg.cell == "rnn"
         assert cfg.epochs == 3
 
@@ -232,7 +236,7 @@ class TestLoadCsv:
         # class order follows first appearance in the file
         assert ds.class_names == ["pos", "neg"]
         assert ds.labels.tolist() == [0, 1, 0]
-        assert vocab.index_of("good") >= 2
+        assert vocab.token_to_index["good"] >= 2
         assert ds.vocab_sha == vocab.sha256()
 
     def test_missing_column_rejected(self, tmp_path):
@@ -322,7 +326,7 @@ class TestSyntheticCorpus:
         # two class markers always land in the final five positions
         ds, vocab, _ = make_synthetic_corpus(60, 3, seed=4, pad_len=64)
         for row, label in zip(ds.indices, ds.labels):
-            toks = pipeline.decode(row, vocab)
+            toks = [vocab.index_to_token[i] for i in row if i != pipeline.PAD_INDEX]
             tail = toks[-5:]
             own = sum(1 for t in tail if t.startswith(f"sig{label}"))
             assert own >= 2
@@ -403,7 +407,7 @@ class TestTrain:
     def test_no_split_gives_nan_test_columns(self):
         ds, vocab, _, cfg = _toy_setup(epochs=1)
         _, curve = train(cfg, ds, vocab)
-        point = curve.records[0]
+        point = curve[0]
         assert math.isnan(point.test_loss)
         assert math.isnan(point.test_acc)
 
@@ -415,8 +419,8 @@ class TestTrain:
             assert n1 == n2
             assert np.array_equal(a1, a2)
         # the test columns are NaN here (no split), so compare NaN-aware
-        t1 = np.array([p.astuple() for p in c1])
-        t2 = np.array([p.astuple() for p in c2])
+        t1 = np.array(c1)
+        t2 = np.array(c2)
         assert np.array_equal(t1, t2, equal_nan=True)
 
     def test_seed_changes_the_run(self):
@@ -498,12 +502,10 @@ class TestTrainingLossDescends:
 
 class TestLearningCurveFile:
     def _curve(self, n):
-        curve = engine.LearningCurve()
         rng = np.random.default_rng(0)
-        for ep in range(1, n + 1):
-            curve.append(engine.CurvePoint(ep, rng.random(), rng.random() * 100,
-                                           rng.random(), rng.random() * 100))
-        return curve
+        return [engine.CurvePoint(ep, rng.random(), rng.random() * 100,
+                                  rng.random(), rng.random() * 100)
+                for ep in range(1, n + 1)]
 
     def test_thirty_epochs_give_thirty_one_lines(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -514,7 +516,7 @@ class TestLearningCurveFile:
 
     def test_empty_curve_is_header_only(self, tmp_path):
         path = tmp_path / "curve.csv"
-        emit_learning_curve(engine.LearningCurve(), path)
+        emit_learning_curve([], path)
         assert path.read_text(encoding="utf-8") == "epoch,train_loss,train_acc,test_loss,test_acc\n"
 
     def test_floats_round_trip_at_full_precision(self, tmp_path):
@@ -531,8 +533,7 @@ class TestLearningCurveFile:
             assert float(ea) == point.test_acc
 
     def test_nan_columns_survive(self, tmp_path):
-        curve = engine.LearningCurve()
-        curve.append(engine.CurvePoint(1, 0.5, 50.0, float("nan"), float("nan")))
+        curve = [engine.CurvePoint(1, 0.5, 50.0, float("nan"), float("nan"))]
         path = tmp_path / "curve.csv"
         emit_learning_curve(curve, path)
         _, _, _, el, ea = path.read_text(encoding="utf-8").splitlines()[1].split(",")
@@ -673,14 +674,14 @@ class TestCheckpointHeader:
 
     def test_stacked_cell_blocks_and_format(self, ckpt):
         header, arrays = read_container(ckpt)
-        assert header["format"] == 2
+        assert header["format"] == 3
         assert header["cell"] == {"kind": "lstm", "nonlinearity": "tanh", "literal_mode": False}
         assert sorted(n for n in arrays if n.startswith("cell.")) == \
             ["cell.U", "cell.V", "cell.W", "cell.b"]
         assert arrays["cell.W"].shape == (4 * 6, 8) and arrays["cell.V"].shape == (3 * 6, 6)
 
     @pytest.mark.parametrize("field", ["config", "cell", "head", "n_classes", "class_names",
-                                       "embedding_trainable", "vocab_sha", "format"])
+                                       "vocab_sha", "format"])
     def test_missing_field_is_integrity_error(self, ckpt, field):
         rewrite_artifact(ckpt, ckpt, lambda h: h.pop(field))
         with pytest.raises(IntegrityError, match="format" if field == "format" else field):
@@ -688,7 +689,7 @@ class TestCheckpointHeader:
 
     @pytest.mark.parametrize("field,value", [
         ("config", "lstm"), ("n_classes", "2"), ("n_classes", True), ("head", 1),
-        ("class_names", "neg,pos"), ("pipeline", 3), ("embedding_trainable", 1),
+        ("class_names", "neg,pos"), ("pipeline", 3),
     ])
     def test_wrong_field_type_is_integrity_error(self, ckpt, field, value):
         rewrite_artifact(ckpt, ckpt, lambda h: h.update({field: value}))

@@ -6,14 +6,18 @@ import pytest
 from seqtext.engine import load_csv_dataset
 from seqtext.errors import ConfigError, DataError
 from seqtext.pipeline import (PAD_INDEX, OOV_INDEX, PipelineConfig, Vocabulary,
-                              build_vocabulary, clean, decode, encode,
-                              load_stopwords)
+                              build_vocabulary, clean, encode, load_stopwords)
 
 
 def small_cfg(**kw):
     base = dict(vocab_size=50, max_len=5)
     base.update(kw)
     return PipelineConfig(**base)
+
+
+def _tokens(indices, vocab):
+    """The tokens of an encoded document's non-pad positions."""
+    return [vocab.index_to_token[i] for i in indices if i != PAD_INDEX]
 
 
 class TestClean:
@@ -39,19 +43,19 @@ class TestBuildVocabulary:
     def test_frequency_ranking_and_oov(self):
         cfg = small_cfg(vocab_size=4)
         vocab = build_vocabulary([["a", "a", "a", "b", "b", "c"]], cfg)
-        assert vocab.index_of("a") == 2
-        assert vocab.index_of("b") == 3
-        assert vocab.index_of("c") == OOV_INDEX
+        assert vocab.token_to_index["a"] == 2
+        assert vocab.token_to_index["b"] == 3
+        assert "c" not in vocab.token_to_index
         assert vocab.size == 4
 
     def test_singleton_corpus(self):
         vocab = build_vocabulary([["x"]], small_cfg(vocab_size=3))
-        assert vocab.index_of("x") == 2
+        assert vocab.token_to_index["x"] == 2
 
     def test_lexicographic_tie_break(self):
         vocab = build_vocabulary([["n", "m"]], small_cfg(vocab_size=4))
-        assert vocab.index_of("m") == 2
-        assert vocab.index_of("n") == 3
+        assert vocab.token_to_index["m"] == 2
+        assert vocab.token_to_index["n"] == 3
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
@@ -59,8 +63,8 @@ class TestBuildVocabulary:
 
     def test_reserved_indices(self):
         vocab = build_vocabulary([["a"]], small_cfg())
-        assert vocab.token_of(PAD_INDEX) == "<PAD>"
-        assert vocab.token_of(OOV_INDEX) == "<UNK>"
+        assert vocab.index_to_token[PAD_INDEX] == "<PAD>"
+        assert vocab.index_to_token[OOV_INDEX] == "<UNK>"
 
     def test_deterministic_construction(self):
         corpus = [["q", "w", "e", "q"], ["w", "q"]]
@@ -83,7 +87,7 @@ class TestEncode:
         vocab = build_vocabulary([toks], cfg)
         out = encode(toks, vocab, cfg)
         assert out.shape == (4,)
-        assert decode(out, vocab) == ["a", "b", "c", "d"]
+        assert _tokens(out, vocab) == ["a", "b", "c", "d"]
 
     def test_oov_replacement(self):
         cfg = small_cfg(vocab_size=3, max_len=2)
@@ -113,7 +117,7 @@ class TestEncode:
         for _ in range(100):
             n = int(rng.integers(1, 9))
             toks = [words[int(rng.integers(10))] for _ in range(n)]
-            assert decode(encode(toks, vocab, cfg), vocab) == toks
+            assert _tokens(encode(toks, vocab, cfg), vocab) == toks
 
 
 class TestVocabularyPersistence:
