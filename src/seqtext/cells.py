@@ -110,11 +110,6 @@ class Cell:
     def hidden_size(self) -> int:
         return self.U.shape[1]
 
-    def settings(self) -> dict:
-        """The non-array fields, as a checkpoint header records them."""
-        return {"kind": self.kind, "nonlinearity": self.nonlinearity,
-                "literal_mode": self.literal_mode}
-
     def state_blocks(self) -> list[tuple[str, np.ndarray]]:
         """Every block, trained or pinned, for checkpointing."""
         out = [("W", self.W), ("U", self.U), ("b", self.b)]

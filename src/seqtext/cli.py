@@ -1,10 +1,12 @@
 """Command-line front door: preprocess, train, evaluate, predict.
 
-Every option of the experiment configuration is exposed as a flag with
-the same name (hyphen or underscore spelling both accepted); a config
-file given with --config supplies defaults and explicit flags win. Each
-run logs the fully resolved configuration to stderr before doing
-anything, and that printout is itself valid config-file syntax.
+``preprocess`` takes the encoding settings --vocab-size and --max-len,
+which the dataset keeps, and --seed for the split. ``train`` takes every
+option of the experiment configuration as a flag with the same name
+(hyphen or underscore spelling both accepted); a config file given with
+--config supplies defaults and explicit flags win. Each run logs its
+resolved settings to stderr before reading its input; the printout of
+train, evaluate and predict is itself valid config-file syntax.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data or file
 error, 3 numerical divergence during training.
@@ -24,7 +26,8 @@ from . import engine, metrics
 from .engine import ExperimentConfig, parse_config_text, parse_config_value
 from .errors import ConfigError, DataError, DivergenceError
 from .model import forward, predict_classes
-from .pipeline import PipelineConfig, Vocabulary, clean, encode, load_stopwords
+from .pipeline import (PipelineConfig, Vocabulary, clean, encode, load_stopwords,
+                       read_lines)
 
 _CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
 
@@ -40,20 +43,17 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    for name in _CONFIG_KEYS:
-        hyphen = "--" + name.replace("_", "-")
-        if hyphen == "--" + name:
-            p.add_argument(hyphen, dest=name, metavar="V", default=None)
-        else:
-            p.add_argument(hyphen, "--" + name, dest=name, metavar="V", default=None)
+def _add_flag(p: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    """A flag under both spellings of ``name``: --hidden-size and --hidden_size."""
+    spellings = dict.fromkeys(["--" + name.replace("_", "-"), "--" + name])
+    p.add_argument(*spellings, dest=name, metavar="V", **kwargs)
 
 
 def _merged_config(args) -> ExperimentConfig:
     values = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read(), source=args.config))
+    if args.config:
+        text = "".join(read_lines(args.config, ConfigError))
+        values.update(parse_config_text(text, source=args.config))
     for name in _CONFIG_KEYS:
         raw = getattr(args, name, None)
         if raw is not None:
@@ -61,9 +61,9 @@ def _merged_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(values)
 
 
-def _print_resolved(cfg: ExperimentConfig, vocab_size=None) -> None:
+def _print_resolved(lines: str) -> None:
     _log("resolved configuration:")
-    for line in cfg.describe(vocab_size).splitlines():
+    for line in lines.splitlines():
         _log("  " + line)
 
 
@@ -73,18 +73,18 @@ def _out_path(args, name: str) -> str:
 
 
 def _cmd_preprocess(args) -> int:
-    cfg = _merged_config(args)
     stop = load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    pipe = PipelineConfig(vocab_size=cfg.vocab_size, max_len=cfg.max_len, stopwords=stop)
+    pipe = PipelineConfig(vocab_size=args.vocab_size, max_len=args.max_len, stopwords=stop)
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
-    _print_resolved(cfg, vocab.size if vocab else None)
+    _print_resolved(f"vocab_size = {pipe.vocab_size}\nmax_len = {pipe.max_len}\n"
+                    f"seed = {args.seed}")
     ds, vocab = engine.load_csv_dataset(args.data, args.text_column, args.label_column,
                                         pipe, vocab=vocab)
     if args.train_fraction is not None:
-        ds = engine.split(ds, train_fraction=args.train_fraction, seed=cfg.seed)
+        ds = engine.split(ds, train_fraction=args.train_fraction, seed=args.seed)
     elif args.train_count is not None or args.test_count is not None:
         ds = engine.split(ds, train_count=args.train_count, test_count=args.test_count,
-                          seed=cfg.seed)
+                          seed=args.seed)
     stats = engine.corpus_stats(ds)
     print(f"documents: {stats['documents']}")
     for name, n in stats["classes"].items():
@@ -106,7 +106,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_train(args) -> int:
     ds, vocab, pipe = engine.load_dataset(args.data)
     cfg = _merged_config(args)
-    _print_resolved(cfg, vocab.size)
+    _print_resolved(cfg.describe(vocab.size))
     if args.train_fraction is not None or ds.train_idx is None:
         frac = args.train_fraction if args.train_fraction is not None else 0.5
         _log(f"splitting {frac:g} train / {1 - frac:g} test with seed {cfg.seed}")
@@ -129,17 +129,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ckpt = engine.load_checkpoint(args.model)
-    ds, vocab, _ = engine.load_dataset(args.data)
-    _print_resolved(ckpt.config, ckpt.vocab.size if ckpt.vocab else None)
+    ds, _, _ = engine.load_dataset(args.data)
+    _print_resolved(ckpt.config.describe(ckpt.model.embedding.vocab_size))
     if list(ds.class_names) != list(ckpt.class_names):
         raise DataError(
             f"dataset classes {ds.class_names} do not match the checkpoint's "
             f"{ckpt.class_names}")
-    rows = ckpt.model.embedding.vocab_size
-    if vocab.size != rows:
-        raise DataError(f"{args.data}: the dataset's vocabulary has {vocab.size} entries, but "
-                        f"the embedding table of {args.model} has {rows} rows; re-encode "
-                        "the data with the model's vocabulary")
     which = args.split
     if which is None:
         which = "test" if ds.train_idx is not None else "all"
@@ -154,10 +149,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     ckpt = engine.load_checkpoint(args.model)
-    if ckpt.vocab is None or ckpt.pipeline is None:
-        raise DataError(f"{args.model}: checkpoint has no embedded vocabulary, "
-                        "so raw text cannot be encoded")
-    _print_resolved(ckpt.config, ckpt.vocab.size)
+    _print_resolved(ckpt.config.describe(ckpt.model.embedding.vocab_size))
     model, names = ckpt.model, ckpt.class_names
     vocab, pipe = ckpt.vocab, ckpt.pipeline
     # One forward pass per chunk of lines. Answers keep input order and
@@ -189,6 +181,11 @@ def _build_parser() -> _Parser:
     pre.add_argument("--train-fraction", type=float)
     pre.add_argument("--train-count", type=int)
     pre.add_argument("--test-count", type=int)
+    _add_flag(pre, "vocab_size", type=int, default=PipelineConfig.vocab_size,
+              help="keep the most frequent tokens, pad and OOV included")
+    _add_flag(pre, "max_len", type=int, default=PipelineConfig.max_len,
+              help="tokens per encoded document")
+    _add_flag(pre, "seed", type=int, default=0, help="seed of the split")
 
     tr = sub.add_parser("train", help="fit a model on an encoded dataset")
     tr.add_argument("--data", required=True, help="encoded dataset artifact")
@@ -205,9 +202,9 @@ def _build_parser() -> _Parser:
     pr = sub.add_parser("predict", help="classify raw text lines from standard input")
     pr.add_argument("--model", required=True)
 
-    for p in (pre, tr):
-        p.add_argument("--config", help="key = value option file")
-        _add_config_flags(p)
+    tr.add_argument("--config", help="key = value option file")
+    for name in _CONFIG_KEYS:
+        _add_flag(tr, name)
     for p in (pre, tr, ev):
         p.add_argument("--out-dir", default=".", help="where artifacts are written")
     return parser

@@ -8,12 +8,13 @@ gradient, so padding cannot inject signal into the recurrent stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .pipeline import PAD_INDEX, Vocabulary
+from .pipeline import PAD_INDEX, Vocabulary, read_lines
 
 
 @dataclass
@@ -68,41 +69,44 @@ def load_pretrained(path, vocab: Vocabulary, dim: int,
     The file holds space-separated "token v1 ... v_dim" lines; an
     optional leading "count dim" header is detected and skipped. Tokens
     absent from the vocabulary are ignored; vocabulary tokens absent
-    from the file keep their random initialization. Returns the table
-    and the number of matched tokens.
+    from the file keep their random initialization. A value that is not a
+    finite number is a DataError naming the line. Returns the table and
+    the number of matched tokens.
     """
     emb = EmbeddingMatrix.init(vocab.size, dim, rng)
     matched = 0
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            parts = [p for p in parts if p]
-            if not parts:
-                continue
-            if n == 1 and len(parts) == 2:
-                try:
-                    file_dim = int(parts[1])
-                    int(parts[0])
-                except ValueError:
-                    pass
-                else:
-                    if file_dim != dim:
-                        raise ConfigError(
-                            f"pretrained vectors are {file_dim}-dimensional, expected {dim}"
-                        )
-                    continue
-            if len(parts) != dim + 1:
-                raise DataError(
-                    f"pretrained vectors line {n}: expected token + {dim} values, got {len(parts)} fields"
-                )
-            token = parts[0]
+    for n, line in enumerate(read_lines(path), start=1):
+        parts = line.rstrip("\n").split(" ")
+        parts = [p for p in parts if p]
+        if not parts:
+            continue
+        if n == 1 and len(parts) == 2:
             try:
-                values = [float(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise DataError(f"pretrained vectors line {n}: {exc}") from exc
-            idx = vocab.token_to_index.get(token)
-            if idx is not None and idx != PAD_INDEX:
-                emb.weights[idx] = values
-                matched += 1
+                file_dim = int(parts[1])
+                int(parts[0])
+            except ValueError:
+                pass
+            else:
+                if file_dim != dim:
+                    raise ConfigError(
+                        f"pretrained vectors are {file_dim}-dimensional, expected {dim}"
+                    )
+                continue
+        if len(parts) != dim + 1:
+            raise DataError(
+                f"pretrained vectors line {n}: expected token + {dim} values, got {len(parts)} fields"
+            )
+        token = parts[0]
+        try:
+            values = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise DataError(f"pretrained vectors line {n}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"pretrained vectors line {n}: {token!r} has a value that is "
+                            "not a finite number")
+        idx = vocab.token_to_index.get(token)
+        if idx is not None and idx != PAD_INDEX:
+            emb.weights[idx] = values
+            matched += 1
     emb.weights[PAD_INDEX] = 0.0
     return emb, matched

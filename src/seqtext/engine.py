@@ -41,12 +41,11 @@ INFERENCE_BATCH_SIZE = 256
 # ---------------------------------------------------------------------------
 # configuration
 
-_INT_FIELDS = ("vocab_size", "max_len", "hidden_size", "dense_size",
-               "epochs", "batch_size", "seed")
+_INT_FIELDS = ("hidden_size", "dense_size", "epochs", "batch_size", "seed")
 _FLOAT_FIELDS = ("learning_rate", "gradient_clip")
 _BOOL_FIELDS = ("literal_recurrence", "peepholes")
 _STR_FIELDS = ("task", "cell", "optimizer", "pretrained_vectors")
-_OPTIONAL_FIELDS = ("learning_rate", "gradient_clip", "pretrained_vectors")
+_NULLABLE_FIELDS = ("learning_rate", "gradient_clip", "pretrained_vectors")
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -61,7 +60,7 @@ def _parse_bool(key: str, raw: str) -> bool:
 def parse_config_value(key: str, raw: str):
     """One typed config value from its text form."""
     raw = raw.strip()
-    if key in _OPTIONAL_FIELDS and raw.lower() in ("", "none"):
+    if key in _NULLABLE_FIELDS and raw.lower() in ("", "none"):
         return None
     try:
         if key in _INT_FIELDS:
@@ -109,7 +108,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 @dataclass
 class ExperimentConfig:
-    """Everything that determines a run besides the corpus itself.
+    """Everything that determines a training run besides the encoded
+    corpus, whose ``PipelineConfig`` holds the vocabulary cap and length.
 
     ``learning_rate`` defaults to None and resolves by task (0.001
     binary / 0.005 multiclass), and ``embedding_dim`` may be the literal
@@ -119,8 +119,6 @@ class ExperimentConfig:
 
     task: str = "binary"
     cell: str = "lstm"
-    vocab_size: int = 10000
-    max_len: int = 250
     embedding_dim: object = 16
     hidden_size: int = 16
     dense_size: int = 8
@@ -141,9 +139,7 @@ class ExperimentConfig:
             raise ConfigError(f"cell must be one of {CELL_KINDS}, got {self.cell!r}")
         if self.optimizer not in optim.OPTIMIZER_KINDS:
             raise ConfigError(f"optimizer must be one of {optim.OPTIMIZER_KINDS}, got {self.optimizer!r}")
-        if self.vocab_size < 3:
-            raise ConfigError(f"vocab_size must be >= 3, got {self.vocab_size}")
-        for name, low in (("max_len", 1), ("hidden_size", 1), ("dense_size", 1),
+        for name, low in (("hidden_size", 1), ("dense_size", 1),
                           ("epochs", 0), ("batch_size", 1)):
             v = getattr(self, name)
             if not isinstance(v, int) or v < low:
@@ -169,9 +165,9 @@ class ExperimentConfig:
             return self.learning_rate
         return 0.001 if self.task == "binary" else 0.005
 
-    def resolve_embedding_dim(self, actual_vocab_size: Optional[int] = None) -> int:
+    def resolve_embedding_dim(self, vocab_size: int) -> int:
         if self.embedding_dim == "auto":
-            return embedding_dim_heuristic(actual_vocab_size or self.vocab_size)
+            return embedding_dim_heuristic(vocab_size)
         return self.embedding_dim
 
     def to_dict(self) -> dict:
@@ -186,15 +182,16 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
-    def describe(self, actual_vocab_size: Optional[int] = None) -> str:
-        """Resolved 'key = value' lines, one per field.
+    def describe(self, vocab_size: int) -> str:
+        """Resolved 'key = value' lines, one per field, over a vocabulary
+        of ``vocab_size`` entries.
 
         The output is itself a valid configuration file reproducing this
         run, so a log line is enough to rerun an experiment.
         """
         shown = self.to_dict()
         shown["learning_rate"] = self.resolved_learning_rate()
-        shown["embedding_dim"] = self.resolve_embedding_dim(actual_vocab_size)
+        shown["embedding_dim"] = self.resolve_embedding_dim(vocab_size)
         lines = []
         for f in fields(self):
             v = shown[f.name]
@@ -211,6 +208,13 @@ _CONFIG_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 
 # ---------------------------------------------------------------------------
 # datasets and splits
+
+def _check_class_names(names) -> None:
+    """Class names label the output and key the report, so they must be
+    distinct strings."""
+    if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+        raise DataError(f"class names must be distinct strings, got {names!r}")
+
 
 @dataclass
 class Dataset:
@@ -234,6 +238,7 @@ class Dataset:
             raise DataError(
                 f"dataset arrays have inconsistent shapes: indices {self.indices.shape}, "
                 f"labels {self.labels.shape}, lengths {self.lengths.shape}")
+        _check_class_names(self.class_names)
         C = len(self.class_names)
         bad = np.flatnonzero((self.labels < 0) | (self.labels >= C))
         if bad.size:
@@ -443,35 +448,25 @@ class CurvePoint(NamedTuple):
     test_acc: float
 
 
-def build_model(cfg: ExperimentConfig, n_classes: int,
-                vocab: Optional[Vocabulary] = None,
+def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
                 rng: Optional[np.random.Generator] = None,
                 log=None) -> ClassifierModel:
-    """Initialize a classifier for this config.
-
-    Embedding rows come from the actual vocabulary when one is supplied
-    (a small corpus may not fill vocab_size), otherwise from the config.
-    """
+    """Initialize a classifier for this config over ``vocab``: the
+    embedding table has one row per vocabulary entry."""
     cfg.validate()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    rows = vocab.size if vocab is not None else cfg.vocab_size
-    if vocab is not None and vocab.size > cfg.vocab_size:
-        raise ConfigError(
-            f"vocabulary has {vocab.size} entries but the config allows {cfg.vocab_size}")
-    dim = cfg.resolve_embedding_dim(rows)
+    dim = cfg.resolve_embedding_dim(vocab.size)
     if cfg.pretrained_vectors:
-        if vocab is None:
-            raise ConfigError("pretrained_vectors needs a vocabulary to match tokens against")
         emb, matched = load_pretrained(cfg.pretrained_vectors, vocab, dim, rng)
         if log:
             log(f"pretrained vectors: matched {matched} of {vocab.size} tokens")
     else:
-        emb = EmbeddingMatrix.init(rows, dim, rng)
+        emb = EmbeddingMatrix.init(vocab.size, dim, rng)
     cell = cells.make_cell(cfg.cell, dim, cfg.hidden_size, rng,
                            literal_mode=cfg.literal_recurrence, peepholes=cfg.peepholes)
     return ClassifierModel.build(emb, cell, cfg.dense_size, cfg.head, n_classes, rng,
-                                 vocab_sha=vocab.sha256() if vocab is not None else None)
+                                 vocab_sha=vocab.sha256())
 
 
 def _eval_loss_acc(model: ClassifierModel, X: np.ndarray, y: np.ndarray,
@@ -490,8 +485,7 @@ def _eval_loss_acc(model: ClassifierModel, X: np.ndarray, y: np.ndarray,
     return loss_sum / n, correct / n * 100.0
 
 
-def train(cfg: ExperimentConfig, dataset: Dataset,
-          vocab: Optional[Vocabulary] = None, log=None,
+def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary, log=None,
           stop_when_train_acc: Optional[float] = None,
           stop_when_test_acc: Optional[float] = None
           ) -> tuple[ClassifierModel, list[CurvePoint]]:
@@ -701,19 +695,16 @@ class Checkpoint:
     model: ClassifierModel
     config: ExperimentConfig
     class_names: list
-    vocab: Optional[Vocabulary]
-    pipeline: Optional[PipelineConfig]
+    vocab: Vocabulary
+    pipeline: PipelineConfig
 
 
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 DATASET_FORMAT = 1
-_OPTIONAL = type(None)
-# Header fields each reader uses, with the JSON types they may take.
+# Header fields each reader uses, with their JSON types.
 _CHECKPOINT_HEADER = {
-    "config": dict, "class_names": list, "head": str,
-    "n_classes": int, "cell": dict,
-    "vocab_sha": (str, _OPTIONAL), "vocab_text": (str, _OPTIONAL),
-    "pipeline": (dict, _OPTIONAL),
+    "config": dict, "class_names": list, "vocab_sha": str, "vocab_text": str,
+    "pipeline": dict,
 }
 _DATASET_HEADER = {
     "class_names": list, "vocab_sha": str, "vocab_text": str,
@@ -732,10 +723,7 @@ def _check_header(path, header: dict, kind: str, fmt: int, schema: dict) -> None
         raise IntegrityError(f"{path}: {kind} format {found!r} is not supported "
                              f"(this version reads format {fmt})")
     for name, types in schema.items():
-        value = header.get(name)
-        # JSON true/false load as bool, which Python also counts as int
-        if (name not in header or not isinstance(value, types)
-                or (isinstance(value, bool) and types is int)):
+        if not isinstance(header.get(name), types):
             raise IntegrityError(f"{path}: header field {name!r} is missing or has the wrong type")
 
 
@@ -755,28 +743,62 @@ def _check_vocab_hash(path, text: str, sha: str) -> None:
         raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
 
 
+def _disagreement(model: ClassifierModel, cfg: ExperimentConfig) -> Optional[str]:
+    """How the model differs from what ``cfg`` builds over its embedding
+    table and class count, or None when they agree."""
+    cell, emb = model.cell, model.embedding
+    if cell.nonlinearity != "tanh":
+        return f"no configuration describes a {cell.nonlinearity} {cell.kind} cell"
+    for key, want, found in (
+            ("cell", cfg.cell, cell.kind),
+            ("head", cfg.head, model.head),
+            ("head rows", 1 if cfg.head == "sigmoid" else model.n_classes, model.head_W.shape[0]),
+            ("literal_recurrence", cfg.literal_recurrence, cell.literal_mode),
+            ("hidden_size", cfg.hidden_size, cell.hidden_size),
+            ("embedding_dim", cfg.resolve_embedding_dim(emb.vocab_size), emb.dim),
+            ("dense_size", cfg.dense_size, model.dense_W.shape[0]),
+            ("peepholes", cfg.cell == "lstm" and cfg.peepholes, cell.V is not None)):
+        if found != want:
+            return f"the config calls for {key} {want!r}, but the model has {found!r}"
+    return None
+
+
 def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
-                    class_names: list, vocab: Optional[Vocabulary] = None,
-                    pipeline_cfg: Optional[PipelineConfig] = None) -> None:
+                    class_names: list, vocab: Vocabulary,
+                    pipeline_cfg: PipelineConfig) -> None:
+    """Store the model's blocks beside the settings that describe them;
+    a model that they do not describe is refused."""
+    sha = vocab.sha256()
+    problem = _disagreement(model, config)
+    if model.n_classes != len(class_names):
+        problem = f"the model scores {model.n_classes} classes, but {len(class_names)} are named"
+    if model.vocab_sha not in (None, sha):
+        problem = "the model was built over another vocabulary"
+    if problem is not None:
+        raise ConfigError(f"cannot store this model: {problem}")
     header = {
         "kind": "checkpoint",
         "format": CHECKPOINT_FORMAT,
         "config": config.to_dict(),
         "class_names": list(class_names),
-        "head": model.head,
-        "n_classes": model.n_classes,
-        "cell": model.cell.settings(),
-        "vocab_sha": model.vocab_sha,
-        "vocab_text": vocab.serialize() if vocab is not None else None,
-        "pipeline": pipeline_cfg.to_dict() if pipeline_cfg is not None else None,
+        "vocab_sha": sha,
+        "vocab_text": vocab.serialize(),
+        "pipeline": pipeline_cfg.to_dict(),
     }
     write_container(path, header, model.state_blocks())
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Rebuild a stored model from its blocks, its config and its class
+    names; blocks that disagree with them are an integrity error."""
     header, arrays = read_container(path)
     _check_header(path, header, "checkpoint", CHECKPOINT_FORMAT, _CHECKPOINT_HEADER)
+    missing = sorted(_CONFIG_FIELD_NAMES - set(header["config"]))
+    if missing:
+        raise IntegrityError(f"{path}: config lacks {', '.join(missing)}")
     cfg = _from_header(path, "config", ExperimentConfig.from_dict, header["config"])
+    names = header["class_names"]
+    _from_header(path, "class_names", _check_class_names, names)
 
     def block(name):
         if name not in arrays:
@@ -784,33 +806,30 @@ def load_checkpoint(path) -> Checkpoint:
         return arrays[name]
 
     cell_blocks = {n[len("cell."):]: a for n, a in arrays.items() if n.startswith("cell.")}
-    cell = _from_header(path, "cell", lambda: cells.Cell(**header["cell"], **cell_blocks))
+    cell = _from_header(path, "cell", lambda: cells.Cell(
+        kind=cfg.cell, literal_mode=cfg.literal_recurrence, **cell_blocks))
     emb = EmbeddingMatrix(weights=block("embedding.weights"))
     model = ClassifierModel(
         embedding=emb, cell=cell,
         dense_W=block("dense.W"), dense_b=block("dense.b"),
         head_W=block("head.W"), head_b=block("head.b"),
-        head=header["head"], n_classes=header["n_classes"],
-        vocab_sha=header["vocab_sha"],
+        head=cfg.head, n_classes=len(names), vocab_sha=header["vocab_sha"],
     )
     _from_header(path, "head", validate_head, model.head, model.n_classes)
     if (emb.weights.ndim != 2 or emb.dim != cell.input_size
             or model.dense_W.shape[1:] != (cell.hidden_size,)
-            or model.head_W.shape[1:] != model.dense_W.shape[:1]
-            or model.head_W.shape[0] != (1 if model.head == "sigmoid" else model.n_classes)):
+            or model.head_W.shape[1:] != model.dense_W.shape[:1]):
         raise IntegrityError(f"{path}: parameter shapes do not form a consistent model")
-    vocab = None
-    if header["vocab_text"]:
-        if model.vocab_sha:
-            _check_vocab_hash(path, header["vocab_text"], model.vocab_sha)
-        vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
-        if vocab.size != emb.vocab_size:
-            raise IntegrityError(f"{path}: the embedding table has {emb.vocab_size} rows but "
-                                 f"the embedded vocabulary has {vocab.size} entries")
-    pipe = None
-    if header["pipeline"]:
-        pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
-    return Checkpoint(model=model, config=cfg, class_names=list(header["class_names"]),
+    _check_vocab_hash(path, header["vocab_text"], model.vocab_sha)
+    vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
+    if vocab.size != emb.vocab_size:
+        raise IntegrityError(f"{path}: the embedding table has {emb.vocab_size} rows but "
+                             f"the embedded vocabulary has {vocab.size} entries")
+    problem = _disagreement(model, cfg)
+    if problem is not None:
+        raise IntegrityError(f"{path}: {problem}")
+    pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
+    return Checkpoint(model=model, config=cfg, class_names=list(names),
                       vocab=vocab, pipeline=pipe)
 
 

@@ -75,10 +75,20 @@ def clean(raw: str, cfg: PipelineConfig) -> list[str]:
     return tokens
 
 
+def read_lines(path, error=DataError):
+    """The lines of a UTF-8 text file. A byte that does not decode raises
+    ``error`` naming the file; the decoder reads ahead, so its line is
+    not known."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as e:
+            raise error(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def load_stopwords(path) -> frozenset:
     """One token per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    return frozenset(line.strip() for line in read_lines(path) if line.strip())
 
 
 def text_sha256(text: str) -> str:
@@ -147,8 +157,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text("".join(read_lines(path)))
 
 
 def build_vocabulary(corpus, cfg: PipelineConfig) -> Vocabulary:

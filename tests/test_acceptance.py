@@ -192,9 +192,7 @@ def test_4_memorizes_small_corpora(capsys):
                                                 signal_rate=0.5, filler_tokens=20)
         for cell in ("rnn", "lstm", "gru"):
             cfg = ExperimentConfig(task=task, cell=cell, epochs=200,
-                                   batch_size=8, hidden_size=8,
-                                   vocab_size=vocab.size, max_len=pcfg.max_len,
-                                   seed=3)
+                                   batch_size=8, hidden_size=8, seed=3)
             model, curve = train(cfg, ds, vocab, stop_when_train_acc=100.0)
             acc = engine.evaluate(model, ds, "all").accuracy
             ok = ok and acc == 100.0 and len(curve) <= 200
@@ -214,8 +212,7 @@ def test_5_binary_benchmark_proxy(capsys, tmp_path):
     pipe = PipelineConfig(vocab_size=10000, max_len=250)
     ds, vocab = load_csv_dataset(csv, "text", "label", pipe)
     ds = split(ds, train_count=2000, test_count=2000, seed=7)
-    cfg = ExperimentConfig(task="binary", cell="gru", epochs=30, seed=3,
-                           vocab_size=10000, max_len=250)
+    cfg = ExperimentConfig(task="binary", cell="gru", epochs=30, seed=3)
     model, curve = train(cfg, ds, vocab, stop_when_test_acc=75.0)
     best = max(p.test_acc for p in curve)
     elapsed = time.perf_counter() - t0
@@ -234,8 +231,7 @@ def test_6_five_way_benchmark_proxy(capsys, tmp_path):
     pipe = PipelineConfig(vocab_size=10000, max_len=250)
     ds, vocab = load_csv_dataset(csv, "text", "label", pipe)
     ds = split(ds, train_fraction=0.8, seed=7)
-    cfg = ExperimentConfig(task="multiclass", cell="gru", epochs=30, seed=3,
-                           vocab_size=10000, max_len=250)
+    cfg = ExperimentConfig(task="multiclass", cell="gru", epochs=30, seed=3)
     model, curve = train(cfg, ds, vocab, stop_when_test_acc=85.0)
     best = max(p.test_acc for p in curve)
     elapsed = time.perf_counter() - t0
@@ -374,8 +370,7 @@ def test_9_numeric_invariants(capsys, tmp_path):
     ds, vocab, pcfg = make_synthetic_corpus(12, 2, seed=1, signal_rate=0.5,
                                             filler_tokens=20)
     tcfg = ExperimentConfig(task="binary", cell="lstm", epochs=1, batch_size=8,
-                            hidden_size=4, dense_size=3, embedding_dim=4,
-                            vocab_size=vocab.size, max_len=pcfg.max_len, seed=2)
+                            hidden_size=4, dense_size=3, embedding_dim=4, seed=2)
     model, _ = train(tcfg, ds, vocab)
     path = tmp_path / "model.sqt"
     engine.save_checkpoint(path, model, tcfg, ds.class_names, vocab, pcfg)

@@ -262,6 +262,21 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "splitting 0.5 train / 0.5 test" in err
 
+    def test_vocabulary_past_the_default_cap_trains(self, tmp_path, capsys):
+        # 12,000 distinct tokens: the dataset's cap of 20,000 keeps them all,
+        # and train needs no cap of its own
+        csv = tmp_path / "wide.csv"
+        rows = [" ".join(f"w{d * 60 + k}" for k in range(60)) + "," + ("neg", "pos")[d % 2]
+                for d in range(200)]
+        csv.write_text("text,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        pre, run = tmp_path / "pre", tmp_path / "run"
+        assert cli.entry(["preprocess", "--data", str(csv), "--vocab-size", "20000",
+                          "--max-len", "8", "--train-fraction", "0.5", "--out-dir", str(pre)]) == 0
+        assert cli.entry(["train", "--data", str(pre / "dataset.sqt"), "--hidden-size", "4",
+                          "--epochs", "1", "--quiet", "--out-dir", str(run)]) == 0
+        capsys.readouterr()
+        assert engine.load_checkpoint(run / "model.sqt").model.embedding.vocab_size == 12002
+
     def test_per_epoch_progress_unless_quiet(self, workspace, tmp_path, capsys):
         rc = cli.entry([
             "train", "--data", str(workspace["pre"] / "dataset.sqt"),
@@ -356,13 +371,27 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_predict_needs_embedded_vocabulary(self, workspace, tmp_path, capsys, monkeypatch):
-        ckpt = engine.load_checkpoint(workspace["run"] / "model.sqt")
-        bare = tmp_path / "bare.sqt"
-        engine.save_checkpoint(bare, ckpt.model, ckpt.config, ckpt.class_names)
+        bare = rewrite_artifact(workspace["run"] / "model.sqt", tmp_path / "bare.sqt",
+                                edit_header=lambda h: h.pop("vocab_text"))
         monkeypatch.setattr(sys, "stdin", io.StringIO("hello\n"))
         rc = cli.entry(["predict", "--model", str(bare)])
         assert rc == 2
-        assert "no embedded vocabulary" in capsys.readouterr().err
+        assert "header field 'vocab_text' is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,code", [
+        ("--stopwords", 2), ("--vocab", 2), ("--pretrained-vectors", 2), ("--config", 1),
+    ])
+    def test_side_file_not_utf8(self, workspace, tmp_path, flag, code):
+        side = tmp_path / "side.txt"
+        side.write_bytes("caf\u00e9 1.0\n".encode("latin-1"))
+        if flag in ("--stopwords", "--vocab"):
+            args = ["preprocess", "--data", workspace["csv"]]
+        else:
+            args = ["train", "--data", workspace["pre"] / "dataset.sqt", "--epochs", 1]
+        proc = _run_cli(*args, flag, side, "--out-dir", tmp_path)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert f"error: {side}: not UTF-8 text (" in proc.stderr
 
 
 def _run_cli(*args, stdin=""):
@@ -411,15 +440,64 @@ class TestMalformedArtifacts:
         assert "the embedding table has 10 rows" in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def lstm_tri(tmp_path_factory):
+    """An untrained three-class lstm checkpoint with peepholes."""
+    root = tmp_path_factory.mktemp("tri")
+    csv = root / "tri.csv"
+    engine.make_synthetic_csv(csv, 30, 3, seed=2, filler_tokens=20, min_len=8, max_len=12)
+    assert cli.entry(["preprocess", "--data", str(csv), "--train-fraction", "0.5",
+                      "--max-len", "16", "--out-dir", str(root)]) == 0
+    assert cli.entry(["train", "--data", str(root / "dataset.sqt"), "--task", "multiclass",
+                      "--cell", "lstm", "--hidden-size", "6", "--epochs", "0", "--quiet",
+                      "--out-dir", str(root)]) == 0
+    return root / "model.sqt"
+
+
+# (id, which checkpoint, header edit, stderr text). The workspace model
+# is a binary gru of hidden size 8.
+_DISAGREEING_HEADERS = [
+    ("cell", "gru", lambda h: h["config"].update(cell="lstm"), "lstm cell block"),
+    ("task", "gru", lambda h: h["config"].update(task="multiclass"),
+     "head rows 2, but the model has 1"),
+    ("hidden-size", "gru", lambda h: h["config"].update(hidden_size=4),
+     "the config calls for hidden_size 4, but the model has 8"),
+    ("peepholes", "lstm", lambda h: h["config"].update(peepholes=False),
+     "the config calls for peepholes False, but the model has True"),
+    ("short-class-names", "lstm", lambda h: h.update(class_names=h["class_names"][:2]),
+     "head rows 2, but the model has 3"),
+]
+
+
+class TestConfigAgainstBlocks:
+    """A checkpoint states its head, class count and cell only through its
+    config and class names; blocks that disagree with them exit 2."""
+
+    @pytest.mark.parametrize("which,edit,message", [c[1:] for c in _DISAGREEING_HEADERS],
+                             ids=[c[0] for c in _DISAGREEING_HEADERS])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_disagreement_exits_2(self, workspace, lstm_tri, tmp_path, which, edit, message,
+                                  command):
+        src = workspace["run"] / "model.sqt" if which == "gru" else lstm_tri
+        model = rewrite_artifact(src, tmp_path / "bad.sqt", edit_header=edit)
+        args = ["--model", model]
+        if command == "evaluate":
+            args += ["--data", workspace["pre"] / "dataset.sqt", "--out-dir", tmp_path]
+        proc = _run_cli(command, *args, stdin="sig1w00 sig1w01\n")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+
 def _bare_short_checkpoint(ws, tmp):
-    """The trained checkpoint saved without its vocabulary, so only the
-    vocabulary hash ties it to the data, with its embedding table cut to
-    10 rows."""
-    ckpt = engine.load_checkpoint(ws["run"] / "model.sqt")
-    bare = tmp / "bare.sqt"
-    engine.save_checkpoint(bare, ckpt.model, ckpt.config, ckpt.class_names)
-    return rewrite_artifact(bare, bare, edit_arrays=lambda a: a.update(
-        {"embedding.weights": a["embedding.weights"][:10]}))
+    """The trained checkpoint without its embedded vocabulary, so only the
+    vocabulary hash would tie it to the data, and with its embedding table
+    cut to 10 rows. Every checkpoint embeds its vocabulary, so the missing
+    header field stops it before the table is compared with the data."""
+    return rewrite_artifact(ws["run"] / "model.sqt", tmp / "bare.sqt",
+                            edit_header=lambda h: h.pop("vocab_text"),
+                            edit_arrays=lambda a: a.update(
+                                {"embedding.weights": a["embedding.weights"][:10]}))
 
 
 def _format_2_checkpoint(ws, tmp):
@@ -431,9 +509,15 @@ def _format_2_checkpoint(ws, tmp):
     return rewrite_artifact(ws["run"] / "model.sqt", tmp / "old.sqt", edit_header=downgrade)
 
 
-def _loss_config_file(tmp):
+def _vectors_file(tmp, line):
+    vectors = tmp / "vectors.txt"
+    vectors.write_text(line + "\n", encoding="utf-8")
+    return vectors
+
+
+def _config_file(tmp, line):
     cfg = tmp / "run.cfg"
-    cfg.write_text("epochs = 1\nloss = bce\n", encoding="utf-8")
+    cfg.write_text(f"epochs = 1\n{line}\n", encoding="utf-8")
     return cfg
 
 
@@ -451,18 +535,32 @@ _EXIT_CODE_CASES = [
         "train", "--data", ws["pre"] / "dataset.sqt", "--loss", "bce", "--out-dir", tmp], 1,
      "unrecognized arguments: --loss bce"),
     ("loss-config-line", lambda ws, tmp: [
-        "train", "--data", ws["pre"] / "dataset.sqt", "--config", _loss_config_file(tmp),
+        "train", "--data", ws["pre"] / "dataset.sqt", "--config", _config_file(tmp, "loss = bce"),
         "--out-dir", tmp], 1,
      "unknown configuration key 'loss'"),
+    ("max-len-flag", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--max-len", 3, "--out-dir", tmp], 1,
+     "unrecognized arguments: --max-len 3"),
+    ("vocab-size-config-line", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt",
+        "--config", _config_file(tmp, "vocab_size = 20000"), "--out-dir", tmp], 1,
+     "unknown configuration key 'vocab_size'"),
+    ("model-flag-on-preprocess", lambda ws, tmp: [
+        "preprocess", "--data", ws["csv"], "--hidden-size", 4, "--out-dir", tmp], 1,
+     "unrecognized arguments: --hidden-size 4"),
     ("missing-file", lambda ws, tmp: ["train", "--data", tmp / "absent.sqt"], 2,
      "No such file"),
+    ("non-finite-pretrained-vector", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--pretrained-vectors",
+        _vectors_file(tmp, "sig1w00 " + " ".join(["nan"] * 16)), "--out-dir", tmp], 2,
+     "pretrained vectors line 1: 'sig1w00' has a value that is not a finite number"),
     ("format-2-checkpoint", lambda ws, tmp: [
         "evaluate", "--model", _format_2_checkpoint(ws, tmp), "--data", ws["pre"] / "dataset.sqt",
         "--out-dir", tmp], 2, "checkpoint format 2 is not supported"),
     ("short-embedding-table", lambda ws, tmp: [
         "evaluate", "--model", _bare_short_checkpoint(ws, tmp),
         "--data", ws["pre"] / "dataset.sqt", "--out-dir", tmp], 2,
-     "has 10 rows; re-encode the data"),
+     "header field 'vocab_text' is missing"),
     ("divergence", lambda ws, tmp: [
         "train", "--data", ws["pre"] / "dataset.sqt", "--cell", "rnn", "--optimizer", "sgd",
         "--learning-rate", "1e12", "--epochs", 40, "--quiet", "--out-dir", tmp], 3,

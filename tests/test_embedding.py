@@ -94,6 +94,13 @@ class TestLoadPretrained:
         with pytest.raises(DataError, match="line 1"):
             load_pretrained(p, _tiny_vocab(["cat"]), 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_line(self, tmp_path, value):
+        p = tmp_path / "vec.txt"
+        p.write_text(f"cat 1.0 2.0\ndog 1.0 {value}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: 'dog' has a value that is not a finite"):
+            load_pretrained(p, _tiny_vocab(["cat"]), 2, np.random.default_rng(0))
+
     def test_count_dim_header_skipped(self, tmp_path):
         p = tmp_path / "vec.txt"
         p.write_text("1 2\ncat 3.0 4.0\n", encoding="utf-8")

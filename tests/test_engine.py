@@ -90,19 +90,20 @@ class TestExperimentConfig:
 
     def test_loss_resolution_by_head(self):
         # the task fixes the head, and the head fixes the loss
+        vocab = pipeline.Vocabulary([f"t{i}" for i in range(20)], [0] * 20)
         for task, head, n_classes, loss in [("binary", "sigmoid", 2, M.bce_loss),
                                              ("multiclass", "softmax", 3, M.cce_loss)]:
-            cfg = ExperimentConfig(task=task, vocab_size=20, max_len=4)
+            cfg = ExperimentConfig(task=task)
             assert cfg.head == head
-            model = build_model(cfg, n_classes)
+            model = build_model(cfg, n_classes, vocab)
             probs = M.forward(model, np.array([[0, 2, 3, 4], [5, 6, 7, 8]]))[0]
             y = np.array([1, 0])
             np.testing.assert_array_equal(M.loss_values(model, probs, y), loss(probs, y))
 
     def test_embedding_dim_auto_uses_vocab_size(self):
-        cfg = ExperimentConfig(embedding_dim="auto", vocab_size=65536)
-        assert cfg.resolve_embedding_dim() == 16
-        assert cfg.resolve_embedding_dim(actual_vocab_size=16) == 2
+        cfg = ExperimentConfig(embedding_dim="auto")
+        assert cfg.resolve_embedding_dim(65536) == 16
+        assert cfg.resolve_embedding_dim(16) == 2
         assert ExperimentConfig(embedding_dim=24).resolve_embedding_dim(500) == 24
 
     @pytest.mark.parametrize(
@@ -112,8 +113,8 @@ class TestExperimentConfig:
             {"cell": "transformer"},
             {"optimizer": "lbfgs"},
             {"hidden_size": 0},
-            {"vocab_size": 2},
-            {"max_len": 0},
+            {"dense_size": 0},
+            {"hidden_size": 2.5},
             {"epochs": -1},
             {"batch_size": 0},
             {"embedding_dim": 0},
@@ -130,7 +131,7 @@ class TestExperimentConfig:
     def test_describe_round_trips_as_config_text(self):
         cfg = ExperimentConfig(task="multiclass", cell="gru", embedding_dim="auto",
                                hidden_size=8, seed=5)
-        text = cfg.describe(actual_vocab_size=500)
+        text = cfg.describe(500)
         back = ExperimentConfig.from_dict(parse_config_text(text))
         assert back.task == "multiclass"
         assert back.cell == "gru"
@@ -143,6 +144,14 @@ class TestExperimentConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="momentum"):
             ExperimentConfig.from_dict({"momentum": 0.9})
+
+    @pytest.mark.parametrize("key", ["vocab_size", "max_len"])
+    def test_encoding_settings_belong_to_the_dataset(self, key):
+        # the vocabulary cap and the length are fixed by preprocess
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({key: 100})
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = 100\n")
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -381,8 +390,7 @@ def _toy_setup(n_docs=16, n_classes=2, seed=0, **cfg_kwargs):
                                             signal_rate=0.5, filler_tokens=20)
     base = dict(task="binary" if n_classes == 2 else "multiclass",
                 cell="rnn", epochs=2, batch_size=8, hidden_size=6,
-                dense_size=4, vocab_size=vocab.size, max_len=pcfg.max_len,
-                embedding_dim=8, seed=1)
+                dense_size=4, embedding_dim=8, seed=1)
     base.update(cfg_kwargs)
     return ds, vocab, pcfg, ExperimentConfig(**base)
 
@@ -488,11 +496,10 @@ class TestTrainingLossDescends:
     def test_running_mean_loss_is_nearly_monotone(self):
         # smooth descent on the separable corpus; tiny rebounds between
         # consecutive epochs are tolerated, sustained rises are not
-        ds, vocab, pcfg = make_synthetic_corpus(32, 2, seed=7,
-                                                signal_rate=0.5, filler_tokens=20)
+        ds, vocab, _ = make_synthetic_corpus(32, 2, seed=7,
+                                             signal_rate=0.5, filler_tokens=20)
         cfg = ExperimentConfig(task="binary", cell="lstm", epochs=60,
-                               batch_size=8, hidden_size=8,
-                               vocab_size=vocab.size, max_len=pcfg.max_len, seed=3)
+                               batch_size=8, hidden_size=8, seed=3)
         _, curve = train(cfg, ds, vocab)
         losses = [p.train_loss for p in curve]
         violations = sum(1 for a, b in zip(losses[5:], losses[6:]) if b > a + 1e-9)
@@ -656,6 +663,24 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError, match="head.W"):
             load_checkpoint(path)
 
+    def test_save_refuses_a_model_the_header_cannot_describe(self, tmp_path):
+        ds, vocab, pcfg, cfg = _toy_setup(epochs=0)
+        model, _ = train(cfg, ds, vocab)
+        other_vocab = make_synthetic_corpus(16, 2, seed=9, filler_tokens=21)[1]
+        cases = [
+            # a config has no nonlinearity key, so this would reload as tanh
+            (replace(model, cell=replace(model.cell, nonlinearity="sigmoid")), cfg,
+             ds.class_names, vocab, "sigmoid rnn cell"),
+            (model, replace(cfg, hidden_size=7), ds.class_names, vocab, "hidden_size 7"),
+            (model, replace(cfg, task="multiclass"), ds.class_names, vocab, "head 'softmax'"),
+            (model, cfg, ds.class_names + ["other"], vocab, "3 are named"),
+            (model, cfg, ds.class_names, other_vocab, "another vocabulary"),
+        ]
+        for m, c, names, v, match in cases:
+            with pytest.raises(ConfigError, match=match):
+                save_checkpoint(tmp_path / "model.sqt", m, c, names, v, pcfg)
+        assert not (tmp_path / "model.sqt").exists()
+
 
 # Edits to a stored vocabulary text that leave the recorded hash as it was:
 # another token, and the same entries in a non-canonical form.
@@ -674,43 +699,88 @@ class TestCheckpointHeader:
 
     def test_stacked_cell_blocks_and_format(self, ckpt):
         header, arrays = read_container(ckpt)
-        assert header["format"] == 3
-        assert header["cell"] == {"kind": "lstm", "nonlinearity": "tanh", "literal_mode": False}
+        assert header["format"] == 4
+        # the head, the class count and the cell are not restated beside config
+        assert sorted(header) == ["blocks", "class_names", "config", "format", "kind",
+                                  "pipeline", "vocab_sha", "vocab_text"]
         assert sorted(n for n in arrays if n.startswith("cell.")) == \
             ["cell.U", "cell.V", "cell.W", "cell.b"]
         assert arrays["cell.W"].shape == (4 * 6, 8) and arrays["cell.V"].shape == (3 * 6, 6)
 
-    @pytest.mark.parametrize("field", ["config", "cell", "head", "n_classes", "class_names",
-                                       "vocab_sha", "format"])
-    def test_missing_field_is_integrity_error(self, ckpt, field):
-        rewrite_artifact(ckpt, ckpt, lambda h: h.pop(field))
-        with pytest.raises(IntegrityError, match="format" if field == "format" else field):
+    # The cell kind comes from config.cell, the head from config.task and
+    # the class count from class_names, so the cases named after the
+    # fields that format 3 stored take those away instead.
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h: h.pop("config"), "config"),
+        (lambda h: h["config"].pop("cell"), "config lacks cell"),
+        (lambda h: h["config"].pop("task"), "config lacks task"),
+        (lambda h: h["class_names"].pop(), "exactly 2 classes, got 1"),
+        (lambda h: h.pop("class_names"), "class_names"),
+        (lambda h: h.pop("vocab_sha"), "vocab_sha"),
+        (lambda h: h.pop("vocab_text"), "vocab_text"),
+        (lambda h: h.pop("pipeline"), "pipeline"),
+        (lambda h: h.pop("format"), "format"),
+    ], ids=["config", "cell", "head", "n_classes", "class_names", "vocab_sha", "vocab_text",
+            "pipeline", "format"])
+    def test_missing_field_is_integrity_error(self, ckpt, edit, match):
+        rewrite_artifact(ckpt, ckpt, edit)
+        with pytest.raises(IntegrityError, match=match):
             load_checkpoint(ckpt)
 
-    @pytest.mark.parametrize("field,value", [
-        ("config", "lstm"), ("n_classes", "2"), ("n_classes", True), ("head", 1),
-        ("class_names", "neg,pos"), ("pipeline", 3),
-    ])
-    def test_wrong_field_type_is_integrity_error(self, ckpt, field, value):
-        rewrite_artifact(ckpt, ckpt, lambda h: h.update({field: value}))
-        with pytest.raises(IntegrityError, match=field):
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h: h.update(config="lstm"), "config"),
+        (lambda h: h.update(class_names=["neg", 2]), "class_names"),
+        (lambda h: h.update(class_names=["neg", True]), "class_names"),
+        (lambda h: h["config"].update(task=1), "task"),
+        (lambda h: h.update(class_names="neg,pos"), "class_names"),
+        (lambda h: h.update(pipeline=3), "pipeline"),
+        (lambda h: h.update(vocab_sha=None), "vocab_sha"),
+        (lambda h: h.update(vocab_text=None), "vocab_text"),
+        (lambda h: h.update(pipeline=None), "pipeline"),
+    ], ids=["config-lstm", "n_classes-2", "n_classes-True", "head-1", "class_names-neg,pos",
+            "pipeline-3", "vocab_sha-None", "vocab_text-None", "pipeline-None"])
+    def test_wrong_field_type_is_integrity_error(self, ckpt, edit, match):
+        rewrite_artifact(ckpt, ckpt, edit)
+        with pytest.raises(IntegrityError, match=match):
             load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.update(format=1),
+        lambda h: h.update(format=3),
         lambda h: h["config"].update(hidden_size="six"),
         lambda h: h["config"].update(learning_rate="fast"),
-        lambda h: h["cell"].update(kind="transformer"),
-        lambda h: h["cell"].update(literal_mode=True),
-        lambda h: h["cell"].update(gates=4),
-        lambda h: h.update(head="argmax"),
-        lambda h: h.update(n_classes=3),
+        lambda h: h["config"].update(cell="transformer"),
+        lambda h: h["config"].update(literal_recurrence=True),
+        lambda h: h["config"].update(gates=4),
+        lambda h: h["config"].update(task="argmax"),
+        lambda h: h["class_names"].append("other"),
         lambda h: h["pipeline"].update(max_len=0),
-    ], ids=["format1", "config-int", "config-float", "cell-kind", "cell-literal",
+    ], ids=["format1", "format3", "config-int", "config-float", "cell-kind", "cell-literal",
             "cell-unknown-key", "head", "n_classes", "pipeline"])
     def test_bad_field_contents_are_integrity_errors(self, ckpt, edit):
         rewrite_artifact(ckpt, ckpt, edit)
         with pytest.raises(IntegrityError):
+            load_checkpoint(ckpt)
+
+    def test_class_names_must_be_distinct(self, ckpt):
+        # a name that is not a string is the n_classes-2 case above
+        rewrite_artifact(ckpt, ckpt, lambda h: h.update(class_names=["neg", "neg"]))
+        with pytest.raises(IntegrityError, match="distinct strings"):
+            load_checkpoint(ckpt)
+
+    # The fixture holds binary lstm blocks with peepholes: hidden size 6,
+    # embedding dim 8, dense size 4, over two named classes.
+    @pytest.mark.parametrize("edit,match", [
+        (lambda c: c.update(cell="gru"), "peephole weights, not gru"),
+        (lambda c: c.update(task="multiclass"), "head rows 2, but the model has 1"),
+        (lambda c: c.update(hidden_size=5), "hidden_size 5"),
+        (lambda c: c.update(embedding_dim="auto"), "embedding_dim 3"),
+        (lambda c: c.update(dense_size=3), "dense_size 3"),
+        (lambda c: c.update(peepholes=False), "peepholes False"),
+    ], ids=["cell", "task", "hidden_size", "embedding_dim", "dense_size", "peepholes"])
+    def test_config_disagreeing_with_blocks_is_integrity_error(self, ckpt, edit, match):
+        rewrite_artifact(ckpt, ckpt, lambda h: edit(h["config"]))
+        with pytest.raises(IntegrityError, match=match):
             load_checkpoint(ckpt)
 
     def test_embedding_rows_must_match_vocabulary(self, ckpt):
@@ -853,6 +923,16 @@ class TestDatasetArtifact:
         save_dataset(path, ds, vocab, pcfg)
         rewrite_artifact(path, path, lambda h: h.pop(field))
         with pytest.raises(IntegrityError, match=field):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("names", [["neg", 7], ["neg", "neg"]],
+                             ids=["non-string", "duplicate"])
+    def test_class_names_must_be_distinct_strings(self, tmp_path, names):
+        ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
+        path = tmp_path / "data.sqt"
+        save_dataset(path, ds, vocab, pcfg)
+        rewrite_artifact(path, path, lambda h: h.update(class_names=names))
+        with pytest.raises(IntegrityError, match="distinct strings"):
             load_dataset(path)
 
     @pytest.mark.parametrize("edit", _VOCAB_TEXT_EDITS, ids=_VOCAB_TEXT_EDIT_IDS)
