@@ -1,7 +1,8 @@
 """Command-line front door: preprocess, train, evaluate, predict.
 
 ``preprocess`` takes the encoding settings --vocab-size and --max-len,
-which the dataset keeps, and --seed for the split. ``train`` takes every
+which the dataset keeps, and --seed for the split; --vocab reuses a
+vocabulary and its size in place of --vocab-size. ``train`` takes every
 option of the experiment configuration as a flag with the same name
 (hyphen or underscore spelling both accepted); a config file given with
 --config supplies defaults and explicit flags win. Each run logs its
@@ -74,8 +75,13 @@ def _out_path(args, name: str) -> str:
 
 def _cmd_preprocess(args) -> int:
     stop = load_stopwords(args.stopwords) if args.stopwords else frozenset()
-    pipe = PipelineConfig(vocab_size=args.vocab_size, max_len=args.max_len, stopwords=stop)
+    if args.vocab and args.vocab_size is not None:
+        raise ConfigError("--vocab-size caps a vocabulary being built; it cannot be given "
+                          "with --vocab")
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
+    size = vocab.size if vocab else args.vocab_size
+    pipe = PipelineConfig(vocab_size=PipelineConfig.vocab_size if size is None else size,
+                          max_len=args.max_len, stopwords=stop)
     _print_resolved(f"vocab_size = {pipe.vocab_size}\nmax_len = {pipe.max_len}\n"
                     f"seed = {args.seed}")
     ds, vocab = engine.load_csv_dataset(args.data, args.text_column, args.label_column,
@@ -181,8 +187,8 @@ def _build_parser() -> _Parser:
     pre.add_argument("--train-fraction", type=float)
     pre.add_argument("--train-count", type=int)
     pre.add_argument("--test-count", type=int)
-    _add_flag(pre, "vocab_size", type=int, default=PipelineConfig.vocab_size,
-              help="keep the most frequent tokens, pad and OOV included")
+    _add_flag(pre, "vocab_size", type=int, help="keep the most frequent tokens, pad and OOV "
+              f"included (default {PipelineConfig.vocab_size}; not with --vocab)")
     _add_flag(pre, "max_len", type=int, default=PipelineConfig.max_len,
               help="tokens per encoded document")
     _add_flag(pre, "seed", type=int, default=0, help="seed of the split")

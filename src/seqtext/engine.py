@@ -24,8 +24,7 @@ from . import cells, metrics, optim
 from .embedding import EmbeddingMatrix, embedding_dim_heuristic, load_pretrained
 from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      VocabularyMismatchError)
-from .model import (ClassifierModel, backward, cost, forward, loss_values,
-                    predict_classes, validate_head)
+from .model import ClassifierModel, backward, cost, forward, loss_values, predict_classes
 from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
                        build_vocabulary, clean, encode, text_sha256)
 
@@ -644,7 +643,9 @@ def read_container(path) -> tuple[dict, dict]:
     """Validated read of write_container output.
 
     Any truncation, padding, or corruption fails the length or CRC check
-    and raises IntegrityError before any array is returned.
+    and raises IntegrityError before any array is returned. So does a
+    block manifest that is not a list of distinct names, each with a
+    known dtype and a list of non-negative int dims.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -666,21 +667,26 @@ def read_container(path) -> tuple[dict, dict]:
         raise IntegrityError(f"{path}: header overruns the file")
     try:
         head = json.loads(body[hstart:hstart + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:
         raise IntegrityError(f"{path}: unreadable header: {e}") from None
+    manifest = head.get("blocks") if isinstance(head, dict) else None
+    if not isinstance(manifest, list):
+        raise IntegrityError(f"{path}: the header has no block manifest")
     arrays = {}
     offset = hstart + hlen
-    for block in head.get("blocks", []):
-        dt = _DTYPES.get(block.get("dtype"))
-        if dt is None:
-            raise IntegrityError(f"{path}: block {block.get('name')!r} has unknown dtype")
-        shape = tuple(block["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dt).itemsize
+    for block in manifest:
+        entry = block if isinstance(block, dict) else {}
+        name, code, shape = entry.get("name"), entry.get("dtype"), entry.get("shape")
+        if not (isinstance(name, str) and isinstance(code, str) and code in _DTYPES
+                and isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise IntegrityError(f"{path}: malformed block manifest entry {block!r}")
+        if name in arrays:
+            raise IntegrityError(f"{path}: block {name!r} is listed twice")
+        count, dt = math.prod(shape), _DTYPES[code]
+        nbytes = count * np.dtype(dt).itemsize
         if offset + nbytes > len(body):
-            raise IntegrityError(f"{path}: block {block['name']!r} overruns the file")
-        arrays[block["name"]] = np.frombuffer(
-            body, dtype=dt, count=int(np.prod(shape, dtype=np.int64)), offset=offset
-        ).reshape(shape).copy()
+            raise IntegrityError(f"{path}: block {name!r} overruns the file")
+        arrays[name] = np.frombuffer(body, dt, count, offset).reshape(shape).copy()
         offset += nbytes
     if offset != len(body):
         raise IntegrityError(f"{path}: {len(body) - offset} unexpected trailing bytes")
@@ -743,16 +749,15 @@ def _check_vocab_hash(path, text: str, sha: str) -> None:
         raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
 
 
-def _disagreement(model: ClassifierModel, cfg: ExperimentConfig) -> Optional[str]:
+def _disagreement(model: ClassifierModel, cfg: ExperimentConfig, class_names) -> Optional[str]:
     """How the model differs from what ``cfg`` builds over its embedding
-    table and class count, or None when they agree."""
+    table for ``class_names``, or None when they agree."""
     cell, emb = model.cell, model.embedding
     if cell.nonlinearity != "tanh":
         return f"no configuration describes a {cell.nonlinearity} {cell.kind} cell"
     for key, want, found in (
             ("cell", cfg.cell, cell.kind),
             ("head", cfg.head, model.head),
-            ("head rows", 1 if cfg.head == "sigmoid" else model.n_classes, model.head_W.shape[0]),
             ("literal_recurrence", cfg.literal_recurrence, cell.literal_mode),
             ("hidden_size", cfg.hidden_size, cell.hidden_size),
             ("embedding_dim", cfg.resolve_embedding_dim(emb.vocab_size), emb.dim),
@@ -760,6 +765,8 @@ def _disagreement(model: ClassifierModel, cfg: ExperimentConfig) -> Optional[str
             ("peepholes", cfg.cell == "lstm" and cfg.peepholes, cell.V is not None)):
         if found != want:
             return f"the config calls for {key} {want!r}, but the model has {found!r}"
+    if len(class_names) != model.n_classes:
+        return f"the model scores {model.n_classes} classes, but {len(class_names)} are named"
     return None
 
 
@@ -769,9 +776,7 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
     """Store the model's blocks beside the settings that describe them;
     a model that they do not describe is refused."""
     sha = vocab.sha256()
-    problem = _disagreement(model, config)
-    if model.n_classes != len(class_names):
-        problem = f"the model scores {model.n_classes} classes, but {len(class_names)} are named"
+    problem = _disagreement(model, config, class_names)
     if model.vocab_sha not in (None, sha):
         problem = "the model was built over another vocabulary"
     if problem is not None:
@@ -799,33 +804,14 @@ def load_checkpoint(path) -> Checkpoint:
     cfg = _from_header(path, "config", ExperimentConfig.from_dict, header["config"])
     names = header["class_names"]
     _from_header(path, "class_names", _check_class_names, names)
-
-    def block(name):
-        if name not in arrays:
-            raise IntegrityError(f"{path}: parameter block {name!r} is missing")
-        return arrays[name]
-
-    cell_blocks = {n[len("cell."):]: a for n, a in arrays.items() if n.startswith("cell.")}
-    cell = _from_header(path, "cell", lambda: cells.Cell(
-        kind=cfg.cell, literal_mode=cfg.literal_recurrence, **cell_blocks))
-    emb = EmbeddingMatrix(weights=block("embedding.weights"))
-    model = ClassifierModel(
-        embedding=emb, cell=cell,
-        dense_W=block("dense.W"), dense_b=block("dense.b"),
-        head_W=block("head.W"), head_b=block("head.b"),
-        head=cfg.head, n_classes=len(names), vocab_sha=header["vocab_sha"],
-    )
-    _from_header(path, "head", validate_head, model.head, model.n_classes)
-    if (emb.weights.ndim != 2 or emb.dim != cell.input_size
-            or model.dense_W.shape[1:] != (cell.hidden_size,)
-            or model.head_W.shape[1:] != model.dense_W.shape[:1]):
-        raise IntegrityError(f"{path}: parameter shapes do not form a consistent model")
+    model = _from_header(path, "model", ClassifierModel.from_blocks, arrays, cfg.cell,
+                         cfg.literal_recurrence, header["vocab_sha"])
     _check_vocab_hash(path, header["vocab_text"], model.vocab_sha)
     vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
-    if vocab.size != emb.vocab_size:
-        raise IntegrityError(f"{path}: the embedding table has {emb.vocab_size} rows but "
-                             f"the embedded vocabulary has {vocab.size} entries")
-    problem = _disagreement(model, cfg)
+    if vocab.size != model.embedding.vocab_size:
+        raise IntegrityError(f"{path}: the embedding table has {model.embedding.vocab_size} "
+                             f"rows but the embedded vocabulary has {vocab.size} entries")
+    problem = _disagreement(model, cfg, names)
     if problem is not None:
         raise IntegrityError(f"{path}: {problem}")
     pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])

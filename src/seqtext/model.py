@@ -5,6 +5,10 @@ cross-entropy; multiclass models end in a C-way softmax trained with
 categorical cross-entropy on integer class targets. The head fixes the
 loss, so the loss is not a setting. Both heads share the fused
 gradient at the logits: probabilities minus targets.
+
+A :class:`ClassifierModel` is its blocks: the rows of ``head.W`` fix the
+head and the class count, construction checks the whole shape chain, and
+only ``state_blocks`` and its inverse ``from_blocks`` name the blocks.
 """
 
 from __future__ import annotations
@@ -21,19 +25,6 @@ from .linalg import sigmoid
 from .pipeline import PAD_INDEX
 
 PROB_FLOOR = 1e-12
-
-HEAD_KINDS = ("sigmoid", "softmax")
-
-
-def validate_head(head: str, n_classes: int) -> None:
-    """A sigmoid head scores exactly 2 classes, a softmax head 2 or more."""
-    if head not in HEAD_KINDS:
-        raise ConfigError(f"unknown head kind {head!r}")
-    if head == "sigmoid" and n_classes != 2:
-        raise ConfigError(f"a sigmoid head needs exactly 2 classes, got {n_classes}")
-    if head == "softmax" and n_classes < 2:
-        raise ConfigError(f"a softmax head needs at least 2 classes, got {n_classes}")
-
 
 def _centered_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (2.0 * rng.random((rows, cols)) - 1.0) / np.sqrt(cols)
@@ -98,25 +89,41 @@ class ClassifierModel:
     embedding: EmbeddingMatrix
     cell: cells.Cell
     dense_W: np.ndarray        # (dense, hidden)
-    dense_b: np.ndarray
-    head_W: np.ndarray         # (out, dense)
-    head_b: np.ndarray
-    head: str                  # sigmoid | softmax
-    n_classes: int
+    dense_b: np.ndarray        # (dense,)
+    head_W: np.ndarray         # (rows, dense)
+    head_b: np.ndarray         # (rows,)
     vocab_sha: Optional[str] = None
+
+    def __post_init__(self):
+        E, D, H = self.embedding.weights, self.cell.input_size, self.cell.hidden_size
+        W1, b1, W2, b2 = self.dense_W, self.dense_b, self.head_W, self.head_b
+        if not (E.ndim == 2 and E.shape[1] == D and W1.ndim == 2 and W1.shape[1] == H
+                and b1.shape == W1.shape[:1] and W2.ndim == 2 and W2.shape[0] >= 1
+                and W2.shape[1:] == W1.shape[:1] and b2.shape == W2.shape[:1]):
+            raise ShapeError(
+                f"embedding {E.shape}, dense.W {W1.shape}, dense.b {b1.shape}, head.W "
+                f"{W2.shape} and head.b {b2.shape} do not chain with a cell of input size {D} "
+                f"and hidden size {H}: expected (V, {D}), (S, {H}), (S,), (R, S) and (R,), R >= 1")
+
+    @property
+    def head(self) -> str:
+        """The head kind: sigmoid for one head row, softmax for more."""
+        return "sigmoid" if self.head_W.shape[0] == 1 else "softmax"
+
+    @property
+    def n_classes(self) -> int:
+        return max(2, self.head_W.shape[0])
 
     @classmethod
     def build(cls, embedding: EmbeddingMatrix, cell: cells.Cell, dense_size: int, head: str,
               n_classes: int, rng: np.random.Generator,
               vocab_sha: Optional[str] = None) -> "ClassifierModel":
-        """Wire the dimension chain and initialize the dense/head weights.
-
-        Any mismatch is rejected here so forward never has to."""
-        if embedding.dim != cell.input_size:
-            raise ConfigError(
-                f"embedding dim {embedding.dim} does not match cell input size {cell.input_size}"
-            )
-        validate_head(head, n_classes)
+        """Initialize the dense and head weights over ``embedding`` and ``cell``;
+        a sigmoid head scores exactly 2 classes, a softmax head 2 or more."""
+        if head not in ("sigmoid", "softmax") or n_classes < 2 or (
+                head == "sigmoid" and n_classes != 2):
+            raise ConfigError(f"a {head!r} head cannot score {n_classes} classes: a sigmoid "
+                              "head needs exactly 2, a softmax head 2 or more")
         out = 1 if head == "sigmoid" else n_classes
         # The dense and head layers use a zero-centered draw: recurrent
         # activations are all positive under the positive cell init, so a
@@ -126,19 +133,24 @@ class ClassifierModel:
         head_W = _centered_init(rng, out, dense_size)
         head_b = np.zeros(out)
         return cls(embedding=embedding, cell=cell, dense_W=dense_W, dense_b=dense_b,
-                   head_W=head_W, head_b=head_b, head=head, n_classes=n_classes,
-                   vocab_sha=vocab_sha)
+                   head_W=head_W, head_b=head_b, vocab_sha=vocab_sha)
 
-    def named_params(self) -> dict[str, np.ndarray]:
-        """Trainable blocks, in a fixed order, keyed by dotted names."""
-        out = {"embedding.weights": self.embedding.weights}
-        for name, arr in self.cell.named_params():
-            out[f"cell.{name}"] = arr
-        out["dense.W"] = self.dense_W
-        out["dense.b"] = self.dense_b
-        out["head.W"] = self.head_W
-        out["head.b"] = self.head_b
-        return out
+    @classmethod
+    def from_blocks(cls, blocks: dict[str, np.ndarray], cell_kind: str, literal_mode: bool,
+                    vocab_sha: Optional[str] = None) -> "ClassifierModel":
+        """The inverse of :meth:`state_blocks`; a missing or unexpected block is a ShapeError."""
+        cell = cells.Cell(kind=cell_kind, literal_mode=literal_mode,
+                          **{n[5:]: a for n, a in blocks.items() if n.startswith("cell.")})
+        try:
+            model = cls(embedding=EmbeddingMatrix(blocks["embedding.weights"]), cell=cell,
+                        dense_W=blocks["dense.W"], dense_b=blocks["dense.b"],
+                        head_W=blocks["head.W"], head_b=blocks["head.b"], vocab_sha=vocab_sha)
+        except KeyError as e:
+            raise ShapeError(f"parameter block {e} is missing") from None
+        unexpected = set(blocks) - {n for n, _ in model.state_blocks()}
+        if unexpected:
+            raise ShapeError(f"unexpected parameter blocks {sorted(unexpected)}")
+        return model
 
     def state_blocks(self) -> list[tuple[str, np.ndarray]]:
         """Every parameter array, trained or pinned, for checkpointing."""
@@ -147,6 +159,11 @@ class ClassifierModel:
         out += [("dense.W", self.dense_W), ("dense.b", self.dense_b),
                 ("head.W", self.head_W), ("head.b", self.head_b)]
         return out
+
+    def named_params(self) -> dict[str, np.ndarray]:
+        """The trained blocks: :meth:`state_blocks` but the cell's pinned ones."""
+        trained = {f"cell.{n}" for n, _ in self.cell.named_params()}
+        return {n: a for n, a in self.state_blocks() if n in trained or not n.startswith("cell.")}
 
 
 def forward(model: ClassifierModel, indices) -> tuple[np.ndarray, ModelTrace]:

@@ -12,6 +12,10 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 
 OPTIMIZER_KINDS = ("sgd", "rmsprop", "adam")
+RMSPROP_RHO = 0.9
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+EPS = 1e-8
 
 
 def _check_finite(name: str, g: np.ndarray) -> None:
@@ -24,10 +28,8 @@ class Sgd:
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
-        self.t += 1
         for name, p in params.items():
             g = grads[name]
             _check_finite(name, g)
@@ -38,42 +40,33 @@ class RmsProp:
     """Running mean-square scaling: s <- rho*s + (1-rho)*g^2,
     theta <- theta - lr * g / (sqrt(s) + eps)."""
 
-    def __init__(self, learning_rate: float, rho: float = 0.9, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.rho = rho
-        self.eps = eps
         self.s: dict[str, np.ndarray] = {}
-        self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
-        self.t += 1
         for name, p in params.items():
             g = grads[name]
             _check_finite(name, g)
             s = self.s.get(name)
             if s is None:
                 s = self.s[name] = np.zeros_like(p)
-            s *= self.rho
-            s += (1.0 - self.rho) * g * g
-            p -= self.learning_rate * g / (np.sqrt(s) + self.eps)
+            s *= RMSPROP_RHO
+            s += (1.0 - RMSPROP_RHO) * g * g
+            p -= self.learning_rate * g / (np.sqrt(s) + EPS)
 
 
 class Adam:
     """Bias-corrected first/second moment updates."""
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for name, p in params.items():
             g = grads[name]
             _check_finite(name, g)
@@ -82,25 +75,21 @@ class Adam:
                 m = self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def make_optimizer(kind: str, learning_rate: float):
     if learning_rate <= 0:
         raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
-    if kind == "sgd":
-        return Sgd(learning_rate)
-    if kind == "rmsprop":
-        return RmsProp(learning_rate)
-    if kind == "adam":
-        return Adam(learning_rate)
-    raise ConfigError(f"unknown optimizer {kind!r} (expected sgd, rmsprop or adam)")
+    if kind not in OPTIMIZER_KINDS:
+        raise ConfigError(f"unknown optimizer {kind!r} (expected sgd, rmsprop or adam)")
+    return {"sgd": Sgd, "rmsprop": RmsProp, "adam": Adam}[kind](learning_rate)
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:

@@ -5,6 +5,11 @@ parameter array in place, so callers hand in a closure that recomputes
 the scalar loss from current parameter values.
 """
 
+import json
+import struct
+import zlib
+from pathlib import Path
+
 import numpy as np
 
 from seqtext.cells import GATES, Cell, CellState, run_sequence
@@ -62,6 +67,25 @@ def rewrite_artifact(src, dst, edit_header=None, edit_arrays=None):
     if edit_arrays:
         edit_arrays(arrays)
     write_container(dst, header, list(arrays.items()))
+    return dst
+
+
+def reseal(body: bytes) -> bytes:
+    """A container's ``body`` (magic, header and blocks) with a valid
+    length + CRC32 trailer appended, so a reader gets past the checksum."""
+    return body + struct.pack("<QI", len(body), zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def rewrite_manifest(src, dst, edit):
+    """Write ``src`` to ``dst`` with its JSON header, the block manifest
+    included, changed in place by ``edit`` and the block bytes kept as
+    they were, under a valid checksum; returns ``dst``."""
+    body = Path(src).read_bytes()[:-12]
+    (hlen,) = struct.unpack("<Q", body[6:14])
+    header = json.loads(body[14:14 + hlen])
+    edit(header)
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    Path(dst).write_bytes(reseal(body[:6] + struct.pack("<Q", len(hb)) + hb + body[14 + hlen:]))
     return dst
 
 

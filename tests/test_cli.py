@@ -10,7 +10,7 @@ import pytest
 from seqtext import cli, engine, pipeline
 from seqtext.model import forward
 
-from helpers import rewrite_artifact
+from helpers import rewrite_artifact, rewrite_manifest
 
 
 def _read_metrics(path):
@@ -277,6 +277,22 @@ class TestConfigHandling:
         capsys.readouterr()
         assert engine.load_checkpoint(run / "model.sqt").model.embedding.vocab_size == 12002
 
+    def test_reused_vocabulary_sets_the_size(self, workspace, tmp_path, capsys):
+        # the workspace vocabulary was built under a cap of 200 but holds fewer
+        vocab = pipeline.Vocabulary.load(workspace["pre"] / "vocab.tsv")
+        assert vocab.size < 200
+        pre = tmp_path / "pre"
+        assert cli.entry(["preprocess", "--data", str(workspace["csv"]),
+                          "--vocab", str(workspace["pre"] / "vocab.tsv"), "--max-len", "32",
+                          "--out-dir", str(pre)]) == 0
+        assert f"  vocab_size = {vocab.size}\n" in capsys.readouterr().err
+        ds, _, pipe = engine.load_dataset(pre / "dataset.sqt")
+        assert pipe.vocab_size == vocab.size
+        assert ds.vocab_sha == vocab.sha256()
+        # the model trained on the first encoding scores the second
+        assert cli.entry(["evaluate", "--model", str(workspace["run"] / "model.sqt"),
+                          "--data", str(pre / "dataset.sqt"), "--out-dir", str(pre)]) == 0
+
     def test_per_epoch_progress_unless_quiet(self, workspace, tmp_path, capsys):
         rc = cli.entry([
             "train", "--data", str(workspace["pre"] / "dataset.sqt"),
@@ -439,6 +455,36 @@ class TestMalformedArtifacts:
         assert "error:" in proc.stderr
         assert "the embedding table has 10 rows" in proc.stderr
 
+    # The workspace model has dense size 8 and one head row.
+    @pytest.mark.parametrize("block,shape", [("dense.b", (1,)), ("head.b", (3, 1))],
+                             ids=["dense.b-1", "head.b-3x1"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_bias_of_the_wrong_shape(self, workspace, tmp_path, command, block, shape):
+        model = rewrite_artifact(workspace["run"] / "model.sqt", tmp_path / "bad.sqt",
+                                 edit_arrays=lambda a: a.update({block: np.zeros(shape)}))
+        args = ["--model", model]
+        if command == "evaluate":
+            args += ["--data", workspace["pre"] / "dataset.sqt", "--out-dir", tmp_path]
+        proc = _run_cli(command, *args, stdin="sig1w00 sig1w01 sig1w02\n")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"error: {model}: model: " in proc.stderr
+        assert "do not chain" in proc.stderr
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h["blocks"][0].pop("shape"), "malformed block manifest entry"),
+        (lambda h: h["blocks"][0].update(shape="xy"), "malformed block manifest entry"),
+        (lambda h: h["blocks"].__setitem__(0, "embedding.weights"),
+         "malformed block manifest entry"),
+        (lambda h: h["blocks"][-1].update(name="dense.b"), "block 'dense.b' is listed twice"),
+    ], ids=["no-shape", "shape-xy", "entry-not-object", "name-twice"])
+    def test_malformed_block_manifest(self, workspace, tmp_path, edit, message):
+        model = rewrite_manifest(workspace["run"] / "model.sqt", tmp_path / "bad.sqt", edit)
+        proc = _run_cli("predict", "--model", model, stdin="sig1w00\n")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"error: {model}: {message}" in proc.stderr
+
 
 @pytest.fixture(scope="module")
 def lstm_tri(tmp_path_factory):
@@ -459,13 +505,13 @@ def lstm_tri(tmp_path_factory):
 _DISAGREEING_HEADERS = [
     ("cell", "gru", lambda h: h["config"].update(cell="lstm"), "lstm cell block"),
     ("task", "gru", lambda h: h["config"].update(task="multiclass"),
-     "head rows 2, but the model has 1"),
+     "the config calls for head 'softmax', but the model has 'sigmoid'"),
     ("hidden-size", "gru", lambda h: h["config"].update(hidden_size=4),
      "the config calls for hidden_size 4, but the model has 8"),
     ("peepholes", "lstm", lambda h: h["config"].update(peepholes=False),
      "the config calls for peepholes False, but the model has True"),
     ("short-class-names", "lstm", lambda h: h.update(class_names=h["class_names"][:2]),
-     "head rows 2, but the model has 3"),
+     "the model scores 3 classes, but 2 are named"),
 ]
 
 
@@ -545,6 +591,10 @@ _EXIT_CODE_CASES = [
         "train", "--data", ws["pre"] / "dataset.sqt",
         "--config", _config_file(tmp, "vocab_size = 20000"), "--out-dir", tmp], 1,
      "unknown configuration key 'vocab_size'"),
+    ("vocab-with-vocab-size", lambda ws, tmp: [
+        "preprocess", "--data", ws["csv"], "--vocab", ws["pre"] / "vocab.tsv",
+        "--vocab-size", 50, "--out-dir", tmp], 1,
+     "--vocab-size caps a vocabulary being built; it cannot be given with --vocab"),
     ("model-flag-on-preprocess", lambda ws, tmp: [
         "preprocess", "--data", ws["csv"], "--hidden-size", 4, "--out-dir", tmp], 1,
      "unrecognized arguments: --hidden-size 4"),

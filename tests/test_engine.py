@@ -36,7 +36,7 @@ from seqtext.errors import (
     VocabularyMismatchError,
 )
 
-from helpers import rewrite_artifact
+from helpers import reseal, rewrite_artifact, rewrite_manifest
 
 
 class TestConfigParsing:
@@ -605,6 +605,38 @@ class TestContainer:
         with pytest.raises(IntegrityError):
             read_container(path)
 
+    # Each edit breaks the manifest of the sample's (2, 3) f8 and (3,) i4
+    # blocks behind a valid checksum.
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h: h["blocks"][0].pop("shape"), "malformed block manifest entry"),
+        (lambda h: h["blocks"][0].update(shape="xy"), "malformed block manifest entry"),
+        (lambda h: h["blocks"][0].update(shape=[-2, -3]), "malformed block manifest entry"),
+        (lambda h: h["blocks"][0].update(shape=[2.0, 3]), "malformed block manifest entry"),
+        (lambda h: h["blocks"][0].update(dtype=["f8"]), "malformed block manifest entry"),
+        (lambda h: h["blocks"][0].update(dtype="f4"), "malformed block manifest entry"),
+        (lambda h: h["blocks"][0].update(name=7), "malformed block manifest entry"),
+        (lambda h: h["blocks"].__setitem__(1, "ids"), "malformed block manifest entry"),
+        (lambda h: h["blocks"][1].update(name="weights", dtype="f8", shape=[1, 1]),
+         "block 'weights' is listed twice"),
+        (lambda h: h.update(blocks={"weights": [2, 3]}), "no block manifest"),
+        (lambda h: h.pop("blocks"), "no block manifest"),
+    ], ids=["no-shape", "shape-xy", "negative-dims", "float-dim", "dtype-list",
+            "unknown-dtype", "name-int", "entry-not-object", "name-twice", "not-a-list",
+            "missing"])
+    def test_malformed_manifest_is_integrity_error(self, tmp_path, edit, match):
+        path, _ = self._sample(tmp_path)
+        rewrite_manifest(path, path, edit)
+        with pytest.raises(IntegrityError, match=match) as err:
+            read_container(path)
+        assert str(path) in str(err.value)
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.sqt"
+        hb = b"[1,2]"
+        path.write_bytes(reseal(b"SQTX1\n" + len(hb).to_bytes(8, "little") + hb))
+        with pytest.raises(IntegrityError, match="no block manifest"):
+            read_container(path)
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("kwargs", [
@@ -714,7 +746,7 @@ class TestCheckpointHeader:
         (lambda h: h.pop("config"), "config"),
         (lambda h: h["config"].pop("cell"), "config lacks cell"),
         (lambda h: h["config"].pop("task"), "config lacks task"),
-        (lambda h: h["class_names"].pop(), "exactly 2 classes, got 1"),
+        (lambda h: h["class_names"].pop(), "the model scores 2 classes, but 1 are named"),
         (lambda h: h.pop("class_names"), "class_names"),
         (lambda h: h.pop("vocab_sha"), "vocab_sha"),
         (lambda h: h.pop("vocab_text"), "vocab_text"),
@@ -772,7 +804,7 @@ class TestCheckpointHeader:
     # embedding dim 8, dense size 4, over two named classes.
     @pytest.mark.parametrize("edit,match", [
         (lambda c: c.update(cell="gru"), "peephole weights, not gru"),
-        (lambda c: c.update(task="multiclass"), "head rows 2, but the model has 1"),
+        (lambda c: c.update(task="multiclass"), "head 'softmax', but the model has 'sigmoid'"),
         (lambda c: c.update(hidden_size=5), "hidden_size 5"),
         (lambda c: c.update(embedding_dim="auto"), "embedding_dim 3"),
         (lambda c: c.update(dense_size=3), "dense_size 3"),
@@ -780,6 +812,27 @@ class TestCheckpointHeader:
     ], ids=["cell", "task", "hidden_size", "embedding_dim", "dense_size", "peepholes"])
     def test_config_disagreeing_with_blocks_is_integrity_error(self, ckpt, edit, match):
         rewrite_artifact(ckpt, ckpt, lambda h: edit(h["config"]))
+        with pytest.raises(IntegrityError, match=match):
+            load_checkpoint(ckpt)
+
+    # The fixture's blocks: embedding (V, 8), dense.W (4, 6), dense.b (4,),
+    # head.W (1, 4) and head.b (1,).
+    @pytest.mark.parametrize("edit,match", [
+        (lambda a: a.update({"dense.b": a["dense.b"][:1]}), "do not chain"),
+        (lambda a: a.update({"dense.b": a["dense.b"][:, None]}), "do not chain"),
+        (lambda a: a.update({"head.b": np.zeros(3)}), "do not chain"),
+        (lambda a: a.update({"head.b": np.zeros((3, 1))}), "do not chain"),
+        (lambda a: a.update({"head.W": a["head.W"][:0], "head.b": a["head.b"][:0]}),
+         "do not chain"),
+        (lambda a: a.update({"embedding.weights": a["embedding.weights"][:, 0]}),
+         r"embedding \(\d+,\), .* do not chain"),
+        (lambda a: a.pop("dense.b"), "block 'dense.b' is missing"),
+        (lambda a: a.update({"dense.c": np.zeros(4)}), r"unexpected parameter blocks \['dense.c'\]"),
+        (lambda a: a.update({"cell.Z": np.zeros(4)}), "unexpected keyword argument 'Z'"),
+    ], ids=["dense.b-length", "dense.b-rank", "head.b-length", "head.b-rank", "head.W-no-rows",
+            "embedding-1-d", "missing-block", "extra-block", "extra-cell-block"])
+    def test_blocks_that_do_not_chain_are_integrity_errors(self, ckpt, edit, match):
+        rewrite_artifact(ckpt, ckpt, edit_arrays=edit)
         with pytest.raises(IntegrityError, match=match):
             load_checkpoint(ckpt)
 
@@ -960,6 +1013,60 @@ class TestDatasetArtifact:
         save_dataset(p1, ds, vocab, pcfg)
         save_dataset(p2, ds, vocab, pcfg)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _damaged(data: bytes, seed: int):
+    """Every truncation of a container's bytes ``data``, then two flips of
+    each body byte (the low bit and a seeded random mask) under a
+    recomputed trailer, so the header and block parsing behind the
+    checksum runs; yields (what, offset, bytes)."""
+    for i in range(len(data)):
+        yield "truncated", i, data[:i]
+    body = data[:-12]
+    masks = np.random.default_rng(seed).integers(1, 256, size=len(body))
+    for i in range(len(body)):
+        for mask in (0x01, int(masks[i])):
+            flipped = bytearray(body)
+            flipped[i] ^= mask
+            yield f"mask {mask:#04x}", i, reseal(bytes(flipped))
+
+
+class TestByteSweep:
+    """A damaged artifact either loads or raises IntegrityError or
+    DataError; no other exception reaches the command line."""
+
+    @staticmethod
+    def _escapes(path, load, seed=0):
+        data = path.read_bytes()
+        escaped = []
+        for what, i, blob in _damaged(data, seed):
+            path.write_bytes(blob)
+            try:
+                load(path)
+            except DataError:
+                pass
+            except Exception as e:  # noqa: BLE001 - the sweep reports whatever escapes
+                escaped.append(f"{what} at byte {i}: {type(e).__name__}: {e}")
+        return escaped
+
+    def test_dataset(self, tmp_path):
+        ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=4, tokens_per_class=4,
+                                                filler_tokens=6, min_len=4, max_len=8)
+        path = tmp_path / "data.sqt"
+        save_dataset(path, split(ds, train_fraction=0.5, seed=0), vocab, pcfg)
+        assert 1_000 < path.stat().st_size < 4_000
+        assert self._escapes(path, load_dataset) == []
+
+    def test_checkpoint(self, tmp_path):
+        ds, vocab, pcfg = make_synthetic_corpus(8, 3, seed=4, tokens_per_class=4,
+                                                filler_tokens=6, min_len=4, max_len=8)
+        cfg = ExperimentConfig(task="multiclass", cell="lstm", embedding_dim=2,
+                               hidden_size=2, dense_size=2, epochs=0, seed=1)
+        model, _ = train(cfg, ds, vocab)
+        path = tmp_path / "model.sqt"
+        save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
+        assert 1_000 < path.stat().st_size < 4_000
+        assert self._escapes(path, load_checkpoint) == []
 
 
 class TestEvaluate:

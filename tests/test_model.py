@@ -1,6 +1,7 @@
 """Classifier composition: heads, losses, optimizers, end-to-end gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         emb = EmbeddingMatrix.init(7, 3, rng)
         cell = make_cell("gru", 5, 4, rng)  # input 5 != embedding dim 3
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             M.ClassifierModel.build(emb, cell, 3, "sigmoid", 2, rng)
 
     def test_build_validates_head(self):
@@ -215,12 +216,19 @@ class TestHeadLossPairing:
     the class count."""
 
     def test_validate_pairings(self):
-        M.validate_head("sigmoid", 2)
-        M.validate_head("softmax", 5)
-        M.validate_head("softmax", 2)
+        for head, c in [("sigmoid", 2), ("softmax", 5), ("softmax", 2)]:
+            m = build_tiny(head=head, n_classes=c)
+            assert (m.head, m.n_classes) == (head, c)
         for head, c in [("sigmoid", 3), ("sigmoid", 1), ("softmax", 1), ("relu", 2)]:
             with pytest.raises(ConfigError):
-                M.validate_head(head, c)
+                build_tiny(head=head, n_classes=c)
+
+    @pytest.mark.parametrize("rows,head,n_classes",
+                             [(1, "sigmoid", 2), (2, "softmax", 2), (3, "softmax", 3)])
+    def test_head_and_class_count_come_from_head_rows(self, rows, head, n_classes):
+        m = build_tiny()
+        m = replace(m, head_W=np.zeros((rows, m.dense_W.shape[0])), head_b=np.zeros(rows))
+        assert (m.head, m.n_classes) == (head, n_classes)
 
 
 class TestBackward:
