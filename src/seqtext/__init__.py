@@ -11,8 +11,8 @@ from .cells import Cell, make_cell, run_sequence
 from .embedding import EmbeddingMatrix, embedding_dim_heuristic, load_pretrained
 from .engine import (Checkpoint, Dataset, ExperimentConfig, build_model,
                      corpus_stats, emit_learning_curve, evaluate, load_checkpoint,
-                     load_csv_dataset, load_dataset, make_synthetic_corpus,
-                     make_synthetic_csv, save_checkpoint, save_dataset, split, train)
+                     load_csv_dataset, load_dataset, make_synthetic_csv,
+                     save_checkpoint, save_dataset, split, train)
 from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      ShapeError, VocabularyMismatchError)
 from .metrics import EvalReport, confusion, format_report, scores
@@ -26,8 +26,8 @@ __all__ = [
     "EmbeddingMatrix", "embedding_dim_heuristic", "load_pretrained",
     "Checkpoint", "Dataset", "ExperimentConfig",
     "build_model", "corpus_stats", "emit_learning_curve", "evaluate", "load_checkpoint",
-    "load_csv_dataset", "load_dataset", "make_synthetic_corpus",
-    "make_synthetic_csv", "save_checkpoint", "save_dataset", "split", "train",
+    "load_csv_dataset", "load_dataset", "make_synthetic_csv",
+    "save_checkpoint", "save_dataset", "split", "train",
     "ConfigError", "DataError", "DivergenceError", "IntegrityError",
     "ShapeError", "VocabularyMismatchError",
     "EvalReport", "confusion", "format_report", "scores",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import islice
 
 import numpy as np
@@ -137,10 +137,15 @@ def _cmd_evaluate(args) -> int:
     ckpt = engine.load_checkpoint(args.model)
     ds, _, _ = engine.load_dataset(args.data)
     _print_resolved(ckpt.config.describe(ckpt.model.embedding.vocab_size))
-    if list(ds.class_names) != list(ckpt.class_names):
-        raise DataError(
-            f"dataset classes {ds.class_names} do not match the checkpoint's "
-            f"{ckpt.class_names}")
+    names = ckpt.class_names
+    unknown = [n for n in ds.class_names if n not in names]
+    if unknown:
+        raise DataError(f"dataset classes {ds.class_names} do not match the checkpoint's "
+                        f"{names}: the model has no class {unknown[0]!r}")
+    # A file encoded with --vocab names its classes in the order its labels
+    # first appear; renumber them to the model's order.
+    order = np.array([names.index(n) for n in ds.class_names], dtype=np.int64)
+    ds = replace(ds, labels=order[ds.labels], class_names=names)
     which = args.split
     if which is None:
         which = "test" if ds.train_idx is not None else "all"

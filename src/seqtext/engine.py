@@ -16,7 +16,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -40,13 +40,6 @@ INFERENCE_BATCH_SIZE = 256
 # ---------------------------------------------------------------------------
 # configuration
 
-_INT_FIELDS = ("hidden_size", "dense_size", "epochs", "batch_size", "seed")
-_FLOAT_FIELDS = ("learning_rate", "gradient_clip")
-_BOOL_FIELDS = ("literal_recurrence", "peepholes")
-_STR_FIELDS = ("task", "cell", "optimizer", "pretrained_vectors")
-_NULLABLE_FIELDS = ("learning_rate", "gradient_clip", "pretrained_vectors")
-
-
 def _parse_bool(key: str, raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "1", "yes", "on"):
@@ -56,30 +49,44 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key} must be a boolean, got {raw!r}")
 
 
+def _value_types(key: str) -> tuple:
+    """The types a setting's value may have, from its annotation in
+    ``ExperimentConfig``: the first one is the setting's own type, and
+    ``NoneType`` is among them only where the setting may be None."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    hint = _FIELD_TYPES[key]
+    return get_args(hint) or (hint,)
+
+
+def _check_value_type(key: str, value) -> None:
+    """An int is also a float, but a bool is no number, and None only fits
+    a nullable setting."""
+    types = _value_types(key)
+    allowed = types + (int,) if float in types else types
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+        raise ConfigError(f"{key} must be of type {names}, got {value!r}")
+
+
 def parse_config_value(key: str, raw: str):
     """One typed config value from its text form."""
+    types = _value_types(key)
     raw = raw.strip()
-    if key in _NULLABLE_FIELDS and raw.lower() in ("", "none"):
+    if type(None) in types and raw.lower() in ("", "none"):
         return None
-    try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    if key in _BOOL_FIELDS:
+    if key == "embedding_dim" and raw.lower() == "auto":
+        return "auto"
+    kind = types[0]
+    if kind is bool:
         return _parse_bool(key, raw)
-    if key == "embedding_dim":
-        if raw.lower() == "auto":
-            return "auto"
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"embedding_dim must be an integer or 'auto', got {raw!r}") from None
-    if key in _STR_FIELDS:
+    if kind is str:
         return raw
-    raise ConfigError(f"unknown configuration key {key!r}")
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "an integer or 'auto'" if key == "embedding_dim" else "a number"
+        raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -97,7 +104,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_FIELD_NAMES:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown configuration key {key!r}")
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -118,7 +125,7 @@ class ExperimentConfig:
 
     task: str = "binary"
     cell: str = "lstm"
-    embedding_dim: object = 16
+    embedding_dim: Union[int, str] = 16
     hidden_size: int = 16
     dense_size: int = 8
     learning_rate: Optional[float] = None
@@ -132,6 +139,8 @@ class ExperimentConfig:
     peepholes: bool = True
 
     def validate(self) -> None:
+        for f in fields(self):
+            _check_value_type(f.name, getattr(self, f.name))
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.cell not in CELL_KINDS:
@@ -141,10 +150,10 @@ class ExperimentConfig:
         for name, low in (("hidden_size", 1), ("dense_size", 1),
                           ("epochs", 0), ("batch_size", 1)):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < low:
+            if v < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.embedding_dim != "auto" and (
-                not isinstance(self.embedding_dim, int) or self.embedding_dim < 1):
+                isinstance(self.embedding_dim, str) or self.embedding_dim < 1):
             raise ConfigError(f"embedding_dim must be a positive integer or 'auto', got {self.embedding_dim!r}")
         if self.learning_rate is not None and not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
@@ -174,7 +183,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - _CONFIG_FIELD_NAMES
+        unknown = d.keys() - _FIELD_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown configuration keys {sorted(unknown)}")
         cfg = cls(**d)
@@ -202,7 +211,8 @@ class ExperimentConfig:
         return "\n".join(lines)
 
 
-_CONFIG_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
+# The settings' names and types, from the fields' annotations.
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +280,6 @@ class Dataset:
         return np.asarray(self.test_idx)
 
 
-def _encode_corpus(token_lists: list, labels: list, class_names: list,
-                   vocab: Vocabulary, cfg: PipelineConfig) -> Dataset:
-    """The Dataset of ``token_lists``: ``encode`` writes each document's
-    row of a preallocated (N, max_len) int32 matrix."""
-    indices = np.empty((len(token_lists), cfg.max_len), dtype=np.int32)
-    for row, tokens in enumerate(token_lists):
-        indices[row] = encode(tokens, vocab, cfg)
-    return Dataset(indices=indices, labels=np.array(labels, dtype=np.int64),
-                   lengths=np.array([len(t) for t in token_lists], dtype=np.int32),
-                   class_names=class_names, vocab_sha=vocab.sha256())
-
-
 def _read_csv(path):
     """The rows of a UTF-8 CSV file, header first. A byte that does not
     decode is a DataError naming the file; the decoder reads ahead of the
@@ -298,20 +296,19 @@ def _read_csv(path):
 
 
 def load_csv_dataset(path, text_column: str, label_column: str, cfg: PipelineConfig,
-                     vocab: Optional[Vocabulary] = None,
-                     class_names: Optional[list] = None) -> tuple[Dataset, Vocabulary]:
+                     vocab: Optional[Vocabulary] = None) -> tuple[Dataset, Vocabulary]:
     """Read a header-bearing CSV into an encoded Dataset.
 
     The file must be UTF-8 (a leading BOM is allowed) and no field may
     exceed the csv module's default limit of 131,072 characters; either
     violation is a DataError naming the file.
 
-    Label values map to class indices by first appearance unless
-    ``class_names`` pins an existing order (needed when encoding a test
-    file against a model's classes). When ``vocab`` is given it is
-    reused instead of built, so indices stay comparable across files.
+    Label values map to class indices by first appearance. When ``vocab``
+    is given it is reused instead of built, so indices stay comparable
+    across files. ``encode`` writes each document's row of a
+    preallocated (N, max_len) int32 matrix.
     """
-    texts, raw = [], []
+    texts, labels, names = [], [], {}
     rows = _read_csv(path)
     header = next(rows, None)
     if header is None:
@@ -331,28 +328,23 @@ def load_csv_dataset(path, text_column: str, label_column: str, cfg: PipelineCon
         if not label:
             raise DataError(f"{path}: row {rownum} has an empty label")
         texts.append(row[t_i])
-        raw.append((rownum, label))
+        labels.append(names.setdefault(label, len(names)))
     if not texts:
         raise DataError(f"{path}: no data rows")
 
-    if class_names is None:
-        names: list = []
-        for _, lab in raw:
-            if lab not in names:
-                names.append(lab)
-    else:
-        names = list(class_names)
-    known = {n: i for i, n in enumerate(names)}
-    labels = []
-    for rownum, lab in raw:
-        if lab not in known:
-            raise DataError(f"{path}: row {rownum}: label {lab!r} is not among the known classes {names}")
-        labels.append(known[lab])
-
     token_lists = [clean(t, cfg) for t in texts]
     if vocab is None:
-        vocab = build_vocabulary(token_lists, cfg)
-    return _encode_corpus(token_lists, labels, names, vocab, cfg), vocab
+        try:
+            vocab = build_vocabulary(token_lists, cfg)
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
+    indices = np.empty((len(token_lists), cfg.max_len), dtype=np.int32)
+    for row, tokens in enumerate(token_lists):
+        indices[row] = encode(tokens, vocab, cfg)
+    ds = Dataset(indices=indices, labels=np.array(labels, dtype=np.int64),
+                 lengths=np.array([len(t) for t in token_lists], dtype=np.int32),
+                 class_names=list(names), vocab_sha=vocab.sha256())
+    return ds, vocab
 
 
 def _apportion(counts: list, total: int) -> list:
@@ -798,7 +790,7 @@ def load_checkpoint(path) -> Checkpoint:
     names; blocks that disagree with them are an integrity error."""
     header, arrays = read_container(path)
     _check_header(path, header, "checkpoint", CHECKPOINT_FORMAT, _CHECKPOINT_HEADER)
-    missing = sorted(_CONFIG_FIELD_NAMES - set(header["config"]))
+    missing = sorted(_FIELD_TYPES.keys() - header["config"].keys())
     if missing:
         raise IntegrityError(f"{path}: config lacks {', '.join(missing)}")
     cfg = _from_header(path, "config", ExperimentConfig.from_dict, header["config"])
@@ -868,16 +860,21 @@ def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
 # ---------------------------------------------------------------------------
 # synthetic corpora
 
-def _synthetic_token_lists(rng: np.random.Generator, n_docs: int, n_classes: int,
-                           tokens_per_class: int, filler_tokens: int,
-                           signal_rate: float, noise_rate: float,
-                           min_len: int, max_len: int, zipf_filler: bool):
-    """Balanced labeled token lists where class j is marked by tokens
-    from its own 20-token set; filler is shared and carries no signal.
+def make_synthetic_csv(path, n_docs: int, n_classes: int, seed: int, *,
+                       tokens_per_class: int = 20, filler_tokens: int = 200,
+                       signal_rate: float = 0.2, noise_rate: float = 0.05,
+                       min_len: int = 30, max_len: int = 120,
+                       zipf_filler: bool = True) -> None:
+    """Write a seeded, balanced, separable corpus as a raw-text CSV with
+    ``text`` and ``label`` columns, with light punctuation so the
+    cleaning stage has something to strip.
 
-    Every document is guaranteed at least two own-class tokens, so the
-    classes stay strictly separable even with cross-class noise.
+    Class j is marked by tokens from its own set of ``tokens_per_class``;
+    filler is shared and carries no signal. Every document is guaranteed
+    at least two own-class tokens, so the classes stay strictly separable
+    even with cross-class noise.
     """
+    rng = np.random.default_rng(seed)
     class_tokens = [[f"sig{j}w{k:02d}" for k in range(tokens_per_class)]
                     for j in range(n_classes)]
     filler = [f"fill{k:04d}" for k in range(filler_tokens)]
@@ -886,74 +883,35 @@ def _synthetic_token_lists(rng: np.random.Generator, n_docs: int, n_classes: int
         filler_cum = np.cumsum(weights / weights.sum())
     else:
         filler_cum = None
-    token_lists, labels = [], []
-    for i in range(n_docs):
-        j = i % n_classes
-        L = int(rng.integers(min_len, max_len + 1))
-        toks = []
-        for _ in range(L):
-            u = rng.random()
-            if u < signal_rate:
-                toks.append(class_tokens[j][int(rng.integers(tokens_per_class))])
-            elif u < signal_rate + noise_rate and n_classes > 1:
-                other = (j + 1 + int(rng.integers(n_classes - 1))) % n_classes
-                toks.append(class_tokens[other][int(rng.integers(tokens_per_class))])
-            elif filler_cum is not None:
-                pick = min(int(np.searchsorted(filler_cum, rng.random())), filler_tokens - 1)
-                toks.append(filler[pick])
-            else:
-                toks.append(filler[int(rng.integers(filler_tokens))])
-        # Two own-class tokens always land in the final five positions:
-        # a freshly initialized recurrent state forgets geometrically, so
-        # evidence buried early in a document contributes almost nothing
-        # to the first gradients. Tail placement keeps the corpus
-        # learnable from the very first epoch without weakening the
-        # separability guarantee.
-        tail = max(0, L - 5)
-        slots = rng.choice(L - tail, size=min(2, L - tail), replace=False)
-        for s in slots:
-            toks[tail + int(s)] = class_tokens[j][int(rng.integers(tokens_per_class))]
-        token_lists.append(toks)
-        labels.append(j)
     names = ["neg", "pos"] if n_classes == 2 else [f"class{j}" for j in range(n_classes)]
-    return token_lists, labels, names
-
-
-def make_synthetic_corpus(n_docs: int, n_classes: int, seed: int, *,
-                          tokens_per_class: int = 20, filler_tokens: int = 40,
-                          signal_rate: float = 0.35, noise_rate: float = 0.0,
-                          min_len: int = 10, max_len: int = 40,
-                          pad_len: Optional[int] = None, zipf_filler: bool = False
-                          ) -> tuple[Dataset, Vocabulary, PipelineConfig]:
-    """Seeded separable corpus, already encoded. Returns the dataset
-    (without a split), its vocabulary, and the pipeline config used."""
-    rng = np.random.default_rng(seed)
-    token_lists, labels, names = _synthetic_token_lists(
-        rng, n_docs, n_classes, tokens_per_class, filler_tokens,
-        signal_rate, noise_rate, min_len, max_len, zipf_filler)
-    cfg = PipelineConfig(vocab_size=2 + n_classes * tokens_per_class + filler_tokens,
-                         max_len=pad_len or max_len)
-    vocab = build_vocabulary(token_lists, cfg)
-    return _encode_corpus(token_lists, labels, names, vocab, cfg), vocab, cfg
-
-
-def make_synthetic_csv(path, n_docs: int, n_classes: int, seed: int, *,
-                       tokens_per_class: int = 20, filler_tokens: int = 200,
-                       signal_rate: float = 0.2, noise_rate: float = 0.05,
-                       min_len: int = 30, max_len: int = 120,
-                       zipf_filler: bool = True,
-                       text_column: str = "text", label_column: str = "label") -> None:
-    """Write a raw-text CSV version of the synthetic corpus, with light
-    punctuation so the cleaning stage has something to strip."""
-    rng = np.random.default_rng(seed)
-    token_lists, labels, names = _synthetic_token_lists(
-        rng, n_docs, n_classes, tokens_per_class, filler_tokens,
-        signal_rate, noise_rate, min_len, max_len, zipf_filler)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([text_column, label_column])
-        for toks, lab in zip(token_lists, labels):
-            pieces = []
-            for k, t in enumerate(toks):
-                pieces.append(t + ("," if k % 9 == 8 else ""))
-            writer.writerow([" ".join(pieces) + ".", names[lab]])
+        writer.writerow(["text", "label"])
+        for i in range(n_docs):
+            j = i % n_classes
+            L = int(rng.integers(min_len, max_len + 1))
+            toks = []
+            for _ in range(L):
+                u = rng.random()
+                if u < signal_rate:
+                    toks.append(class_tokens[j][int(rng.integers(tokens_per_class))])
+                elif u < signal_rate + noise_rate and n_classes > 1:
+                    other = (j + 1 + int(rng.integers(n_classes - 1))) % n_classes
+                    toks.append(class_tokens[other][int(rng.integers(tokens_per_class))])
+                elif filler_cum is not None:
+                    pick = min(int(np.searchsorted(filler_cum, rng.random())), filler_tokens - 1)
+                    toks.append(filler[pick])
+                else:
+                    toks.append(filler[int(rng.integers(filler_tokens))])
+            # Two own-class tokens always land in the final five positions:
+            # a freshly initialized recurrent state forgets geometrically, so
+            # evidence buried early in a document contributes almost nothing
+            # to the first gradients. Tail placement keeps the corpus
+            # learnable from the very first epoch without weakening the
+            # separability guarantee.
+            tail = max(0, L - 5)
+            slots = rng.choice(L - tail, size=min(2, L - tail), replace=False)
+            for s in slots:
+                toks[tail + int(s)] = class_tokens[j][int(rng.integers(tokens_per_class))]
+            pieces = [t + ("," if k % 9 == 8 else "") for k, t in enumerate(toks)]
+            writer.writerow([" ".join(pieces) + ".", names[j]])

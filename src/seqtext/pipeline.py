@@ -110,9 +110,6 @@ class Vocabulary:
         self.frequencies = list(frequencies)
         self.token_to_index = {t: i for i, t in enumerate(tokens)}
 
-    def __len__(self) -> int:
-        return len(self.index_to_token)
-
     @property
     def size(self) -> int:
         return len(self.index_to_token)
@@ -151,8 +148,9 @@ class Vocabulary:
                 raise DataError(f"vocabulary line {n}: index {idx} not dense (expected {len(tokens)})")
             tokens.append(tok)
             freqs.append(freq)
-        if len(tokens) < 2:
-            raise DataError("vocabulary must contain at least pad and OOV entries")
+        if len(tokens) < 3:
+            raise DataError(f"vocabulary must hold pad, OOV and at least one token, "
+                            f"got {len(tokens)} entries")
         return cls(tokens, freqs)
 
     @classmethod
@@ -172,6 +170,8 @@ def build_vocabulary(corpus, cfg: PipelineConfig) -> Vocabulary:
         counts.update(tokens)
     if n_docs == 0:
         raise ConfigError("cannot build a vocabulary from an empty corpus")
+    if not counts:
+        raise DataError("no document has a token after cleaning, so no vocabulary can be built")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = ranked[: cfg.vocab_size - 2]
     tokens = [cfg.pad_token, cfg.oov_token] + [t for t, _ in kept]

@@ -7,15 +7,17 @@ the scalar loss from current parameter values.
 
 import json
 import struct
+import tempfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 
 from seqtext.cells import GATES, Cell, CellState, run_sequence
-from seqtext.engine import read_container, write_container
+from seqtext.engine import load_csv_dataset, make_synthetic_csv, read_container, write_container
 from seqtext.errors import ConfigError, ShapeError
 from seqtext.metrics import EvalReport
+from seqtext.pipeline import PipelineConfig
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -55,6 +57,28 @@ def gate_errors(analytic: np.ndarray, numeric: np.ndarray, hidden: int) -> list:
     large gate cannot hide the error of a small one in a shared norm."""
     n = analytic.shape[0] // hidden
     return [rel_error(a, b) for a, b in zip(np.split(analytic, n), np.split(numeric, n))]
+
+
+def make_synthetic_corpus(n_docs: int, n_classes: int, seed: int, *,
+                          tokens_per_class: int = 20, filler_tokens: int = 40,
+                          signal_rate: float = 0.35, noise_rate: float = 0.0,
+                          min_len: int = 10, max_len: int = 40, pad_len=None,
+                          zipf_filler: bool = False):
+    """A seeded separable corpus, encoded the way ``preprocess`` encodes
+    it: ``make_synthetic_csv`` writes the raw text to a temporary file and
+    ``load_csv_dataset`` reads it back under a vocabulary cap that keeps
+    every token. Returns the dataset (without a split), its vocabulary
+    and its pipeline config."""
+    cfg = PipelineConfig(vocab_size=2 + n_classes * tokens_per_class + filler_tokens,
+                         max_len=pad_len or max_len)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.csv"
+        make_synthetic_csv(path, n_docs, n_classes, seed, tokens_per_class=tokens_per_class,
+                           filler_tokens=filler_tokens, signal_rate=signal_rate,
+                           noise_rate=noise_rate, min_len=min_len, max_len=max_len,
+                           zipf_filler=zipf_filler)
+        ds, vocab = load_csv_dataset(path, "text", "label", cfg)
+    return ds, vocab, cfg
 
 
 def rewrite_artifact(src, dst, edit_header=None, edit_arrays=None):

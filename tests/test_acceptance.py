@@ -17,15 +17,14 @@ from seqtext.embedding import EmbeddingMatrix
 from seqtext.engine import (
     ExperimentConfig,
     load_csv_dataset,
-    make_synthetic_corpus,
     make_synthetic_csv,
     split,
     train,
 )
 from seqtext.pipeline import PipelineConfig, build_vocabulary, encode
 
-from helpers import (brute_force_scores_oracle, fd_gradient, gate_errors, one_step,
-                     rel_error, zero_cell)
+from helpers import (brute_force_scores_oracle, fd_gradient, gate_errors,
+                     make_synthetic_corpus, one_step, rel_error, zero_cell)
 
 
 def _verdict(capsys, ok: bool, name: str, detail: str) -> None:

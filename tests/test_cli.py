@@ -535,6 +535,55 @@ class TestConfigAgainstBlocks:
         assert message in proc.stderr
 
 
+def _reencoded(ws, tmp, name, edit_rows):
+    """The workspace corpus with its data rows changed by ``edit_rows``,
+    encoded with the workspace vocabulary; returns the dataset path."""
+    lines = ws["csv"].read_text(encoding="utf-8").splitlines(keepends=True)
+    csv = tmp / f"{name}.csv"
+    csv.write_text("".join(lines[:1] + edit_rows(lines[1:])), encoding="utf-8")
+    proc = _run_cli("preprocess", "--data", csv, "--vocab", ws["pre"] / "vocab.tsv",
+                    "--max-len", 32, "--out-dir", tmp / name)
+    assert proc.returncode == 0, proc.stderr
+    return tmp / name / "dataset.sqt"
+
+
+class TestEvaluateClassOrder:
+    """A file encoded with ``--vocab`` names its classes in the order its
+    labels first appear; evaluate scores it in the model's order."""
+
+    def test_reversed_rows_score_like_the_original(self, workspace, tmp_path):
+        same = _reencoded(workspace, tmp_path, "same", lambda rows: rows)
+        flipped = _reencoded(workspace, tmp_path, "flipped", lambda rows: rows[::-1])
+        assert engine.load_dataset(flipped)[0].class_names == ["pos", "neg"]
+        reports = []
+        for data in (same, flipped):
+            proc = _run_cli("evaluate", "--model", workspace["run"] / "model.sqt",
+                            "--data", data, "--split", "all", "--out-dir", data.parent)
+            assert proc.returncode == 0, proc.stderr
+            reports.append((proc.stdout, _read_metrics(data.parent / "eval_metrics.txt")))
+        assert "confusion (rows = true, cols = predicted):" in reports[0][0]
+        assert reports[1] == reports[0]
+
+    def test_subset_of_the_model_classes(self, workspace, tmp_path):
+        data = _reencoded(workspace, tmp_path, "pos", lambda rows: [r for r in rows
+                                                                    if r.endswith(",pos\n")])
+        assert engine.load_dataset(data)[0].class_names == ["pos"]
+        proc = _run_cli("evaluate", "--model", workspace["run"] / "model.sqt",
+                        "--data", data, "--split", "all", "--out-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        metrics = _read_metrics(tmp_path / "eval_metrics.txt")
+        assert (metrics["support_neg"], metrics["support_pos"]) == ("0", "12")
+
+    def test_class_the_model_lacks_exits_2(self, workspace, tmp_path):
+        data = _reencoded(workspace, tmp_path, "extra",
+                          lambda rows: rows + ["sig0w00 sig1w00,maybe\n"])
+        proc = _run_cli("evaluate", "--model", workspace["run"] / "model.sqt",
+                        "--data", data, "--split", "all", "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr and "the model has no class 'maybe'" in proc.stderr
+
+
 def _bare_short_checkpoint(ws, tmp):
     """The trained checkpoint without its embedded vocabulary, so only the
     vocabulary hash would tie it to the data, and with its embedding table
@@ -559,6 +608,18 @@ def _vectors_file(tmp, line):
     vectors = tmp / "vectors.txt"
     vectors.write_text(line + "\n", encoding="utf-8")
     return vectors
+
+
+def _tokenless_csv(tmp):
+    csv = tmp / "marks.csv"
+    csv.write_text("text,label\n!!!,pos\n...,neg\n", encoding="utf-8")
+    return csv
+
+
+def _two_entry_vocab(tmp):
+    vocab = tmp / "vocab.tsv"
+    vocab.write_text("0\t<PAD>\t0\n1\t<UNK>\t0\n", encoding="utf-8")
+    return vocab
 
 
 def _config_file(tmp, line):
@@ -611,6 +672,17 @@ _EXIT_CODE_CASES = [
         "evaluate", "--model", _bare_short_checkpoint(ws, tmp),
         "--data", ws["pre"] / "dataset.sqt", "--out-dir", tmp], 2,
      "header field 'vocab_text' is missing"),
+    ("csv-without-tokens", lambda ws, tmp: [
+        "preprocess", "--data", _tokenless_csv(tmp), "--out-dir", tmp], 2,
+     "marks.csv: no document has a token after cleaning"),
+    ("two-entry-vocabulary", lambda ws, tmp: [
+        "preprocess", "--data", ws["csv"], "--vocab", _two_entry_vocab(tmp), "--out-dir", tmp], 2,
+     "vocabulary must hold pad, OOV and at least one token, got 2 entries"),
+    ("checkpoint-config-type", lambda ws, tmp: [
+        "evaluate", "--model", rewrite_artifact(ws["run"] / "model.sqt", tmp / "bad.sqt",
+                                                lambda h: h["config"].update(seed="x")),
+        "--data", ws["pre"] / "dataset.sqt", "--out-dir", tmp], 2,
+     "seed must be of type int, got 'x'"),
     ("divergence", lambda ws, tmp: [
         "train", "--data", ws["pre"] / "dataset.sqt", "--cell", "rnn", "--optimizer", "sgd",
         "--learning-rate", "1e12", "--epochs", 40, "--quiet", "--out-dir", tmp], 3,

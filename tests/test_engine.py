@@ -18,7 +18,6 @@ from seqtext.engine import (
     load_checkpoint,
     load_csv_dataset,
     load_dataset,
-    make_synthetic_corpus,
     make_synthetic_csv,
     parse_config_text,
     read_container,
@@ -36,7 +35,7 @@ from seqtext.errors import (
     VocabularyMismatchError,
 )
 
-from helpers import reseal, rewrite_artifact, rewrite_manifest
+from helpers import make_synthetic_corpus, reseal, rewrite_artifact, rewrite_manifest
 
 
 class TestConfigParsing:
@@ -280,24 +279,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv_dataset(headonly, "text", "label", cfg)
 
-    def test_pinned_class_names(self, tmp_path):
-        p = tmp_path / "toy.csv"
-        _write_csv(p, [("fine", "pos"), ("bad", "neg")])
-        cfg = pipeline.PipelineConfig(vocab_size=10, max_len=4)
-        ds, _ = load_csv_dataset(p, "text", "label", cfg, class_names=["neg", "pos"])
-        assert ds.class_names == ["neg", "pos"]
-        assert ds.labels.tolist() == [1, 0]
-        with pytest.raises(DataError, match="row 2.*'pos'"):
-            load_csv_dataset(p, "text", "label", cfg, class_names=["neg", "other"])
-
     def test_vocab_reuse_keeps_indices_comparable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         _write_csv(a, [("alpha beta", "x"), ("beta gamma", "y")])
         _write_csv(b, [("gamma alpha", "y"), ("beta beta", "x")])
         cfg = pipeline.PipelineConfig(vocab_size=10, max_len=4)
         ds_a, vocab = load_csv_dataset(a, "text", "label", cfg)
-        ds_b, vocab_b = load_csv_dataset(b, "text", "label", cfg, vocab=vocab,
-                                         class_names=ds_a.class_names)
+        ds_b, vocab_b = load_csv_dataset(b, "text", "label", cfg, vocab=vocab)
         assert vocab_b is vocab
         assert ds_b.vocab_sha == ds_a.vocab_sha
 
@@ -787,8 +775,13 @@ class TestCheckpointHeader:
         lambda h: h["config"].update(task="argmax"),
         lambda h: h["class_names"].append("other"),
         lambda h: h["pipeline"].update(max_len=0),
+        lambda h: h["config"].update(seed="x"),
+        lambda h: h["config"].update(learning_rate=True),
+        lambda h: h["config"].update(gradient_clip=True),
+        lambda h: h["config"].update(pretrained_vectors=5),
     ], ids=["format1", "format3", "config-int", "config-float", "cell-kind", "cell-literal",
-            "cell-unknown-key", "head", "n_classes", "pipeline"])
+            "cell-unknown-key", "head", "n_classes", "pipeline", "seed-str",
+            "learning_rate-bool", "gradient_clip-bool", "pretrained_vectors-int"])
     def test_bad_field_contents_are_integrity_errors(self, ckpt, edit):
         rewrite_artifact(ckpt, ckpt, edit)
         with pytest.raises(IntegrityError):

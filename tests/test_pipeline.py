@@ -61,6 +61,10 @@ class TestBuildVocabulary:
         with pytest.raises(ConfigError):
             build_vocabulary([], small_cfg())
 
+    def test_corpus_without_tokens_rejected(self):
+        with pytest.raises(DataError, match="no document has a token"):
+            build_vocabulary([[], []], small_cfg())
+
     def test_reserved_indices(self):
         vocab = build_vocabulary([["a"]], small_cfg())
         assert vocab.index_to_token[PAD_INDEX] == "<PAD>"
@@ -142,6 +146,10 @@ class TestVocabularyPersistence:
         text = "0\t<PAD>\t0\n2\t<UNK>\t0\n"
         with pytest.raises(DataError, match="dense"):
             Vocabulary.from_text(text)
+
+    def test_pad_and_oov_alone_rejected(self):
+        with pytest.raises(DataError, match="at least one token, got 2 entries"):
+            Vocabulary.from_text("0\t<PAD>\t0\n1\t<UNK>\t0\n")
 
     def test_non_integer_fields(self):
         with pytest.raises(DataError):
