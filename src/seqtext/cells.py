@@ -14,9 +14,13 @@ with H the hidden size. Row block k of W, U and b belongs to gate k:
     lstm  G = 4   i | f | o | cand
     gru   G = 3   z | r | cand
 
-:func:`run_sequence` projects all T inputs with one matrix product
+:func:`run_sequence` projects all of its inputs with one matrix product
 before the time loop, so each step adds one fused U product (the GRU
-candidate keeps its own, because its U acts on r * h_prev).
+candidate keeps its own, because its U acts on r * h_prev). Training
+runs it over the whole document and keeps every step for the backward
+pass. Inference runs it without history, one time chunk at a time: the
+projection then covers one chunk, the state lives in two alternating
+slots, and the returned :class:`CellState` starts the next chunk.
 :func:`backward_sequence` keeps only the recurrent terms in its loop;
 the input, recurrent, bias and peephole gradients and the input
 gradients are matrix products over all steps after it.
@@ -151,12 +155,15 @@ class SequenceCache(NamedTuple):
     cs: Optional[np.ndarray]    # lstm: (T+1, B, H) cell states
 
 
-def run_sequence(xs, cell: Cell, state: Optional[CellState] = None):
+def run_sequence(xs, cell: Cell, state: Optional[CellState] = None, history: bool = True):
     """Fold the cell over a sequence from ``state`` (zero by default).
 
     ``xs`` is (T, input) for a single document or (T, batch, input) for a
-    batch; a list of vectors is also accepted. Returns the final hidden
-    state and the :class:`SequenceCache` for :func:`backward_sequence`.
+    batch; a list of vectors is also accepted. With ``history`` it
+    returns the final hidden state and the :class:`SequenceCache` for
+    :func:`backward_sequence`. Without, it keeps only the current step
+    and returns the final :class:`CellState`, which as ``state`` continues
+    the sequence bitwise as one longer run would.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim not in (2, 3):
@@ -173,10 +180,13 @@ def run_sequence(xs, cell: Cell, state: Optional[CellState] = None):
     lstm, gru = cell.kind == "lstm", cell.kind == "gru"
 
     # One buffer holds the input projections, then each step's gate
-    # activations, and after backward_sequence the gate deltas.
+    # activations, and after backward_sequence the gate deltas. Step t
+    # reads state slot t % n and writes slot (t + 1) % n: with history the
+    # slots span all T + 1 states, without it two slots alternate.
     acts = xs @ cell.W.T
-    hs = np.empty((T + 1, B, H))
-    cs = np.empty((T + 1, B, H)) if lstm else None
+    n = T + 1 if history else 2
+    hs = np.empty((n, B, H))
+    cs = np.empty((n, B, H)) if lstm else None
     if state is not None:
         for s in (state.h, state.c):
             if s is not None and np.shape(s) not in ((H,), (B, H)):
@@ -190,7 +200,7 @@ def run_sequence(xs, cell: Cell, state: Optional[CellState] = None):
     if gru:
         Uzr, Uc, bzr, bc = Ut[:, :2 * H], Ut[:, 2 * H:], b[:2 * H], b[2 * H:]
         for t in range(T):
-            a, h = acts[t], hs[t]
+            a, h = acts[t], hs[t % n]
             zr = a[:, :2 * H]
             zr += h @ Uzr
             zr += bzr
@@ -201,12 +211,12 @@ def run_sequence(xs, cell: Cell, state: Optional[CellState] = None):
             cand += rh @ Uc
             cand += bc
             np.tanh(cand, out=cand)
-            hs[t + 1] = (1.0 - z) * h + z * cand
+            hs[(t + 1) % n] = (1.0 - z) * h + z * cand
     elif lstm:
         V = cell.V
         for t in range(T):
-            a, c = acts[t], cs[t]
-            a += hs[t] @ Ut
+            a, c = acts[t], cs[t % n]
+            a += hs[t % n] @ Ut
             a += b
             ifg = a[:, :2 * H]
             if V is not None:
@@ -214,21 +224,23 @@ def run_sequence(xs, cell: Cell, state: Optional[CellState] = None):
             ifg[...] = sigmoid(ifg)
             cand = a[:, 3 * H:]
             np.tanh(cand, out=cand)
-            c = cs[t + 1] = a[:, H:2 * H] * c + a[:, :H] * cand
+            c = cs[(t + 1) % n] = a[:, H:2 * H] * c + a[:, :H] * cand
             o = a[:, 2 * H:3 * H]
             if V is not None:
                 o += c @ V[2 * H:].T  # the output gate peeks at the updated cell
             o[...] = sigmoid(o)
-            hs[t + 1] = o * np.tanh(c)
+            hs[(t + 1) % n] = o * np.tanh(c)
     else:
         g = np.tanh if cell.nonlinearity == "tanh" else sigmoid
         for t in range(T):
             a = acts[t]
-            a += hs[t] @ Ut
+            a += hs[t % n] @ Ut
             a += b
-            hs[t + 1] = g(a)
-    h = hs[T, 0] if single else hs[T]
-    return h.copy(), SequenceCache(xs=xs, hs=hs, acts=acts, cs=cs)
+            hs[(t + 1) % n] = g(a)
+    last = (T % n, 0) if single else T % n
+    if not history:
+        return CellState(h=hs[last], c=cs[last] if lstm else None)
+    return hs[last].copy(), SequenceCache(xs=xs, hs=hs, acts=acts, cs=cs)
 
 
 def backward_sequence(cache: SequenceCache, grad_h_final: np.ndarray,

@@ -74,6 +74,8 @@ def _out_path(args, name: str) -> str:
 
 
 def _cmd_preprocess(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
     stop = load_stopwords(args.stopwords) if args.stopwords else frozenset()
     if args.vocab and args.vocab_size is not None:
         raise ConfigError("--vocab-size caps a vocabulary being built; it cannot be given "
@@ -124,7 +126,7 @@ def _cmd_train(args) -> int:
     metrics_path = _out_path(args, "metrics.txt")
     engine.save_checkpoint(model_path, model, cfg, ds.class_names, vocab, pipe)
     engine.emit_learning_curve(curve, curve_path)
-    report = engine.evaluate(model, ds, "test", batch_size=cfg.batch_size)
+    report = engine.evaluate(model, ds, "test")
     metrics.write_metrics(report, metrics_path, ds.class_names)
     print(metrics.format_report(report, ds.class_names), end="")
     _log(f"wrote {model_path}")
@@ -169,7 +171,7 @@ def _cmd_predict(args) -> int:
     while lines := list(islice(sys.stdin, engine.INFERENCE_BATCH_SIZE)):
         rows = np.stack([encode(clean(line.rstrip("\n"), pipe), vocab, pipe)
                          for line in lines])
-        probs = forward(model, rows)[0]
+        probs = forward(model, rows, trace=False)[0]
         classes = predict_classes(model, probs)
         chosen = probs if model.head == "sigmoid" else probs.max(axis=1)
         sys.stdout.write("".join(f"{names[c]}\t{p:.6f}\n" for c, p in zip(classes, chosen)))

@@ -49,17 +49,41 @@ def embedding_dim_heuristic(vocab_size: int) -> int:
     return max(1, round(vocab_size ** 0.25))
 
 
-def lookup(indices, emb: EmbeddingMatrix) -> np.ndarray:
-    """Select rows of the table; works on any integer index array shape."""
+def check_indices(indices, emb: EmbeddingMatrix) -> np.ndarray:
+    """``indices`` as an array; an index outside the table raises
+    IndexError naming the first one in row-major order and its position."""
     idx = np.asarray(indices)
     bad = (idx < 0) | (idx >= emb.vocab_size)
     if bad.any():
-        pos = np.unravel_index(int(np.argmax(bad)), idx.shape)
+        pos = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), idx.shape))
         pos = pos[0] if len(pos) == 1 else pos
         raise IndexError(
             f"embedding index {int(idx[pos])} at position {pos} out of range [0, {emb.vocab_size})"
         )
-    return emb.weights[idx]
+    return idx
+
+
+def lookup(indices, emb: EmbeddingMatrix) -> np.ndarray:
+    """Select rows of the table; works on any integer index array shape."""
+    return emb.weights[check_indices(indices, emb)]
+
+
+def lookup_grad(indices: np.ndarray, grad_rows: np.ndarray, vocab_size: int) -> np.ndarray:
+    """The gradient of the table from the gradients of the looked-up rows.
+
+    ``grad_rows`` is shaped like ``lookup(indices, ...)``. Row i of the
+    result sums the gradients of every occurrence of index i, in the
+    row-major order of ``indices``; the pad row gets none. One weighted
+    ``bincount`` per column adds in the order of ``np.add.at`` into a
+    zero table, so the sums are bitwise equal, and it runs faster.
+    """
+    flat_idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+    out = np.empty((vocab_size, grad_rows.shape[-1]))
+    for j in range(out.shape[1]):
+        out[:, j] = np.bincount(flat_idx, weights=grad_rows[..., j].reshape(-1),
+                                minlength=vocab_size)
+    out[PAD_INDEX] = 0.0
+    return out
 
 
 def load_pretrained(path, vocab: Vocabulary, dim: int,

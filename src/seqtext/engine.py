@@ -30,10 +30,11 @@ from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
 
 TASKS = ("binary", "multiclass")
 CELL_KINDS = ("rnn", "gru", "lstm")
-# Documents per forward pass when only scoring (evaluate, predict). At
-# hidden size 16 a time step costs mostly per-call overhead, which a wide
-# batch spreads over many documents; past about 256 the gain stops and
-# the working set keeps growing.
+# Documents per forward pass when only scoring: evaluate, predict, the
+# per-epoch test pass and train's final evaluate. At hidden size 16 a
+# time step costs mostly per-call overhead, which a wide batch spreads
+# over many documents; past about 256 the gain stops. Scoring keeps no
+# history, so the working set grows with the batch but not with T.
 INFERENCE_BATCH_SIZE = 256
 
 
@@ -148,17 +149,17 @@ class ExperimentConfig:
         if self.optimizer not in optim.OPTIMIZER_KINDS:
             raise ConfigError(f"optimizer must be one of {optim.OPTIMIZER_KINDS}, got {self.optimizer!r}")
         for name, low in (("hidden_size", 1), ("dense_size", 1),
-                          ("epochs", 0), ("batch_size", 1)):
+                          ("epochs", 0), ("batch_size", 1), ("seed", 0)):
             v = getattr(self, name)
             if v < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.embedding_dim != "auto" and (
                 isinstance(self.embedding_dim, str) or self.embedding_dim < 1):
             raise ConfigError(f"embedding_dim must be a positive integer or 'auto', got {self.embedding_dim!r}")
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.gradient_clip is not None and not self.gradient_clip > 0:
-            raise ConfigError(f"gradient_clip must be positive, got {self.gradient_clip}")
+        for name in ("learning_rate", "gradient_clip"):
+            v = getattr(self, name)
+            if v is not None and not (v > 0 and math.isfinite(v)):
+                raise ConfigError(f"{name} must be positive and finite, got {v}")
         if self.literal_recurrence and self.cell != "rnn":
             raise ConfigError("literal_recurrence only applies to the rnn cell")
 
@@ -460,16 +461,17 @@ def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
                                  vocab_sha=vocab.sha256())
 
 
-def _eval_loss_acc(model: ClassifierModel, X: np.ndarray, y: np.ndarray,
-                   batch_size: int) -> tuple[float, float]:
+def _eval_loss_acc(model: ClassifierModel, X: np.ndarray,
+                   y: np.ndarray) -> tuple[float, float]:
     if X.shape[0] == 0:
         return float("nan"), float("nan")
     loss_sum = 0.0
     correct = 0
-    for b0 in range(0, X.shape[0], batch_size):
-        xb = X[b0:b0 + batch_size]
-        yb = y[b0:b0 + batch_size]
-        probs = forward(model, xb)[0]
+    B = INFERENCE_BATCH_SIZE
+    for b0 in range(0, X.shape[0], B):
+        xb = X[b0:b0 + B]
+        yb = y[b0:b0 + B]
+        probs = forward(model, xb, trace=False)[0]
         loss_sum += float(loss_values(model, probs, yb).sum())
         correct += int((predict_classes(model, probs) == yb).sum())
     n = X.shape[0]
@@ -535,7 +537,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary, log=None,
             correct += int((predict_classes(model, probs) == yb).sum())
         train_loss = loss_sum / tr_idx.size
         train_acc = correct / tr_idx.size * 100.0
-        test_loss, test_acc = _eval_loss_acc(model, Xte, yte, B)
+        test_loss, test_acc = _eval_loss_acc(model, Xte, yte)
         curve.append(CurvePoint(ep + 1, train_loss, train_acc, test_loss, test_acc))
         if log:
             log(f"epoch {ep + 1}/{cfg.epochs}  train_loss {train_loss:.4f}  "
@@ -544,7 +546,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary, log=None,
         if stop_when_test_acc is not None and test_acc >= stop_when_test_acc:
             break
         if stop_when_train_acc is not None:
-            _, full_acc = _eval_loss_acc(model, Xtr, ytr, B)
+            _, full_acc = _eval_loss_acc(model, Xtr, ytr)
             if full_acc >= stop_when_train_acc:
                 break
     return model, curve
@@ -580,7 +582,7 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test",
     y = dataset.labels[idx]
     preds = np.empty(idx.size, dtype=np.int64)
     for b0 in range(0, idx.size, batch_size):
-        probs = forward(model, X[b0:b0 + batch_size])[0]
+        probs = forward(model, X[b0:b0 + batch_size], trace=False)[0]
         preds[b0:b0 + batch_size] = predict_classes(model, probs)
     return metrics.scores(metrics.confusion(preds, y, model.n_classes))
 

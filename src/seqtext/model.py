@@ -19,12 +19,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import cells
-from .embedding import EmbeddingMatrix, lookup
+from .embedding import EmbeddingMatrix, check_indices, lookup, lookup_grad
 from .errors import ConfigError, ShapeError
 from .linalg import sigmoid
-from .pipeline import PAD_INDEX
 
 PROB_FLOOR = 1e-12
+# Time steps per input projection when forward runs without a trace. It
+# bounds the projection buffer and the gathered embedding rows at
+# (INFERENCE_CHUNK, batch, width) instead of the whole document's.
+INFERENCE_CHUNK = 32
 
 def _centered_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (2.0 * rng.random((rows, cols)) - 1.0) / np.sqrt(cols)
@@ -166,21 +169,33 @@ class ClassifierModel:
         return {n: a for n, a in self.state_blocks() if n in trained or not n.startswith("cell.")}
 
 
-def forward(model: ClassifierModel, indices) -> tuple[np.ndarray, ModelTrace]:
+def forward(model: ClassifierModel, indices,
+            trace: bool = True) -> tuple[np.ndarray, Optional[ModelTrace]]:
     """Probabilities for a document batch.
 
     ``indices`` is (batch, T) or a single (T,) row. Sigmoid heads return
     (batch,) positive-class probabilities; softmax heads (batch, C) rows
     summing to 1. An index outside the embedding table raises IndexError.
+    With ``trace`` the second value is the :class:`ModelTrace` for
+    :func:`backward`. Without, it is None: the recurrence keeps no
+    history and walks the document in chunks of ``INFERENCE_CHUNK``
+    steps, and the probabilities are bitwise those of the traced pass.
     """
     idx = np.asarray(indices)
     single = idx.ndim == 1
     idx = np.atleast_2d(idx)
     if idx.shape[1] == 0:
         raise ShapeError("cannot classify an empty index sequence")
-    emb = lookup(idx, model.embedding)          # (B, T, D)
-    xs = np.swapaxes(emb, 0, 1)                 # (T, B, D)
-    h, cache = cells.run_sequence(xs, model.cell)
+    if trace:
+        xs = np.swapaxes(lookup(idx, model.embedding), 0, 1)   # (T, B, D)
+        h, cache = cells.run_sequence(xs, model.cell)
+    else:
+        check_indices(idx, model.embedding)
+        state = None
+        for t0 in range(0, idx.shape[1], INFERENCE_CHUNK):
+            xs = np.swapaxes(model.embedding.weights[idx[:, t0:t0 + INFERENCE_CHUNK]], 0, 1)
+            state = cells.run_sequence(xs, model.cell, state, history=False)
+        h = state.h
     dense_pre = h @ model.dense_W.T + model.dense_b
     dense_out = np.maximum(dense_pre, 0.0)
     logits = dense_out @ model.head_W.T + model.head_b
@@ -188,8 +203,8 @@ def forward(model: ClassifierModel, indices) -> tuple[np.ndarray, ModelTrace]:
         probs = sigmoid(logits[:, 0])
     else:
         probs = softmax(logits)
-    tr = ModelTrace(indices=idx, cell_cache=cache, h_final=h,
-                    dense_pre=dense_pre, dense_out=dense_out, probs=probs)
+    tr = ModelTrace(indices=idx, cell_cache=cache, h_final=h, dense_pre=dense_pre,
+                    dense_out=dense_out, probs=probs) if trace else None
     return (probs[0] if single else probs), tr
 
 
@@ -234,12 +249,8 @@ def backward(model: ClassifierModel, trace: ModelTrace, y) -> dict[str, np.ndarr
     for name, g in cell_grads.items():
         grads[f"cell.{name}"] = g
 
-    demb = np.zeros_like(model.embedding.weights)
-    flat_idx = trace.indices.reshape(-1)                          # (B*T,)
-    flat_dx = np.swapaxes(dxs, 0, 1).reshape(flat_idx.shape[0], -1)
-    np.add.at(demb, flat_idx, flat_dx)
-    demb[PAD_INDEX] = 0.0
-    grads["embedding.weights"] = demb
+    grads["embedding.weights"] = lookup_grad(trace.indices, np.swapaxes(dxs, 0, 1),
+                                             model.embedding.vocab_size)
     return grads
 
 

@@ -134,6 +134,28 @@ class TestRunSequence:
             np.testing.assert_array_equal(h_run, state.h)
             assert cache.acts.shape == (7, 1, GATES[kind] * 3)
 
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "gru"])
+    def test_chunks_without_history_continue_bitwise(self, kind):
+        # chunks of 4, 4 and 3 steps chained by the returned state end
+        # where one traced run over all 11 steps does, h and c alike
+        rng = np.random.default_rng(8)
+        p = make_cell(kind, 3, 4, rng)
+        if p.V is not None:
+            p.V[...] = rng.normal(size=p.V.shape)
+        xs = rng.normal(size=(11, 5, 3))
+        h_run, cache = run_sequence(xs, p)
+        state = None
+        for t0 in range(0, 11, 4):
+            state = run_sequence(xs[t0:t0 + 4], p, state, history=False)
+        assert isinstance(state, CellState)
+        assert state.h.tobytes() == h_run.tobytes()
+        if kind == "lstm":
+            assert state.c.tobytes() == cache.cs[-1].tobytes()
+        else:
+            assert state.c is None
+        one = run_sequence(xs[:, 2], p, history=False)
+        assert one.h.shape == (4,) and one.h.tobytes() == run_sequence(xs[:, 2], p)[0].tobytes()
+
     def test_empty_sequence_rejected(self):
         p = make_cell("gru", 2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):

@@ -683,6 +683,25 @@ _EXIT_CODE_CASES = [
                                                 lambda h: h["config"].update(seed="x")),
         "--data", ws["pre"] / "dataset.sqt", "--out-dir", tmp], 2,
      "seed must be of type int, got 'x'"),
+    ("negative-seed-flag", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--seed", -1, "--out-dir", tmp], 1,
+     "seed must be an integer >= 0, got -1"),
+    ("negative-seed-config-line", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--config", _config_file(tmp, "seed = -1"),
+        "--out-dir", tmp], 1,
+     "seed must be an integer >= 0, got -1"),
+    ("negative-seed-preprocess", lambda ws, tmp: [
+        "preprocess", "--data", ws["csv"], "--train-fraction", 0.5, "--seed", -5,
+        "--out-dir", tmp], 1,
+     "seed must be an integer >= 0, got -5"),
+    ("infinite-learning-rate", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt",
+        "--config", _config_file(tmp, "learning_rate = inf"), "--out-dir", tmp], 1,
+     "learning_rate must be positive and finite, got inf"),
+    ("infinite-gradient-clip", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--gradient-clip", "inf",
+        "--out-dir", tmp], 1,
+     "gradient_clip must be positive and finite, got inf"),
     ("divergence", lambda ws, tmp: [
         "train", "--data", ws["pre"] / "dataset.sqt", "--cell", "rnn", "--optimizer", "sgd",
         "--learning-rate", "1e12", "--epochs", 40, "--quiet", "--out-dir", tmp], 3,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqtext.embedding import (EmbeddingMatrix, embedding_dim_heuristic,
-                               load_pretrained, lookup)
+                               load_pretrained, lookup, lookup_grad)
 from seqtext.errors import ConfigError, DataError
 from seqtext.pipeline import PipelineConfig, build_vocabulary
 
@@ -49,6 +49,26 @@ def test_out_of_range_index_names_position():
         lookup([1, 9], emb)
     with pytest.raises(IndexError):
         lookup([-1], emb)
+
+
+def test_lookup_grad_equals_add_at_bitwise():
+    # Mostly pad, one heavily repeated token, and magnitudes spread over 16
+    # decades, so that any change in the order of the additions shows.
+    rng = np.random.default_rng(6)
+    V, D = 50, 16
+    idx = rng.integers(0, V, size=(32, 250))
+    idx[:, :150] = 0
+    idx[:, 150:170] = 7
+    g = rng.normal(size=(250, 32, D)) * 10.0 ** rng.integers(-8, 8, size=(250, 32, D))
+    g = np.swapaxes(g, 0, 1)  # (32, 250, D), strided as the model's backward passes it
+    ref = np.zeros((V, D))
+    np.add.at(ref, idx.reshape(-1), g.reshape(-1, D))
+    ref[0] = 0.0
+    out = lookup_grad(idx, g, V)
+    assert out.shape == (V, D) and out.tobytes() == ref.tobytes()
+    assert not out[0].any()
+    flat = lookup_grad(idx.reshape(-1), np.ascontiguousarray(g).reshape(-1, D), V)
+    assert flat.tobytes() == ref.tobytes()
 
 
 def test_dim_heuristic():

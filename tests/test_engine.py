@@ -121,6 +121,9 @@ class TestExperimentConfig:
             {"learning_rate": 0.0},
             {"gradient_clip": -1.0},
             {"literal_recurrence": True, "cell": "lstm"},
+            {"seed": -1},
+            {"learning_rate": float("inf")},
+            {"gradient_clip": float("inf")},
         ],
     )
     def test_validate_rejects(self, kwargs):

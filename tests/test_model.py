@@ -1,6 +1,7 @@
 """Classifier composition: heads, losses, optimizers, end-to-end gradients."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +210,76 @@ class TestForward:
             build_tiny(head="sigmoid", n_classes=3)
         with pytest.raises(ConfigError):
             build_tiny(head="argmax")
+
+
+def build_paper_size(variant: str, head: str = "sigmoid", vocab: int = 60,
+                     seed: int = 0) -> M.ClassifierModel:
+    """A model at the paper's sizes (E = H = 16, dense 8) for one cell
+    variant; the peephole blocks get nonzero weights so that c reaches h."""
+    rng = np.random.default_rng(seed)
+    kind = variant.split("-")[0]
+    cell = make_cell(kind, 16, 16, rng, literal_mode=variant == "rnn-literal",
+                     peepholes=variant != "lstm-plain")
+    if variant == "rnn-sigmoid":
+        cell = replace(cell, nonlinearity="sigmoid")
+    if cell.V is not None:
+        cell.V[...] = rng.normal(scale=0.3, size=cell.V.shape)
+    emb = EmbeddingMatrix.init(vocab, 16, rng)
+    return M.ClassifierModel.build(emb, cell, 8, head, 2 if head == "sigmoid" else 3, rng)
+
+
+CELL_VARIANTS = ["rnn-tanh", "rnn-sigmoid", "rnn-literal", "lstm-peepholes", "lstm-plain", "gru"]
+
+
+class TestUntracedForward:
+    """``forward(trace=False)`` walks the document in chunks with no
+    history; its probabilities are bitwise those of the traced pass."""
+
+    @pytest.mark.parametrize("variant", CELL_VARIANTS)
+    def test_bitwise_equal_to_traced(self, variant):
+        # T = 31, 32 and 33 put a chunk boundary before, at and after the
+        # end; 250 carries h (and the LSTM's c) across seven boundaries.
+        m = build_paper_size(variant, head="softmax" if variant.endswith("plain") else "sigmoid")
+        rng = np.random.default_rng(1)
+        for B in (1, 5, 256):
+            for T in (1, 31, 32, 33, 250):
+                idx = rng.integers(1, 60, size=(B, T))
+                pads = rng.integers(0, T + 1, size=B)
+                idx[np.arange(T) < pads[:, None]] = 0  # front padding, as encoded
+                traced, trace = M.forward(m, idx)
+                untraced, none = M.forward(m, idx, trace=False)
+                assert none is None and trace is not None
+                assert untraced.tobytes() == traced.tobytes(), (B, T)
+        one = idx[0]
+        assert M.forward(m, one, trace=False)[0].tobytes() == M.forward(m, one)[0].tobytes()
+
+    @pytest.mark.parametrize("position", [(0, 40), (3, 249), (2, 0)])
+    def test_index_error_past_the_first_chunk(self, position):
+        m = build_paper_size("lstm-peepholes")
+        idx = np.ones((4, 250), dtype=np.int64)
+        idx[position] = 60
+        idx[3, 200] = -1 if position != (3, 249) else 1  # a later bad index is not named
+        messages = []
+        for trace in (True, False):
+            with pytest.raises(IndexError) as info:
+                M.forward(m, idx, trace=trace)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert f"index 60 at position {position}" in messages[0]
+
+    def test_peak_memory_at_batch_256_below_traced_batch_32(self):
+        m = build_paper_size("lstm-peepholes", vocab=1000)
+        idx = np.random.default_rng(2).integers(0, 1000, size=(256, 250))
+
+        def peak(rows, trace):
+            tracemalloc.start()
+            try:
+                M.forward(m, rows, trace=trace)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(idx, trace=False) <= peak(idx[:32], trace=True)
 
 
 class TestHeadLossPairing:
