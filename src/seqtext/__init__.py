@@ -12,7 +12,7 @@ from .embedding import EmbeddingMatrix, embedding_dim_heuristic, load_pretrained
 from .engine import (Checkpoint, Dataset, ExperimentConfig, build_model,
                      corpus_stats, emit_learning_curve, evaluate, load_checkpoint,
                      load_csv_dataset, load_dataset, make_synthetic_csv,
-                     save_checkpoint, save_dataset, split, train)
+                     save_checkpoint, save_dataset, split, train, train_epochs)
 from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      ShapeError, VocabularyMismatchError)
 from .metrics import EvalReport, confusion, format_report, scores
@@ -27,7 +27,7 @@ __all__ = [
     "Checkpoint", "Dataset", "ExperimentConfig",
     "build_model", "corpus_stats", "emit_learning_curve", "evaluate", "load_checkpoint",
     "load_csv_dataset", "load_dataset", "make_synthetic_csv",
-    "save_checkpoint", "save_dataset", "split", "train",
+    "save_checkpoint", "save_dataset", "split", "train", "train_epochs",
     "ConfigError", "DataError", "DivergenceError", "IntegrityError",
     "ShapeError", "VocabularyMismatchError",
     "EvalReport", "confusion", "format_report", "scores",

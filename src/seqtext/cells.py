@@ -155,28 +155,26 @@ class SequenceCache(NamedTuple):
     cs: Optional[np.ndarray]    # lstm: (T+1, B, H) cell states
 
 
-def run_sequence(xs, cell: Cell, state: Optional[CellState] = None, history: bool = True):
-    """Fold the cell over a sequence from ``state`` (zero by default).
+def run_sequence(xs: np.ndarray, cell: Cell, state: Optional[CellState] = None,
+                 history: bool = True):
+    """Fold the cell over the (T, batch, input) array ``xs`` from
+    ``state``, whose arrays are (batch, H), or from zero.
 
-    ``xs`` is (T, input) for a single document or (T, batch, input) for a
-    batch; a list of vectors is also accepted. With ``history`` it
-    returns the final hidden state and the :class:`SequenceCache` for
-    :func:`backward_sequence`. Without, it keeps only the current step
-    and returns the final :class:`CellState`, which as ``state`` continues
-    the sequence bitwise as one longer run would.
+    With ``history`` it returns the final hidden state and the
+    :class:`SequenceCache` for :func:`backward_sequence`. Without, it
+    keeps only the current step and returns the final :class:`CellState`,
+    which as ``state`` continues the sequence bitwise as one longer run
+    would.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim not in (2, 3):
-        raise ShapeError(f"run_sequence expects (T, input) or (T, batch, input), got {xs.shape}")
+    if xs.ndim != 3:
+        raise ShapeError(f"run_sequence expects (T, batch, input), got {xs.shape}")
     if xs.shape[0] == 0:
         raise ShapeError("run_sequence requires a nonempty sequence")
     if xs.shape[-1] != cell.input_size:
         raise ShapeError(f"run_sequence: input has size {xs.shape[-1]}, "
                          f"the cell expects {cell.input_size}")
-    single = xs.ndim == 2
-    T, D, H = xs.shape[0], cell.input_size, cell.hidden_size
-    xs = xs.reshape(T, -1, D)
-    B = xs.shape[1]
+    T, B, _ = xs.shape
+    H = cell.hidden_size
     lstm, gru = cell.kind == "lstm", cell.kind == "gru"
 
     # One buffer holds the input projections, then each step's gate
@@ -189,8 +187,8 @@ def run_sequence(xs, cell: Cell, state: Optional[CellState] = None, history: boo
     cs = np.empty((n, B, H)) if lstm else None
     if state is not None:
         for s in (state.h, state.c):
-            if s is not None and np.shape(s) not in ((H,), (B, H)):
-                raise ShapeError(f"run_sequence: initial state has shape {np.shape(s)}, "
+            if s is not None and s.shape != (B, H):
+                raise ShapeError(f"run_sequence: initial state has shape {s.shape}, "
                                  f"expected ({B}, {H})")
     hs[0] = 0.0 if state is None else state.h
     if lstm:
@@ -237,7 +235,7 @@ def run_sequence(xs, cell: Cell, state: Optional[CellState] = None, history: boo
             a += hs[t % n] @ Ut
             a += b
             hs[(t + 1) % n] = g(a)
-    last = (T % n, 0) if single else T % n
+    last = T % n
     if not history:
         return CellState(h=hs[last], c=cs[last] if lstm else None)
     return hs[last].copy(), SequenceCache(xs=xs, hs=hs, acts=acts, cs=cs)
@@ -247,20 +245,17 @@ def backward_sequence(cache: SequenceCache, grad_h_final: np.ndarray,
                       cell: Cell) -> tuple[dict, np.ndarray]:
     """Exact reverse-mode gradients through a recorded forward pass.
 
-    Returns (parameter gradients keyed like ``named_params``, input
-    gradients shaped like the forward input sequence; a 1-D
-    ``grad_h_final`` marks a single document). The gate deltas overwrite
-    ``cache.acts``, so a cache serves one backward pass.
+    ``grad_h_final`` is (batch, H). Returns (parameter gradients keyed
+    like ``named_params``, (T, batch, input) input gradients). The gate
+    deltas overwrite ``cache.acts``, so a cache serves one backward pass.
     """
     xs, hs, acts, cs = cache
     T, B, D = xs.shape
     H = cell.hidden_size
-    dh = np.asarray(grad_h_final, dtype=np.float64)
-    single = dh.ndim == 1
-    if dh.size != B * H:
+    dh = grad_h_final
+    if dh.shape != (B, H):
         raise ShapeError(f"backward_sequence: gradient shape {dh.shape} does not match "
                          f"{B} rows of hidden size {H}")
-    dh = dh.reshape(B, H)
     U = cell.U
 
     if cell.kind == "gru":
@@ -315,5 +310,4 @@ def backward_sequence(cache: SequenceCache, grad_h_final: np.ndarray,
     if cell.V is not None:
         grads["V"] = np.concatenate([DA[:, :2 * H].T @ cs[:-1].reshape(T * B, H),
                                      DA[:, 2 * H:3 * H].T @ cs[1:].reshape(T * B, H)])
-    dxs = (DA @ cell.W).reshape(T, B, D)
-    return grads, (dxs[:, 0] if single else dxs)
+    return grads, (DA @ cell.W).reshape(T, B, D)

@@ -10,12 +10,14 @@ resolved settings to stderr before reading its input; the printout of
 train, evaluate and predict is itself valid config-file syntax.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data or file
-error, 3 numerical divergence during training.
+error (a line of predict's standard input that is not UTF-8 included),
+3 numerical divergence during training.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from dataclasses import fields, replace
@@ -160,6 +162,19 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _stdin_lines():
+    """Standard input's lines, split at line feeds as ``sys.stdin`` splits
+    them on POSIX, and decoded as strict UTF-8 whatever the locale: as in
+    ``read_lines``, a byte that does not decode is a DataError."""
+    stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
+    try:
+        yield from stdin
+    except UnicodeDecodeError as e:
+        raise DataError(f"<stdin>: not UTF-8 text ({e.reason})") from None
+    finally:
+        stdin.detach()  # sys.stdin.buffer stays open
+
+
 def _cmd_predict(args) -> int:
     ckpt = engine.load_checkpoint(args.model)
     _print_resolved(ckpt.config.describe(ckpt.model.embedding.vocab_size))
@@ -168,7 +183,8 @@ def _cmd_predict(args) -> int:
     # One forward pass per chunk of lines. Answers keep input order and
     # are flushed per chunk, so a line's answer appears once its chunk
     # fills or stdin ends.
-    while lines := list(islice(sys.stdin, engine.INFERENCE_BATCH_SIZE)):
+    stdin = _stdin_lines()
+    while lines := list(islice(stdin, engine.INFERENCE_BATCH_SIZE)):
         rows = np.stack([encode(clean(line.rstrip("\n"), pipe), vocab, pipe)
                          for line in lines])
         probs = forward(model, rows, trace=False)[0]

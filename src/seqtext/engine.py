@@ -1,11 +1,11 @@
-"""Experiment orchestration: CSV ingestion, stratified splitting, the
-mini-batch training loop, learning curves, and binary artifact files.
+"""Experiment orchestration: CSV ingestion, stratified splitting, training
+as a stream of epochs, learning curves, and binary artifact files.
 
 Determinism contract: (config, dataset, seed) fix every parameter to the
-bit. A single generator seeded from the config drives, in order, the
-embedding init, the cell init, the dense and head inits, then one
-permutation per epoch. Artifact files contain no timestamps, so reruns
-are byte-identical.
+bit. A generator seeded with ``seed`` draws, in order, the embedding
+init, the cell init, the dense and head inits; a second one seeded with
+``seed + 1`` draws one permutation per epoch. Artifact files contain no
+timestamps, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -441,13 +441,12 @@ class CurvePoint(NamedTuple):
 
 
 def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
-                rng: Optional[np.random.Generator] = None,
                 log=None) -> ClassifierModel:
-    """Initialize a classifier for this config over ``vocab``: the
-    embedding table has one row per vocabulary entry."""
+    """Initialize a classifier for this config over ``vocab``, drawing
+    from a generator seeded with ``cfg.seed``: the embedding table has
+    one row per vocabulary entry."""
     cfg.validate()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     dim = cfg.resolve_embedding_dim(vocab.size)
     if cfg.pretrained_vectors:
         emb, matched = load_pretrained(cfg.pretrained_vectors, vocab, dim, rng)
@@ -461,56 +460,48 @@ def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
                                  vocab_sha=vocab.sha256())
 
 
+def _scored_batches(model: ClassifierModel, X: np.ndarray):
+    """Each slice of ``INFERENCE_BATCH_SIZE`` rows of ``X`` with the
+    model's probabilities for it, from a forward pass without history."""
+    for b0 in range(0, X.shape[0], INFERENCE_BATCH_SIZE):
+        rows = slice(b0, b0 + INFERENCE_BATCH_SIZE)
+        yield rows, forward(model, X[rows], trace=False)[0]
+
+
 def _eval_loss_acc(model: ClassifierModel, X: np.ndarray,
                    y: np.ndarray) -> tuple[float, float]:
     if X.shape[0] == 0:
         return float("nan"), float("nan")
     loss_sum = 0.0
     correct = 0
-    B = INFERENCE_BATCH_SIZE
-    for b0 in range(0, X.shape[0], B):
-        xb = X[b0:b0 + B]
-        yb = y[b0:b0 + B]
-        probs = forward(model, xb, trace=False)[0]
-        loss_sum += float(loss_values(model, probs, yb).sum())
-        correct += int((predict_classes(model, probs) == yb).sum())
-    n = X.shape[0]
-    return loss_sum / n, correct / n * 100.0
+    for rows, probs in _scored_batches(model, X):
+        loss_sum += float(loss_values(model, probs, y[rows]).sum())
+        correct += int((predict_classes(model, probs) == y[rows]).sum())
+    return loss_sum / len(X), correct / len(X) * 100.0
 
 
-def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary, log=None,
-          stop_when_train_acc: Optional[float] = None,
-          stop_when_test_acc: Optional[float] = None
-          ) -> tuple[ClassifierModel, list[CurvePoint]]:
-    """Run the full mini-batch loop and record one curve point per epoch.
+def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset):
+    """Train ``model``, built by ``build_model`` for ``cfg``, in place for
+    ``cfg.epochs`` epochs, yielding one curve point as each ends. The
+    epochs draw from their own generator, so a caller that breaks after
+    epoch k holds the model ``train`` returns for ``epochs = k``.
 
     Train-side curve values are the running means over the epoch's
     batches (each measured before that batch's update); test-side values
     come from a full pass at the end of the epoch, or NaN when the
-    dataset has no test split. ``stop_when_train_acc`` ends training
-    early once a full train-split pass reaches the given accuracy (in
-    percent), which keeps convergence checks cheap;
-    ``stop_when_test_acc`` does the same against the per-epoch test
-    accuracy already on the curve.
+    dataset has no test split.
     """
-    cfg.validate()
-    if len(dataset) == 0:
-        raise ConfigError("dataset is empty")
-    model = build_model(cfg, dataset.n_classes, vocab,
-                        np.random.default_rng(cfg.seed), log)
+    tr_idx = dataset.train_indices()
+    if tr_idx.size == 0:
+        raise ConfigError("training split is empty")
     rng_epochs = np.random.default_rng(cfg.seed + 1)
     opt = optim.make_optimizer(cfg.optimizer, cfg.resolved_learning_rate())
     params = model.named_params()
-
-    tr_idx = dataset.train_indices()
     te_idx = dataset.test_indices()
-    if tr_idx.size == 0:
-        raise ConfigError("training split is empty")
     X, y = dataset.indices, dataset.labels
     Xtr, ytr = X[tr_idx], y[tr_idx]
     Xte, yte = X[te_idx], y[te_idx]
 
-    curve = []
     B = cfg.batch_size
     for ep in range(cfg.epochs):
         order = rng_epochs.permutation(tr_idx.size)
@@ -522,8 +513,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary, log=None,
             try:
                 probs, trace = forward(model, xb)
                 losses = loss_values(model, probs, yb)
-                batch_cost = cost(losses)
-                if not math.isfinite(batch_cost):
+                if not math.isfinite(cost(losses)):
                     raise DivergenceError("training loss is not finite")
                 grads = backward(model, trace, yb)
                 if cfg.gradient_clip is not None:
@@ -535,25 +525,28 @@ def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary, log=None,
                     "try a lower learning_rate or a gradient_clip") from e
             loss_sum += float(losses.sum())
             correct += int((predict_classes(model, probs) == yb).sum())
-        train_loss = loss_sum / tr_idx.size
-        train_acc = correct / tr_idx.size * 100.0
         test_loss, test_acc = _eval_loss_acc(model, Xte, yte)
-        curve.append(CurvePoint(ep + 1, train_loss, train_acc, test_loss, test_acc))
+        yield CurvePoint(ep + 1, loss_sum / tr_idx.size, correct / tr_idx.size * 100.0,
+                         test_loss, test_acc)
+
+
+def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary,
+          log=None) -> tuple[ClassifierModel, list[CurvePoint]]:
+    """Build a model for ``cfg`` over ``vocab`` and train it for all of
+    ``cfg.epochs`` epochs; returns the model and its learning curve, one
+    point per epoch, each also logged as a progress line."""
+    model = build_model(cfg, dataset.n_classes, vocab, log=log)
+    curve = []
+    for p in train_epochs(model, cfg, dataset):
+        curve.append(p)
         if log:
-            log(f"epoch {ep + 1}/{cfg.epochs}  train_loss {train_loss:.4f}  "
-                f"train_acc {train_acc:.2f}  test_loss {test_loss:.4f}  "
-                f"test_acc {test_acc:.2f}")
-        if stop_when_test_acc is not None and test_acc >= stop_when_test_acc:
-            break
-        if stop_when_train_acc is not None:
-            _, full_acc = _eval_loss_acc(model, Xtr, ytr)
-            if full_acc >= stop_when_train_acc:
-                break
+            log(f"epoch {p.epoch}/{cfg.epochs}  train_loss {p.train_loss:.4f}  "
+                f"train_acc {p.train_acc:.2f}  test_loss {p.test_loss:.4f}  "
+                f"test_acc {p.test_acc:.2f}")
     return model, curve
 
 
-def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test",
-             batch_size: int = INFERENCE_BATCH_SIZE) -> metrics.EvalReport:
+def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test") -> metrics.EvalReport:
     """Score one split of the dataset.
 
     Refuses to run when both sides carry a vocabulary hash and they
@@ -578,13 +571,9 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test",
         raise ConfigError(f"split must be train, test or all, got {which!r}")
     if idx.size == 0:
         raise ConfigError(f"the {which} split is empty")
-    X = dataset.indices[idx]
-    y = dataset.labels[idx]
-    preds = np.empty(idx.size, dtype=np.int64)
-    for b0 in range(0, idx.size, batch_size):
-        probs = forward(model, X[b0:b0 + batch_size], trace=False)[0]
-        preds[b0:b0 + batch_size] = predict_classes(model, probs)
-    return metrics.scores(metrics.confusion(preds, y, model.n_classes))
+    preds = np.concatenate([predict_classes(model, probs)
+                            for _, probs in _scored_batches(model, dataset.indices[idx])])
+    return metrics.scores(metrics.confusion(preds, dataset.labels[idx], model.n_classes))
 
 
 def emit_learning_curve(curve: list[CurvePoint], path) -> None:

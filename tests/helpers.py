@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from seqtext.cells import GATES, Cell, CellState, run_sequence
-from seqtext.engine import load_csv_dataset, make_synthetic_csv, read_container, write_container
+from seqtext.cells import GATES, Cell, CellState, backward_sequence, run_sequence
+from seqtext.engine import (build_model, load_csv_dataset, make_synthetic_csv, read_container,
+                            train_epochs, write_container)
 from seqtext.errors import ConfigError, ShapeError
 from seqtext.metrics import EvalReport
 from seqtext.pipeline import PipelineConfig
@@ -81,6 +82,18 @@ def make_synthetic_corpus(n_docs: int, n_classes: int, seed: int, *,
     return ds, vocab, cfg
 
 
+def train_until(cfg, dataset, vocab, stop):
+    """``train`` ended after the first epoch for which ``stop(model,
+    point)`` holds; returns the model and the curve up to that epoch."""
+    model = build_model(cfg, dataset.n_classes, vocab)
+    curve = []
+    for point in train_epochs(model, cfg, dataset):
+        curve.append(point)
+        if stop(model, point):
+            break
+    return model, curve
+
+
 def rewrite_artifact(src, dst, edit_header=None, edit_arrays=None):
     """Write ``src`` to ``dst`` with its header or blocks changed in place
     by the edit functions, under a valid checksum; returns ``dst``."""
@@ -123,12 +136,35 @@ def zero_cell(kind: str, hidden: int, inputs: int, **settings) -> Cell:
                 **settings)
 
 
+def _one_row(a):
+    return None if a is None else np.asarray(a, dtype=np.float64)[None]
+
+
+def run_document(xs, cell: Cell, state=None, history: bool = True):
+    """``run_sequence`` over one (T, input) document from an (H,) state,
+    as a batch of one: the batch axis is added to the inputs and the
+    state and dropped from the returned state. The cache keeps it."""
+    if state is not None:
+        state = CellState(h=_one_row(state.h), c=_one_row(state.c))
+    out = run_sequence(np.asarray(xs, dtype=np.float64)[:, None], cell, state, history)
+    if not history:
+        return CellState(h=out.h[0], c=None if out.c is None else out.c[0])
+    h, cache = out
+    return h[0], cache
+
+
+def backward_document(cache, grad_h_final, cell: Cell):
+    """``backward_sequence`` for a cache of ``run_document``: takes an (H,)
+    final gradient and returns (T, input) input gradients."""
+    grads, dxs = backward_sequence(cache, _one_row(grad_h_final), cell)
+    return grads, dxs[:, 0]
+
+
 def one_step(x, cell: Cell, h_prev, c_prev=None):
     """Hidden state, cell state (None but for an LSTM) and the list of
     gate activations after one step of a single document from the given
     state."""
-    h, cache = run_sequence(np.asarray(x, dtype=float)[None], cell,
-                            CellState(h=np.asarray(h_prev, dtype=float), c=c_prev))
+    h, cache = run_document([x], cell, CellState(h=h_prev, c=c_prev))
     c = cache.cs[1, 0] if cache.cs is not None else None
     return h, c, np.split(cache.acts[0, 0], GATES[cell.kind])
 

@@ -12,7 +12,7 @@ import pytest
 
 from seqtext import cli, engine, linalg, metrics
 from seqtext import model as M
-from seqtext.cells import Cell, CellState, backward_sequence, make_cell, run_sequence
+from seqtext.cells import Cell, CellState, make_cell
 from seqtext.embedding import EmbeddingMatrix
 from seqtext.engine import (
     ExperimentConfig,
@@ -23,8 +23,9 @@ from seqtext.engine import (
 )
 from seqtext.pipeline import PipelineConfig, build_vocabulary, encode
 
-from helpers import (brute_force_scores_oracle, fd_gradient, gate_errors,
-                     make_synthetic_corpus, one_step, rel_error, zero_cell)
+from helpers import (backward_document, brute_force_scores_oracle, fd_gradient, gate_errors,
+                     make_synthetic_corpus, one_step, rel_error, run_document, train_until,
+                     zero_cell)
 
 
 def _verdict(capsys, ok: bool, name: str, detail: str) -> None:
@@ -100,11 +101,11 @@ def test_2_gradient_checks(capsys):
             w = rng.normal(size=hidden)
 
             def loss():
-                h, _ = run_sequence(xs, p)
+                h, _ = run_document(xs, p)
                 return float(h @ w)
 
-            _, cache = run_sequence(xs, p)
-            grads, dxs = backward_sequence(cache, w, p)
+            _, cache = run_document(xs, p)
+            grads, dxs = backward_document(cache, w, p)
             for name, arr in p.named_params():
                 errs = gate_errors(grads[name], fd_gradient(loss, arr), hidden)
                 worst = max(worst, *errs)
@@ -192,7 +193,8 @@ def test_4_memorizes_small_corpora(capsys):
         for cell in ("rnn", "lstm", "gru"):
             cfg = ExperimentConfig(task=task, cell=cell, epochs=200,
                                    batch_size=8, hidden_size=8, seed=3)
-            model, curve = train(cfg, ds, vocab, stop_when_train_acc=100.0)
+            model, curve = train_until(
+                cfg, ds, vocab, lambda m, _: engine.evaluate(m, ds, "train").accuracy >= 100.0)
             acc = engine.evaluate(model, ds, "all").accuracy
             ok = ok and acc == 100.0 and len(curve) <= 200
             details.append(f"{task[:5]}/{cell} {acc:.0f}%@ep{len(curve)}")
@@ -212,7 +214,7 @@ def test_5_binary_benchmark_proxy(capsys, tmp_path):
     ds, vocab = load_csv_dataset(csv, "text", "label", pipe)
     ds = split(ds, train_count=2000, test_count=2000, seed=7)
     cfg = ExperimentConfig(task="binary", cell="gru", epochs=30, seed=3)
-    model, curve = train(cfg, ds, vocab, stop_when_test_acc=75.0)
+    model, curve = train_until(cfg, ds, vocab, lambda _, p: p.test_acc >= 75.0)
     best = max(p.test_acc for p in curve)
     elapsed = time.perf_counter() - t0
     ok = best >= 75.0 and len(curve) <= 30 and elapsed < 900.0
@@ -231,7 +233,7 @@ def test_6_five_way_benchmark_proxy(capsys, tmp_path):
     ds, vocab = load_csv_dataset(csv, "text", "label", pipe)
     ds = split(ds, train_fraction=0.8, seed=7)
     cfg = ExperimentConfig(task="multiclass", cell="gru", epochs=30, seed=3)
-    model, curve = train(cfg, ds, vocab, stop_when_test_acc=85.0)
+    model, curve = train_until(cfg, ds, vocab, lambda _, p: p.test_acc >= 85.0)
     best = max(p.test_acc for p in curve)
     elapsed = time.perf_counter() - t0
     ok = best >= 85.0 and len(curve) <= 30 and elapsed < 600.0
@@ -347,7 +349,7 @@ def test_9_numeric_invariants(capsys, tmp_path):
     target = np.array([0.7, -1.3, 2.2])
     r = np.random.default_rng(5)
     xs = np.stack([r.normal(size=2) for _ in range(50)])
-    _, cache = run_sequence(xs, pl, CellState(h=np.zeros(3), c=target.copy()))
+    _, cache = run_document(xs, pl, CellState(h=np.zeros(3), c=target.copy()))
     c_cur = cache.cs[-1, 0]
     if not np.all(np.abs(c_cur - target) < 1e-6):
         failures.append("long-range memory carry")

@@ -14,13 +14,14 @@ from seqtext.cells import (GATES, Cell, CellState, backward_sequence, init_weigh
 from seqtext.errors import ConfigError, ShapeError
 from seqtext.linalg import sigmoid
 
-from helpers import fd_gradient, gate_errors, one_step, zero_cell
+from helpers import (backward_document, fd_gradient, gate_errors, one_step, run_document,
+                     zero_cell)
 
 
 class TestAnalyticSteps:
     def test_literal_rnn_zero_fixed_point(self):
         p = zero_cell("rnn", 2, 3, literal_mode=True)
-        h, _ = run_sequence(np.zeros((1, 3)), p)
+        h, _ = run_document(np.zeros((1, 3)), p)
         np.testing.assert_array_equal(h, np.zeros(2))
 
     def test_literal_rnn_carries_state_through_tanh(self):
@@ -30,7 +31,7 @@ class TestAnalyticSteps:
 
     def test_literal_rnn_sigmoid_variant(self):
         p = zero_cell("rnn", 1, 1, nonlinearity="sigmoid", literal_mode=True)
-        h, _ = run_sequence(np.zeros((1, 1)), p)
+        h, _ = run_document(np.zeros((1, 1)), p)
         assert h[0] == 0.5
 
     def test_lstm_zero_params_cell_carry(self):
@@ -99,7 +100,7 @@ def test_lstm_memory_carry_over_50_steps():
     p.b[:3] = -40.0    # i rows
     c0 = np.array([0.7, -1.3, 2.2])
     xs = np.stack([rng.normal(size=2) for _ in range(50)])
-    _, cache = run_sequence(xs, p, CellState(h=np.zeros(3), c=c0))
+    _, cache = run_document(xs, p, CellState(h=np.zeros(3), c=c0))
     assert np.abs(cache.cs[-1, 0] - c0).max() < 1e-6
 
 
@@ -109,7 +110,7 @@ class TestRunSequence:
         p = make_cell("gru", 2, 3, np.random.default_rng(3))
         p.b[:] = np.random.default_rng(4).normal(size=9)
         x = np.array([[0.5, -0.5]])
-        h_run, _ = run_sequence(x, p)
+        h_run, _ = run_document(x, p)
         Wz, _, Wc = np.split(p.W, 3)
         bz, _, bc = np.split(p.b, 3)
         z = sigmoid(Wz @ x[0] + bz)
@@ -118,7 +119,7 @@ class TestRunSequence:
 
     def test_all_pad_literal_rnn_stays_zero(self):
         p = zero_cell("rnn", 3, 2, literal_mode=True)
-        h, _ = run_sequence(np.zeros((6, 2)), p)
+        h, _ = run_document(np.zeros((6, 2)), p)
         np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_matches_manual_composition(self):
@@ -126,10 +127,10 @@ class TestRunSequence:
         for kind in ("rnn", "lstm", "gru"):
             p = make_cell(kind, 2, 3, np.random.default_rng(4))
             xs = np.random.default_rng(5).normal(size=(7, 2))
-            h_run, cache = run_sequence(xs, p)
+            h_run, cache = run_document(xs, p)
             state = CellState(h=np.zeros(3), c=np.zeros(3) if kind == "lstm" else None)
             for t in range(7):
-                h, step = run_sequence(xs[t:t + 1], p, state)
+                h, step = run_document(xs[t:t + 1], p, state)
                 state = CellState(h=h, c=step.cs[-1, 0] if kind == "lstm" else None)
             np.testing.assert_array_equal(h_run, state.h)
             assert cache.acts.shape == (7, 1, GATES[kind] * 3)
@@ -153,13 +154,13 @@ class TestRunSequence:
             assert state.c.tobytes() == cache.cs[-1].tobytes()
         else:
             assert state.c is None
-        one = run_sequence(xs[:, 2], p, history=False)
-        assert one.h.shape == (4,) and one.h.tobytes() == run_sequence(xs[:, 2], p)[0].tobytes()
+        one = run_document(xs[:, 2], p, history=False)
+        assert one.h.shape == (4,) and one.h.tobytes() == run_document(xs[:, 2], p)[0].tobytes()
 
     def test_empty_sequence_rejected(self):
         p = make_cell("gru", 2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            run_sequence(np.zeros((0, 2)), p)
+            run_sequence(np.zeros((0, 1, 2)), p)
 
     def test_batched_forward_matches_per_document(self):
         for kind in ("rnn", "lstm", "gru"):
@@ -167,7 +168,7 @@ class TestRunSequence:
             xs = np.random.default_rng(7).normal(size=(5, 2, 3))  # T=5, batch=2
             h_batch, _ = run_sequence(xs, p)
             for b in range(2):
-                h_single, _ = run_sequence(xs[:, b, :], p)
+                h_single, _ = run_document(xs[:, b, :], p)
                 np.testing.assert_allclose(h_batch[b], h_single, atol=1e-12)
 
 
@@ -175,8 +176,8 @@ class TestBackwardSequence:
     def test_zero_upstream_gradient(self):
         p = make_cell("lstm", 2, 3, np.random.default_rng(8))
         xs = np.random.default_rng(9).normal(size=(4, 2))
-        _, cache = run_sequence(xs, p)
-        grads, dxs = backward_sequence(cache, np.zeros(3), p)
+        _, cache = run_document(xs, p)
+        grads, dxs = backward_document(cache, np.zeros(3), p)
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
         np.testing.assert_array_equal(dxs, np.zeros_like(xs))
@@ -184,9 +185,9 @@ class TestBackwardSequence:
     def test_length_one_rnn_matches_hand_gradient(self):
         p = make_cell("rnn", 2, 3, np.random.default_rng(10))
         x = np.array([0.3, -1.1])
-        h, cache = run_sequence(x[None, :], p)
+        h, cache = run_document(x[None, :], p)
         w = np.array([1.0, -2.0, 0.5])
-        grads, dxs = backward_sequence(cache, w, p)
+        grads, dxs = backward_document(cache, w, p)
         da = w * (1.0 - h * h)
         np.testing.assert_allclose(grads["W"], np.outer(da, x), atol=1e-12)
         np.testing.assert_allclose(grads["b"], da, atol=1e-12)
@@ -202,8 +203,8 @@ class TestBackwardSequence:
             grads_b, dxs_b = backward_sequence(cache, w, p)
             summed = {name: np.zeros_like(g) for name, g in grads_b.items()}
             for b in range(3):
-                _, one = run_sequence(xs[:, b, :], p)
-                g_one, dx_one = backward_sequence(one, w[b], p)
+                _, one = run_document(xs[:, b, :], p)
+                g_one, dx_one = backward_document(one, w[b], p)
                 for name in summed:
                     summed[name] += g_one[name]
                 np.testing.assert_allclose(dxs_b[:, b, :], dx_one, atol=1e-10)
@@ -251,11 +252,11 @@ def test_gradients_match_finite_differences(label, factory):
         w = rng.normal(size=hidden)  # loss = w . h_final
 
         def loss():
-            h, _ = run_sequence(xs, p)
+            h, _ = run_document(xs, p)
             return float(h @ w)
 
-        _, cache = run_sequence(xs, p)
-        grads, dxs = backward_sequence(cache, w, p)
+        _, cache = run_document(xs, p)
+        grads, dxs = backward_document(cache, w, p)
         assert sorted(grads) == sorted(n for n, _ in p.named_params())
         for name, arr in p.named_params():
             for k, err in enumerate(gate_errors(grads[name], fd_gradient(loss, arr), hidden)):
@@ -268,14 +269,26 @@ class TestShapesAndValidation:
     def test_step_input_size_mismatch(self):
         p = make_cell("rnn", 2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            run_sequence(np.zeros((1, 5)), p)
+            run_document(np.zeros((1, 5)), p)
         with pytest.raises(ShapeError):
-            run_sequence(np.zeros((1, 2)), p, CellState(h=np.zeros(4)))
+            run_document(np.zeros((1, 2)), p, CellState(h=np.zeros(4)))
+
+    def test_only_batched_arrays_accepted(self):
+        # a document, a state and a final gradient each carry the batch axis
+        p = make_cell("lstm", 2, 3, np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            run_sequence(np.zeros((4, 2)), p)
+        for state in (CellState(h=np.zeros(3)), CellState(h=np.zeros((5, 3)), c=np.zeros(3))):
+            with pytest.raises(ShapeError):
+                run_sequence(np.zeros((4, 5, 2)), p, state)
+        _, cache = run_sequence(np.zeros((4, 1, 2)), p)
+        with pytest.raises(ShapeError):
+            backward_sequence(cache, np.zeros(3), p)
 
     def test_lstm_cell_state_shape_mismatch(self):
         p = make_cell("lstm", 2, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            run_sequence(np.zeros((1, 2)), p, CellState(h=np.zeros(3), c=np.zeros(4)))
+            run_document(np.zeros((1, 2)), p, CellState(h=np.zeros(3), c=np.zeros(4)))
 
     def test_param_shape_validation(self):
         with pytest.raises(ShapeError):
@@ -347,14 +360,14 @@ def test_stacked_init_equals_per_gate_draws(kind, kw):
 
 def test_zero_state_shapes():
     lp = make_cell("lstm", 2, 3, np.random.default_rng(0))
-    h, cache = run_sequence(np.ones((4, 2)), lp)
+    h, cache = run_document(np.ones((4, 2)), lp)
     assert h.shape == (3,)
     assert cache.hs.shape == (5, 1, 3) and cache.cs.shape == (5, 1, 3)
     _, cache = run_sequence(np.ones((4, 5, 2)), lp)
     np.testing.assert_array_equal(cache.hs[0], np.zeros((5, 3)))
     np.testing.assert_array_equal(cache.cs[0], np.zeros((5, 3)))
     gp = make_cell("gru", 2, 3, np.random.default_rng(0))
-    assert run_sequence(np.ones((4, 2)), gp)[1].cs is None
+    assert run_document(np.ones((4, 2)), gp)[1].cs is None
 
 
 def test_cell_state_dataclass():

@@ -1,6 +1,7 @@
 """End-to-end command-line flows: preprocess, train, evaluate, predict."""
 
 import io
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,11 @@ from seqtext import cli, engine, pipeline
 from seqtext.model import forward
 
 from helpers import rewrite_artifact, rewrite_manifest
+
+
+def _stdin(text):
+    """A standard input that holds ``text`` as UTF-8 bytes."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")))
 
 
 def _read_metrics(path):
@@ -106,7 +112,7 @@ class TestHappyPath:
     def test_predict_labels_signal_lines(self, workspace, capsys, monkeypatch):
         text = ("sig1w00 sig1w01 sig1w02 sig1w03 sig1w04\n"
                 "sig0w00 sig0w01 sig0w02 sig0w03 sig0w04\n")
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", _stdin(text))
         rc = cli.entry(["predict", "--model", str(workspace["run"] / "model.sqt")])
         assert rc == 0
         out = capsys.readouterr()
@@ -155,7 +161,7 @@ class TestBatchedPredict:
         lines[301] = "sig1w00 sig1w01 sig1w02 sig1w03 sig1w04"
         lines[599] = "sig0w00 sig0w01 sig0w02 sig0w03 sig0w04"
         out = _FlushLog()
-        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(l + "\n" for l in lines)))
+        monkeypatch.setattr(sys, "stdin", _stdin("".join(l + "\n" for l in lines)))
         monkeypatch.setattr(sys, "stdout", out)
         model = workspace["run"] / "model.sqt"
         assert cli.entry(["predict", "--model", str(model)]) == 0
@@ -168,8 +174,32 @@ class TestBatchedPredict:
         # one flush per chunk of 256 lines, the last one partial
         assert out.flushed_at == [256, 512, 600]
 
+    @pytest.mark.parametrize("encoding", [None, "utf-8:strict"],
+                             ids=["host-locale", "utf8-locale"])
+    def test_line_not_utf8_exits_2(self, workspace, encoding):
+        # a UTF-8 locale gives stdin the strict decoder that the C locale
+        # does not; predict decodes strictly under both. The 800 good
+        # lines put whole chunks of answers ahead of the bad line.
+        lines = [f"sig{i % 2}w{i % 20:02d} sig{i % 2}w{i % 13:02d} fill{i % 30:04d} x{i}"
+                 for i in range(800)]
+        data = "".join(l + "\n" for l in lines).encode() + b"\xff\xfe bad\nsig1w00\n"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        if encoding:
+            env["PYTHONIOENCODING"] = encoding
+        model = workspace["run"] / "model.sqt"
+        proc = subprocess.run([sys.executable, "-m", "seqtext", "predict", "--model", str(model)],
+                              input=data, capture_output=True, env=env, timeout=120)
+        err = proc.stderr.decode("utf-8")
+        assert proc.returncode == 2
+        assert "Traceback" not in err
+        assert "error: <stdin>: not UTF-8 text (" in err
+        got = proc.stdout.decode("utf-8").splitlines()
+        assert len(got) >= engine.INFERENCE_BATCH_SIZE
+        ckpt = engine.load_checkpoint(model)
+        assert got == [_predict_alone(ckpt, line) for line in lines[:len(got)]]
+
     def test_empty_stdin_prints_nothing(self, workspace, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        monkeypatch.setattr(sys, "stdin", _stdin(""))
         rc = cli.entry(["predict", "--model", str(workspace["run"] / "model.sqt")])
         assert rc == 0
         assert capsys.readouterr().out == ""
@@ -186,7 +216,7 @@ class TestBatchedPredict:
                           "--cell", "lstm", "--hidden-size", "6", "--epochs", "20",
                           "--seed", "2", "--quiet", "--out-dir", str(run)]) == 0
         lines = [f"sig{i % 3}w{i % 10:02d} sig{i % 3}w{(i + 3) % 10:02d}" for i in range(300)]
-        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(l + "\n" for l in lines)))
+        monkeypatch.setattr(sys, "stdin", _stdin("".join(l + "\n" for l in lines)))
         capsys.readouterr()
         assert cli.entry(["predict", "--model", str(run / "model.sqt")]) == 0
         got = capsys.readouterr().out.splitlines()
@@ -197,15 +227,17 @@ class TestBatchedPredict:
 
 
 class TestEvaluateBatchSize:
-    def test_confusion_does_not_depend_on_batch_size(self, workspace):
+    def test_confusion_does_not_depend_on_batch_size(self, workspace, monkeypatch):
         ckpt = engine.load_checkpoint(workspace["run"] / "model.sqt")
         ds, _, _ = engine.load_dataset(workspace["pre"] / "dataset.sqt")
         for which in ("test", "all"):
             n = ds.test_idx.size if which == "test" else len(ds)
-            reference = engine.evaluate(ckpt.model, ds, which, batch_size=1).confusion
+            monkeypatch.setattr(engine, "INFERENCE_BATCH_SIZE", 1)
+            reference = engine.evaluate(ckpt.model, ds, which).confusion
             assert reference.sum() == n
             for batch_size in (5, 64, 256, n):
-                got = engine.evaluate(ckpt.model, ds, which, batch_size=batch_size)
+                monkeypatch.setattr(engine, "INFERENCE_BATCH_SIZE", batch_size)
+                got = engine.evaluate(ckpt.model, ds, which)
                 assert np.array_equal(got.confusion, reference)
 
 
@@ -389,7 +421,7 @@ class TestExitCodes:
     def test_predict_needs_embedded_vocabulary(self, workspace, tmp_path, capsys, monkeypatch):
         bare = rewrite_artifact(workspace["run"] / "model.sqt", tmp_path / "bare.sqt",
                                 edit_header=lambda h: h.pop("vocab_text"))
-        monkeypatch.setattr(sys, "stdin", io.StringIO("hello\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin("hello\n"))
         rc = cli.entry(["predict", "--model", str(bare)])
         assert rc == 2
         assert "header field 'vocab_text' is missing" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from seqtext.engine import (
     save_dataset,
     split,
     train,
+    train_epochs,
     write_container,
 )
 from seqtext.errors import (
@@ -453,14 +454,42 @@ class TestTrain:
     def test_stop_when_train_acc(self):
         ds, vocab, _, cfg = _toy_setup(n_docs=32, epochs=200, cell="gru",
                                        hidden_size=8, seed=3)
-        _, curve = train(cfg, ds, vocab, stop_when_train_acc=100.0)
-        assert len(curve) < 200
+        model = build_model(cfg, ds.n_classes, vocab)
+        epochs = 0
+        for epochs, _ in enumerate(train_epochs(model, cfg, ds), start=1):
+            if evaluate(model, ds, "train").accuracy >= 100.0:
+                break
+        assert epochs < 200
 
     def test_stop_when_test_acc_stops_immediately_at_zero_bar(self):
         ds, vocab, _, cfg = _toy_setup(epochs=5)
-        _, curve = train(cfg, split(ds, train_fraction=0.5, seed=0), vocab,
-                         stop_when_test_acc=0.0)
+        ds = split(ds, train_fraction=0.5, seed=0)
+        model = build_model(cfg, ds.n_classes, vocab)
+        curve = []
+        for point in train_epochs(model, cfg, ds):
+            curve.append(point)
+            if point.test_acc >= 0.0:
+                break
         assert len(curve) == 1
+
+    @pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+    def test_broken_stream_equals_shorter_train(self, cell):
+        # breaking a 5-epoch stream after epoch 2 leaves the model that a
+        # 2-epoch train returns, and train's curve is the stream's points
+        ds, vocab, _, cfg = _toy_setup(epochs=5, cell=cell)
+        ds = split(ds, train_fraction=0.5, seed=0)
+        model = build_model(cfg, ds.n_classes, vocab)
+        stream = []
+        for point in train_epochs(model, cfg, ds):
+            stream.append(point)
+            if point.epoch == 2:
+                break
+        short, curve = train(replace(cfg, epochs=2), ds, vocab)
+        assert curve == stream
+        for (n1, a1), (n2, a2) in zip(model.state_blocks(), short.state_blocks()):
+            assert n1 == n2 and a1.tobytes() == a2.tobytes()
+        _, full = train(cfg, ds, vocab)
+        assert full[:2] == stream and len(full) == 5
 
     def test_empty_dataset_rejected(self):
         _, vocab, _, cfg = _toy_setup()
