@@ -61,6 +61,13 @@ from .linalg import sigmoid
 GATES = {"rnn": 1, "lstm": 4, "gru": 3}
 
 
+def _gates(kind: str) -> int:
+    """The stacked gate count of a cell ``kind``."""
+    if kind not in GATES:
+        raise ConfigError(f"unknown cell kind {kind!r} (expected rnn, lstm or gru)")
+    return GATES[kind]
+
+
 def init_weight(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """U(0,1) draw scaled by 1/sqrt(fan_in)."""
     return rng.uniform(0.0, 1.0, size=(rows, cols)) / math.sqrt(cols)
@@ -83,8 +90,7 @@ class Cell:
     literal_mode: bool = False      # rnn: U = I and b = 0, both untrained
 
     def __post_init__(self):
-        if self.kind not in GATES:
-            raise ConfigError(f"unknown cell kind {self.kind!r} (expected rnn, lstm or gru)")
+        G = _gates(self.kind)
         if self.nonlinearity not in ("tanh", "sigmoid") or (
                 self.kind != "rnn" and self.nonlinearity != "tanh"):
             raise ConfigError(f"{self.kind} cell cannot use nonlinearity {self.nonlinearity!r}")
@@ -93,7 +99,6 @@ class Cell:
                               f"got {self.literal_mode!r} for {self.kind}")
         if self.V is not None and self.kind != "lstm":
             raise ConfigError(f"only the lstm cell has peephole weights, not {self.kind}")
-        G = GATES[self.kind]
         H = self.U.shape[-1] if self.U.ndim == 2 else 0
         D = self.W.shape[-1] if self.W.ndim == 2 else 0
         shapes = [("W", self.W, (G * H, D)), ("U", self.U, (G * H, H)), ("b", self.b, (G * H,))]
@@ -129,9 +134,7 @@ def make_cell(kind: str, input_size: int, hidden_size: int, rng: np.random.Gener
               literal_mode: bool = False, peepholes: bool = True) -> Cell:
     """Initialize a cell. The stacked blocks are drawn in the order of
     per-gate draws: every W gate, then every U gate."""
-    if kind not in GATES:
-        raise ConfigError(f"unknown cell kind {kind!r} (expected rnn, lstm or gru)")
-    rows = GATES[kind] * hidden_size
+    rows = _gates(kind) * hidden_size
     W = init_weight(rng, rows, input_size)
     if literal_mode:
         U = np.eye(hidden_size)

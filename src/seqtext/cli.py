@@ -76,8 +76,6 @@ def _out_path(args, name: str) -> str:
 
 
 def _cmd_preprocess(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
     stop = load_stopwords(args.stopwords) if args.stopwords else frozenset()
     if args.vocab and args.vocab_size is not None:
         raise ConfigError("--vocab-size caps a vocabulary being built; it cannot be given "

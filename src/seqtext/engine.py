@@ -29,7 +29,6 @@ from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
                        build_vocabulary, clean, encode, text_sha256)
 
 TASKS = ("binary", "multiclass")
-CELL_KINDS = ("rnn", "gru", "lstm")
 # Documents per forward pass when only scoring: evaluate, predict, the
 # per-epoch test pass and train's final evaluate. At hidden size 16 a
 # time step costs mostly per-call overhead, which a wide batch spreads
@@ -144,8 +143,8 @@ class ExperimentConfig:
             _check_value_type(f.name, getattr(self, f.name))
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.cell not in CELL_KINDS:
-            raise ConfigError(f"cell must be one of {CELL_KINDS}, got {self.cell!r}")
+        if self.cell not in cells.GATES:
+            raise ConfigError(f"cell must be one of {tuple(cells.GATES)}, got {self.cell!r}")
         if self.optimizer not in optim.OPTIMIZER_KINDS:
             raise ConfigError(f"optimizer must be one of {optim.OPTIMIZER_KINDS}, got {self.optimizer!r}")
         for name, low in (("hidden_size", 1), ("dense_size", 1),
@@ -375,6 +374,8 @@ def split(dataset: Dataset, train_fraction: Optional[float] = None,
     by_count = train_count is not None or test_count is not None
     if by_fraction == by_count:
         raise ConfigError("give either train_fraction or train_count/test_count, not both")
+    if seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed}")
     N = len(dataset)
     y = dataset.labels
     C = dataset.n_classes
@@ -491,6 +492,7 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
     come from a full pass at the end of the epoch, or NaN when the
     dataset has no test split.
     """
+    cfg.validate()
     tr_idx = dataset.train_indices()
     if tr_idx.size == 0:
         raise ConfigError("training split is empty")

@@ -110,11 +110,10 @@ def scores(cm: np.ndarray) -> EvalReport:
     )
 
 
-def format_report(report: EvalReport, class_names=None) -> str:
+def format_report(report: EvalReport, class_names) -> str:
     """Human-readable table: Accuracy, Precision, Recall, F1 Score at two
     decimals, plus per-class rows and the confusion matrix."""
     C = len(report.precision)
-    names = list(class_names) if class_names else [str(i) for i in range(C)]
     p, r, f = report.headline()
     lines = []
     lines.append(f"{'Accuracy':>10} {'Precision':>10} {'Recall':>10} {'F1 Score':>10}")
@@ -123,16 +122,16 @@ def format_report(report: EvalReport, class_names=None) -> str:
     lines.append(f"{'class':>16} {'precision':>10} {'recall':>10} {'f1':>10} {'support':>8}")
     for j in range(C):
         lines.append(
-            f"{names[j]:>16} {report.precision[j]:>10.2f} {report.recall[j]:>10.2f} "
+            f"{class_names[j]:>16} {report.precision[j]:>10.2f} {report.recall[j]:>10.2f} "
             f"{report.f1[j]:>10.2f} {report.support[j]:>8d}"
         )
     lines.append("")
     lines.append("confusion (rows = true, cols = predicted):")
-    width = max(len(n) for n in names + ["true\\pred"])
+    width = max(len(n) for n in [*class_names, "true\\pred"])
     cell = max(6, max(len(str(int(v))) for v in report.confusion.reshape(-1)))
-    header = " " * (width + 1) + " ".join(f"{n[:cell]:>{cell}}" for n in names)
+    header = " " * (width + 1) + " ".join(f"{n[:cell]:>{cell}}" for n in class_names)
     lines.append(header)
-    for jname, row in zip(names, report.confusion):
+    for jname, row in zip(class_names, report.confusion):
         lines.append(f"{jname:>{width}} " + " ".join(f"{int(v):>{cell}d}" for v in row))
     if report.zero_division:
         lines.append("")
@@ -140,10 +139,9 @@ def format_report(report: EvalReport, class_names=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def metrics_lines(report: EvalReport, class_names=None) -> str:
+def metrics_lines(report: EvalReport, class_names) -> str:
     """Machine-readable 'name=value' lines, full precision."""
     C = len(report.precision)
-    names = list(class_names) if class_names else [str(i) for i in range(C)]
     out = [f"accuracy={report.accuracy!r}"]
     if C == 2:
         p, r, f = report.headline()
@@ -157,7 +155,7 @@ def metrics_lines(report: EvalReport, class_names=None) -> str:
         f"weighted_f1={report.weighted_f1!r}",
     ]
     for j in range(C):
-        tag = names[j].replace(" ", "_")
+        tag = class_names[j].replace(" ", "_")
         out += [
             f"precision_{tag}={report.precision[j]!r}",
             f"recall_{tag}={report.recall[j]!r}",
@@ -168,6 +166,6 @@ def metrics_lines(report: EvalReport, class_names=None) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_metrics(report: EvalReport, path, class_names=None) -> None:
+def write_metrics(report: EvalReport, path, class_names) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(metrics_lines(report, class_names))

@@ -56,18 +56,14 @@ def bce_loss(y_hat, y) -> np.ndarray:
 
 
 def cce_loss(probs: np.ndarray, y) -> np.ndarray:
-    """-log of the true-class probability, for integer class indices
-    ``y``. Accepts a single probability vector or a batch.
-    """
+    """-log of the true-class probability for each row of the (batch, C)
+    ``probs``, given (batch,) integer class indices ``y``."""
     p = np.asarray(probs, dtype=np.float64)
-    squeeze = p.ndim == 1
-    p = np.atleast_2d(p)
-    idx = np.atleast_1d(y).astype(int)
+    idx = np.asarray(y).astype(int)
     if (idx < 0).any() or (idx >= p.shape[-1]).any():
         raise ConfigError(f"class index out of range [0, {p.shape[-1]})")
     picked = p[np.arange(p.shape[0]), idx]
-    out = -np.log(np.maximum(picked, PROB_FLOOR))
-    return out[0] if squeeze else out
+    return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
 def cost(losses) -> float:
@@ -215,7 +211,7 @@ def loss_values(model: ClassifierModel, probs: np.ndarray, y: np.ndarray) -> np.
     return cce_loss(probs, y)
 
 
-def backward(model: ClassifierModel, trace: ModelTrace, y) -> dict[str, np.ndarray]:
+def backward(model: ClassifierModel, trace: ModelTrace, y: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the mean loss over the traced batch.
 
     Uses the fused head gradient (probabilities minus targets) at the
@@ -226,15 +222,13 @@ def backward(model: ClassifierModel, trace: ModelTrace, y) -> dict[str, np.ndarr
     """
     B = trace.indices.shape[0]
     w = 1.0 / B
-    y = np.atleast_1d(y)
     if model.head == "sigmoid":
         target = y.astype(np.float64)
         dlogits = ((trace.probs - target) * w)[:, None]          # (B, 1)
     else:
-        probs = np.atleast_2d(trace.probs)
-        target = np.zeros_like(probs)
+        target = np.zeros_like(trace.probs)
         target[np.arange(B), y.astype(int)] = 1.0
-        dlogits = (probs - target) * w                            # (B, C)
+        dlogits = (trace.probs - target) * w                      # (B, C)
 
     grads: dict[str, np.ndarray] = {}
     grads["head.W"] = dlogits.T @ trace.dense_out
@@ -255,8 +249,9 @@ def backward(model: ClassifierModel, trace: ModelTrace, y) -> dict[str, np.ndarr
 
 
 def predict_classes(model: ClassifierModel, probs: np.ndarray) -> np.ndarray:
-    """Argmax for softmax heads; the 0.5 threshold for sigmoid heads
-    (ties go to class 1)."""
+    """Class indices for a batch of :func:`forward` probabilities: argmax
+    for softmax heads, the 0.5 threshold for sigmoid heads (ties go to
+    class 1)."""
     if model.head == "sigmoid":
-        return (np.atleast_1d(probs) >= 0.5).astype(np.int64)
-    return np.argmax(np.atleast_2d(probs), axis=-1)
+        return (probs >= 0.5).astype(np.int64)
+    return np.argmax(probs, axis=-1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 
 OPTIMIZER_KINDS = ("sgd", "rmsprop", "adam")
 RMSPROP_RHO = 0.9
@@ -85,10 +85,7 @@ class Adam:
 
 
 def make_optimizer(kind: str, learning_rate: float):
-    if learning_rate <= 0:
-        raise ConfigError(f"learning_rate must be positive, got {learning_rate}")
-    if kind not in OPTIMIZER_KINDS:
-        raise ConfigError(f"unknown optimizer {kind!r} (expected sgd, rmsprop or adam)")
+    """A fresh optimizer; ``ExperimentConfig.validate`` checks the kind and the rate."""
     return {"sgd": Sgd, "rmsprop": RmsProp, "adam": Adam}[kind](learning_rate)
 
 

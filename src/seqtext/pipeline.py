@@ -21,6 +21,12 @@ from .errors import ConfigError, DataError
 
 PAD_INDEX = 0
 OOV_INDEX = 1
+PAD_TOKEN = "<PAD>"
+OOV_TOKEN = "<UNK>"
+# The cleaning values the artifact header records beside the settings.
+# A reader rejects any other value, since this version cannot apply it.
+_FIXED = {"lowercase": True, "strip_nonalpha": True,
+          "oov_token": OOV_TOKEN, "pad_token": PAD_TOKEN}
 
 _NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")
 
@@ -29,11 +35,7 @@ _NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")
 class PipelineConfig:
     vocab_size: int = 10000
     max_len: int = 250
-    lowercase: bool = True
-    strip_nonalpha: bool = True
     stopwords: frozenset = frozenset()
-    oov_token: str = "<UNK>"
-    pad_token: str = "<PAD>"
 
     def __post_init__(self):
         if self.vocab_size < 3:
@@ -42,19 +44,17 @@ class PipelineConfig:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "max_len": self.max_len,
-            "lowercase": self.lowercase,
-            "strip_nonalpha": self.strip_nonalpha,
-            "stopwords": sorted(self.stopwords),
-            "oov_token": self.oov_token,
-            "pad_token": self.pad_token,
-        }
+        return {"vocab_size": self.vocab_size, "max_len": self.max_len,
+                "stopwords": sorted(self.stopwords), **_FIXED}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = dict(d)
+        for key, value in _FIXED.items():
+            found = d.pop(key, value)
+            if found != value or type(found) is not type(value):
+                raise ValueError(f"{key} must be {value!r}, got {found!r}: this version "
+                                 "cleans text only one way")
         d["stopwords"] = frozenset(d.get("stopwords") or ())
         return cls(**d)
 
@@ -62,14 +62,11 @@ class PipelineConfig:
 def clean(raw: str, cfg: PipelineConfig) -> list[str]:
     """Normalize raw text into a token list.
 
-    Lowercases (if configured), replaces non-alphanumeric runs with
-    separators (if configured), splits on whitespace and drops
-    configured stopwords. Empty input gives an empty list.
+    Lowercases, replaces non-alphanumeric runs with separators, splits on
+    whitespace and drops configured stopwords. Empty input gives an empty
+    list.
     """
-    text = raw.lower() if cfg.lowercase else raw
-    if cfg.strip_nonalpha:
-        text = _NON_ALNUM.sub(" ", text)
-    tokens = text.split()
+    tokens = _NON_ALNUM.sub(" ", raw.lower()).split()
     if cfg.stopwords:
         tokens = [t for t in tokens if t not in cfg.stopwords]
     return tokens
@@ -131,7 +128,11 @@ class Vocabulary:
 
     @classmethod
     def from_text(cls, text: str) -> "Vocabulary":
-        tokens, freqs = [], []
+        """Parse the ``serialize()`` form. Entry 0 must be ``PAD_TOKEN`` and
+        entry 1 ``OOV_TOKEN``, and no token may repeat; a DataError names
+        the first line that breaks a rule."""
+        tokens, freqs, first_line = [], [], {}
+        reserved = (PAD_TOKEN, OOV_TOKEN)
         for n, line in enumerate(text.splitlines(), start=1):
             if not line:
                 continue
@@ -146,6 +147,11 @@ class Vocabulary:
                 raise DataError(f"vocabulary line {n}: {exc}") from exc
             if idx != len(tokens):
                 raise DataError(f"vocabulary line {n}: index {idx} not dense (expected {len(tokens)})")
+            if idx < len(reserved) and tok != reserved[idx]:
+                raise DataError(f"vocabulary line {n}: entry {idx} must be {reserved[idx]!r}, "
+                                f"got {tok!r}")
+            if first_line.setdefault(tok, n) != n:
+                raise DataError(f"vocabulary line {n}: token {tok!r} repeats line {first_line[tok]}")
             tokens.append(tok)
             freqs.append(freq)
         if len(tokens) < 3:
@@ -174,7 +180,7 @@ def build_vocabulary(corpus, cfg: PipelineConfig) -> Vocabulary:
         raise DataError("no document has a token after cleaning, so no vocabulary can be built")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = ranked[: cfg.vocab_size - 2]
-    tokens = [cfg.pad_token, cfg.oov_token] + [t for t, _ in kept]
+    tokens = [PAD_TOKEN, OOV_TOKEN] + [t for t, _ in kept]
     freqs = [0, 0] + [c for _, c in kept]
     return Vocabulary(tokens, freqs)
 

@@ -503,6 +503,19 @@ class TestMalformedArtifacts:
         assert f"error: {model}: model: " in proc.stderr
         assert "do not chain" in proc.stderr
 
+    @pytest.mark.parametrize("artifact", ["dataset", "checkpoint"])
+    def test_other_cleaning_value(self, workspace, tmp_path, artifact):
+        lowercase_off = lambda h: h["pipeline"].update(lowercase=False)
+        data, model = workspace["pre"] / "dataset.sqt", workspace["run"] / "model.sqt"
+        if artifact == "dataset":
+            bad = data = rewrite_artifact(data, tmp_path / "bad.sqt", lowercase_off)
+        else:
+            bad = model = rewrite_artifact(model, tmp_path / "bad.sqt", lowercase_off)
+        proc = _run_cli("evaluate", "--model", model, "--data", data, "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"error: {bad}: pipeline: lowercase must be True, got False" in proc.stderr
+
     @pytest.mark.parametrize("edit,message", [
         (lambda h: h["blocks"][0].pop("shape"), "malformed block manifest entry"),
         (lambda h: h["blocks"][0].update(shape="xy"), "malformed block manifest entry"),
@@ -654,6 +667,17 @@ def _two_entry_vocab(tmp):
     return vocab
 
 
+def _pad_entry_taken_vocab(ws, tmp):
+    """The workspace vocabulary with entries 0 and 2 trading tokens: a real
+    token on the pad row would encode as padding."""
+    rows = [line.split("\t")
+            for line in (ws["pre"] / "vocab.tsv").read_text(encoding="utf-8").splitlines()]
+    rows[0][1:], rows[2][1:] = rows[2][1:], rows[0][1:]
+    vocab = tmp / "vocab.tsv"
+    vocab.write_text("".join("\t".join(r) + "\n" for r in rows), encoding="utf-8")
+    return vocab
+
+
 def _config_file(tmp, line):
     cfg = tmp / "run.cfg"
     cfg.write_text(f"epochs = 1\n{line}\n", encoding="utf-8")
@@ -710,6 +734,10 @@ _EXIT_CODE_CASES = [
     ("two-entry-vocabulary", lambda ws, tmp: [
         "preprocess", "--data", ws["csv"], "--vocab", _two_entry_vocab(tmp), "--out-dir", tmp], 2,
      "vocabulary must hold pad, OOV and at least one token, got 2 entries"),
+    ("vocabulary-pad-entry-taken", lambda ws, tmp: [
+        "preprocess", "--data", ws["csv"], "--vocab", _pad_entry_taken_vocab(ws, tmp),
+        "--out-dir", tmp], 2,
+     "error: vocabulary line 1: entry 0 must be '<PAD>', got "),
     ("checkpoint-config-type", lambda ws, tmp: [
         "evaluate", "--model", rewrite_artifact(ws["run"] / "model.sqt", tmp / "bad.sqt",
                                                 lambda h: h["config"].update(seed="x")),

@@ -213,6 +213,13 @@ class TestSplit:
         with pytest.raises(ConfigError, match="corpus size"):
             split(ds, train_count=5, test_count=6)
 
+    @pytest.mark.parametrize("kw", [dict(train_fraction=0.5),
+                                    dict(train_count=5, test_count=5)])
+    def test_negative_seed_rejected(self, kw):
+        ds, _, _ = make_synthetic_corpus(10, 2, seed=0)
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
+            split(ds, seed=-1, **kw)
+
     def test_fraction_leaving_empty_test_rejected(self):
         ds, _, _ = make_synthetic_corpus(4, 2, seed=0)
         with pytest.raises(ConfigError, match="empty test split"):
@@ -490,6 +497,14 @@ class TestTrain:
             assert n1 == n2 and a1.tobytes() == a2.tobytes()
         _, full = train(cfg, ds, vocab)
         assert full[:2] == stream and len(full) == 5
+
+    @pytest.mark.parametrize("bad", [dict(learning_rate=float("nan")),
+                                     dict(optimizer="adagrad")])
+    def test_stream_validates_its_config(self, bad):
+        ds, vocab, _, cfg = _toy_setup()
+        model = build_model(cfg, ds.n_classes, vocab)
+        with pytest.raises(ConfigError, match="must be"):
+            next(train_epochs(model, replace(cfg, **bad), ds))
 
     def test_empty_dataset_rejected(self):
         _, vocab, _, cfg = _toy_setup()

@@ -233,13 +233,17 @@ class TestFormatting:
 
     def test_zero_division_warning_line(self):
         rep = metrics.scores(np.array([[2, 0], [1, 0]]))
-        assert "zero-denominator" in metrics.format_report(rep)
-        clean = metrics.format_report(self._sample_report())
+        assert "zero-denominator" in metrics.format_report(rep, ["neg", "pos"])
+        clean = metrics.format_report(self._sample_report(), ["neg", "pos"])
         assert "zero-denominator" not in clean
 
-    def test_default_names_are_indices(self):
-        text = metrics.format_report(metrics.scores(np.diag([1, 1, 1])))
-        assert " 0 " in text or "0" in text.splitlines()[4]
+    def test_class_names_label_rows_and_columns(self):
+        names = ["red", "green", "blue"]
+        lines = metrics.format_report(metrics.scores(np.diag([1, 2, 3])), names).splitlines()
+        assert [line.split()[0] for line in lines[4:7]] == names
+        at = lines.index("confusion (rows = true, cols = predicted):")
+        assert lines[at + 1].split() == names
+        assert [line.split()[0] for line in lines[at + 2:at + 5]] == names
 
     def test_metrics_lines_round_trip_full_precision(self):
         rep = self._sample_report()
@@ -259,7 +263,8 @@ class TestFormatting:
 
     def test_metrics_lines_multiclass_omits_binary_headline(self):
         rep = metrics.scores(np.diag([2, 2, 2]))
-        keys = [line.partition("=")[0] for line in metrics.metrics_lines(rep).splitlines()]
+        text = metrics.metrics_lines(rep, ["0", "1", "2"])
+        keys = [line.partition("=")[0] for line in text.splitlines()]
         assert "precision" not in keys
         assert "macro_precision" in keys
         assert "precision_0" in keys

@@ -11,6 +11,7 @@ from seqtext import model as M
 from seqtext import optim
 from seqtext.cells import make_cell
 from seqtext.embedding import EmbeddingMatrix
+from seqtext.engine import ExperimentConfig
 from seqtext.errors import ConfigError, DivergenceError, ShapeError
 from seqtext.linalg import sigmoid
 
@@ -56,12 +57,14 @@ class TestLosses:
         assert np.isfinite(v) and abs(v - (-math.log(1e-12))) < 1e-9
 
     def test_cce_fixtures(self):
-        assert M.cce_loss(np.array([0.0, 1.0]), 1) == 0.0
-        assert abs(M.cce_loss(np.array([0.5, 0.5]), 0) - math.log(2)) < 1e-12
+        losses = M.cce_loss(np.array([[0.0, 1.0], [0.5, 0.5]]), np.array([1, 0]))
+        assert losses.shape == (2,)
+        assert losses[0] == 0.0
+        assert abs(losses[1] - math.log(2)) < 1e-12
 
     def test_cce_bad_index(self):
         with pytest.raises(ConfigError):
-            M.cce_loss(np.array([0.5, 0.5]), 2)
+            M.cce_loss(np.array([[0.5, 0.5]]), np.array([2]))
 
     def test_cost(self):
         assert M.cost([1.0, 3.0]) == 2.0
@@ -143,10 +146,11 @@ class TestOptimizers:
             optim.Sgd(0.1).step(p, {"dense.W": np.array([1.0, np.nan])})
 
     def test_unknown_kind_and_bad_lr(self):
-        with pytest.raises(ConfigError):
-            optim.make_optimizer("adagrad", 0.1)
-        with pytest.raises(ConfigError):
-            optim.make_optimizer("sgd", 0.0)
+        with pytest.raises(ConfigError, match="optimizer must be one of"):
+            ExperimentConfig(optimizer="adagrad").validate()
+        for lr in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="learning_rate must be positive and finite"):
+                ExperimentConfig(optimizer="sgd", learning_rate=lr).validate()
 
     def test_clip_gradients(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
@@ -315,7 +319,7 @@ class TestBackward:
         probs, trace = M.forward(m, np.array([[2, 3, 4]]))
         y = np.array([1.0])
         grads = M.backward(m, trace, y)
-        expected = np.outer(np.atleast_1d(probs) - y, trace.dense_out[0])
+        expected = np.outer(probs - y, trace.dense_out[0])
         np.testing.assert_allclose(grads["head.W"], expected, atol=1e-12)
 
     def test_pad_row_gradient_forced_zero(self):

@@ -1,5 +1,7 @@
 """Text cleaning, vocabulary construction, and encoding contracts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -30,10 +32,6 @@ class TestClean:
 
     def test_punctuation_to_separators(self):
         assert clean("Hello, hello.", small_cfg()) == ["hello", "hello"]
-
-    def test_flags_off(self):
-        cfg = small_cfg(lowercase=False, strip_nonalpha=False)
-        assert clean("Hello, World!", cfg) == ["Hello,", "World!"]
 
     def test_digits_survive_stripping(self):
         assert clean("room 101!", small_cfg()) == ["room", "101"]
@@ -155,6 +153,20 @@ class TestVocabularyPersistence:
         with pytest.raises(DataError):
             Vocabulary.from_text("zero\t<PAD>\t0\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("0\tfill\t9\n1\t<PAD>\t0\n2\t<UNK>\t0\n", "line 1: entry 0 must be '<PAD>', got 'fill'"),
+        ("0\t<PAD>\t0\n1\tfill\t9\n2\t<UNK>\t0\n", "line 2: entry 1 must be '<UNK>', got 'fill'"),
+    ], ids=["pad", "oov"])
+    def test_reserved_entries_lead(self, text, message):
+        with pytest.raises(DataError, match=message):
+            Vocabulary.from_text(text)
+
+    @pytest.mark.parametrize("token,first", [("a", 3), ("<PAD>", 1), ("<UNK>", 2)])
+    def test_repeated_token_rejected(self, token, first):
+        text = f"0\t<PAD>\t0\n1\t<UNK>\t0\n2\ta\t5\n3\t{token}\t1\n"
+        with pytest.raises(DataError, match=f"line 4: token '{token}' repeats line {first}"):
+            Vocabulary.from_text(text)
+
 
 def test_load_stopwords(tmp_path):
     p = tmp_path / "stop.txt"
@@ -173,6 +185,22 @@ def test_config_dict_round_trip():
     cfg = PipelineConfig(vocab_size=9, max_len=4, stopwords=frozenset({"x"}))
     again = PipelineConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def test_config_records_the_fixed_cleaning_values():
+    assert [f.name for f in fields(PipelineConfig)] == ["vocab_size", "max_len", "stopwords"]
+    d = PipelineConfig().to_dict()
+    assert {k: d[k] for k in ("lowercase", "strip_nonalpha", "oov_token", "pad_token")} == {
+        "lowercase": True, "strip_nonalpha": True, "oov_token": "<UNK>", "pad_token": "<PAD>"}
+
+
+@pytest.mark.parametrize("key,value", [("lowercase", False), ("strip_nonalpha", 1),
+                                       ("oov_token", "<OOV>"), ("pad_token", "")])
+def test_config_rejects_other_cleaning_values(key, value):
+    d = PipelineConfig().to_dict()
+    d[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        PipelineConfig.from_dict(d)
 
 
 def test_make_document_records_original_length(tmp_path):
