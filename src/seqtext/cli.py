@@ -114,11 +114,10 @@ def _cmd_preprocess(args) -> int:
 def _cmd_train(args) -> int:
     ds, vocab, pipe = engine.load_dataset(args.data)
     cfg = _merged_config(args)
-    _print_resolved(cfg.describe(vocab.size))
-    if args.train_fraction is not None or ds.train_idx is None:
-        frac = args.train_fraction if args.train_fraction is not None else 0.5
-        _log(f"splitting {frac:g} train / {1 - frac:g} test with seed {cfg.seed}")
-        ds = engine.split(ds, train_fraction=frac, seed=cfg.seed)
+    _print_resolved(cfg.describe(vocab.size, ds.n_classes))
+    if ds.train_idx is None:
+        _log(f"splitting 0.5 train / 0.5 test with seed {cfg.seed}")
+        ds = engine.split(ds, train_fraction=0.5, seed=cfg.seed)
     log = None if args.quiet else _log
     model, curve = engine.train(cfg, ds, vocab, log=log)
     model_path = _out_path(args, "model.sqt")
@@ -138,8 +137,8 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     ckpt = engine.load_checkpoint(args.model)
     ds, _, _ = engine.load_dataset(args.data)
-    _print_resolved(ckpt.config.describe(ckpt.model.embedding.vocab_size))
     names = ckpt.class_names
+    _print_resolved(ckpt.config.describe(ckpt.model.embedding.vocab_size, len(names)))
     unknown = [n for n in ds.class_names if n not in names]
     if unknown:
         raise DataError(f"dataset classes {ds.class_names} do not match the checkpoint's "
@@ -175,8 +174,8 @@ def _stdin_lines():
 
 def _cmd_predict(args) -> int:
     ckpt = engine.load_checkpoint(args.model)
-    _print_resolved(ckpt.config.describe(ckpt.model.embedding.vocab_size))
     model, names = ckpt.model, ckpt.class_names
+    _print_resolved(ckpt.config.describe(model.embedding.vocab_size, len(names)))
     vocab, pipe = ckpt.vocab, ckpt.pipeline
     # One forward pass per chunk of lines. Answers keep input order and
     # are flushed per chunk, so a line's answer appears once its chunk
@@ -216,9 +215,6 @@ def _build_parser() -> _Parser:
 
     tr = sub.add_parser("train", help="fit a model on an encoded dataset")
     tr.add_argument("--data", required=True, help="encoded dataset artifact")
-    tr.add_argument("--train-fraction", type=float,
-                    help="resplit before training (default: keep the stored split, "
-                         "or 0.5 when none exists)")
     tr.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
 
     ev = sub.add_parser("evaluate", help="score a checkpoint on an encoded dataset")

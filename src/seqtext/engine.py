@@ -28,7 +28,6 @@ from .model import ClassifierModel, backward, cost, forward, loss_values, predic
 from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
                        build_vocabulary, clean, encode, text_sha256)
 
-TASKS = ("binary", "multiclass")
 # Documents per forward pass when only scoring: evaluate, predict, the
 # per-epoch test pass and train's final evaluate. At hidden size 16 a
 # time step costs mostly per-call overhead, which a wide batch spreads
@@ -117,13 +116,12 @@ class ExperimentConfig:
     """Everything that determines a training run besides the encoded
     corpus, whose ``PipelineConfig`` holds the vocabulary cap and length.
 
-    ``learning_rate`` defaults to None and resolves by task (0.001
-    binary / 0.005 multiclass), and ``embedding_dim`` may be the literal
-    string "auto" for the fourth-root heuristic. The task fixes the head
-    and the head fixes the loss, so the loss is not a setting.
+    ``learning_rate`` defaults to None and resolves by class count (0.001
+    for 2, 0.005 for more), and ``embedding_dim`` may be the literal
+    string "auto" for the fourth-root heuristic. The class count picks the
+    head and the head fixes the loss, so neither is a setting.
     """
 
-    task: str = "binary"
     cell: str = "lstm"
     embedding_dim: Union[int, str] = 16
     hidden_size: int = 16
@@ -141,8 +139,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         for f in fields(self):
             _check_value_type(f.name, getattr(self, f.name))
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.cell not in cells.GATES:
             raise ConfigError(f"cell must be one of {tuple(cells.GATES)}, got {self.cell!r}")
         if self.optimizer not in optim.OPTIMIZER_KINDS:
@@ -162,16 +158,10 @@ class ExperimentConfig:
         if self.literal_recurrence and self.cell != "rnn":
             raise ConfigError("literal_recurrence only applies to the rnn cell")
 
-    # resolution of task-dependent defaults
-
-    @property
-    def head(self) -> str:
-        return "sigmoid" if self.task == "binary" else "softmax"
-
-    def resolved_learning_rate(self) -> float:
+    def resolved_learning_rate(self, n_classes: int) -> float:
         if self.learning_rate is not None:
             return self.learning_rate
-        return 0.001 if self.task == "binary" else 0.005
+        return 0.001 if n_classes == 2 else 0.005
 
     def resolve_embedding_dim(self, vocab_size: int) -> int:
         if self.embedding_dim == "auto":
@@ -190,15 +180,15 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
-    def describe(self, vocab_size: int) -> str:
+    def describe(self, vocab_size: int, n_classes: int) -> str:
         """Resolved 'key = value' lines, one per field, over a vocabulary
-        of ``vocab_size`` entries.
+        of ``vocab_size`` entries and ``n_classes`` classes.
 
         The output is itself a valid configuration file reproducing this
         run, so a log line is enough to rerun an experiment.
         """
         shown = self.to_dict()
-        shown["learning_rate"] = self.resolved_learning_rate()
+        shown["learning_rate"] = self.resolved_learning_rate(n_classes)
         shown["embedding_dim"] = self.resolve_embedding_dim(vocab_size)
         lines = []
         for f in fields(self):
@@ -457,7 +447,7 @@ def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
         emb = EmbeddingMatrix.init(vocab.size, dim, rng)
     cell = cells.make_cell(cfg.cell, dim, cfg.hidden_size, rng,
                            literal_mode=cfg.literal_recurrence, peepholes=cfg.peepholes)
-    return ClassifierModel.build(emb, cell, cfg.dense_size, cfg.head, n_classes, rng,
+    return ClassifierModel.build(emb, cell, cfg.dense_size, n_classes, rng,
                                  vocab_sha=vocab.sha256())
 
 
@@ -497,7 +487,7 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
     if tr_idx.size == 0:
         raise ConfigError("training split is empty")
     rng_epochs = np.random.default_rng(cfg.seed + 1)
-    opt = optim.make_optimizer(cfg.optimizer, cfg.resolved_learning_rate())
+    opt = optim.make_optimizer(cfg.optimizer, cfg.resolved_learning_rate(dataset.n_classes))
     params = model.named_params()
     te_idx = dataset.test_indices()
     X, y = dataset.indices, dataset.labels
@@ -549,7 +539,8 @@ def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary,
 
 
 def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test") -> metrics.EvalReport:
-    """Score one split of the dataset.
+    """Score one split of the dataset: ``train`` and ``test`` need a
+    stored split, ``all`` scores every document.
 
     Refuses to run when both sides carry a vocabulary hash and they
     differ, since index sequences would then be meaningless to the
@@ -563,14 +554,14 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test") -> m
     if dataset.n_classes != model.n_classes:
         raise ConfigError(
             f"model has {model.n_classes} classes, dataset names {dataset.n_classes}")
-    if which == "train":
-        idx = dataset.train_indices()
-    elif which == "test":
-        idx = dataset.test_indices()
-    elif which == "all":
+    if which == "all":
         idx = np.arange(len(dataset))
-    else:
+    elif which not in ("train", "test"):
         raise ConfigError(f"split must be train, test or all, got {which!r}")
+    elif dataset.train_idx is None:
+        raise ConfigError(f"the dataset has no train/test split, so no {which} split; use --split all")
+    else:
+        idx = dataset.train_indices() if which == "train" else dataset.test_indices()
     if idx.size == 0:
         raise ConfigError(f"the {which} split is empty")
     preds = np.concatenate([predict_classes(model, probs)
@@ -742,7 +733,6 @@ def _disagreement(model: ClassifierModel, cfg: ExperimentConfig, class_names) ->
         return f"no configuration describes a {cell.nonlinearity} {cell.kind} cell"
     for key, want, found in (
             ("cell", cfg.cell, cell.kind),
-            ("head", cfg.head, model.head),
             ("literal_recurrence", cfg.literal_recurrence, cell.literal_mode),
             ("hidden_size", cfg.hidden_size, cell.hidden_size),
             ("embedding_dim", cfg.resolve_embedding_dim(emb.vocab_size), emb.dim),
@@ -753,6 +743,11 @@ def _disagreement(model: ClassifierModel, cfg: ExperimentConfig, class_names) ->
     if len(class_names) != model.n_classes:
         return f"the model scores {model.n_classes} classes, but {len(class_names)} are named"
     return None
+
+
+def _recorded_task(n_classes: int) -> str:
+    # Earlier readers of format 4 require config.task; the class count fixes it.
+    return "binary" if n_classes == 2 else "multiclass"
 
 
 def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
@@ -769,7 +764,7 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
     header = {
         "kind": "checkpoint",
         "format": CHECKPOINT_FORMAT,
-        "config": config.to_dict(),
+        "config": {**config.to_dict(), "task": _recorded_task(len(class_names))},
         "class_names": list(class_names),
         "vocab_sha": sha,
         "vocab_text": vocab.serialize(),
@@ -783,9 +778,10 @@ def load_checkpoint(path) -> Checkpoint:
     names; blocks that disagree with them are an integrity error."""
     header, arrays = read_container(path)
     _check_header(path, header, "checkpoint", CHECKPOINT_FORMAT, _CHECKPOINT_HEADER)
-    missing = sorted(_FIELD_TYPES.keys() - header["config"].keys())
+    missing = sorted((_FIELD_TYPES.keys() | {"task"}) - header["config"].keys())
     if missing:
         raise IntegrityError(f"{path}: config lacks {', '.join(missing)}")
+    task = header["config"].pop("task")
     cfg = _from_header(path, "config", ExperimentConfig.from_dict, header["config"])
     names = header["class_names"]
     _from_header(path, "class_names", _check_class_names, names)
@@ -797,6 +793,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: the embedding table has {model.embedding.vocab_size} "
                              f"rows but the embedded vocabulary has {vocab.size} entries")
     problem = _disagreement(model, cfg, names)
+    want = _recorded_task(len(names))
+    if problem is None and task != want:
+        problem = f"the config records task {task!r}, but {len(names)} classes make it {want!r}"
     if problem is not None:
         raise IntegrityError(f"{path}: {problem}")
     pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])

@@ -1,14 +1,14 @@
 """Embedding -> recurrent cell -> dense relu layer -> classification head.
 
-Binary models end in a single sigmoid unit trained with binary
-cross-entropy; multiclass models end in a C-way softmax trained with
-categorical cross-entropy on integer class targets. The head fixes the
-loss, so the loss is not a setting. Both heads share the fused
-gradient at the logits: probabilities minus targets.
+The class count picks the head: 2 classes end in a single sigmoid unit
+trained with binary cross-entropy, C >= 3 in a C-way softmax trained
+with categorical cross-entropy on integer class targets. Both heads
+share the fused gradient at the logits: probabilities minus targets.
 
 A :class:`ClassifierModel` is its blocks: the rows of ``head.W`` fix the
-head and the class count, construction checks the whole shape chain, and
-only ``state_blocks`` and its inverse ``from_blocks`` name the blocks.
+head and the class count (1 row: 2 classes; R >= 3 rows: R), construction
+checks the whole shape chain, and only ``state_blocks`` and its inverse
+``from_blocks`` name the blocks.
 """
 
 from __future__ import annotations
@@ -97,12 +97,13 @@ class ClassifierModel:
         E, D, H = self.embedding.weights, self.cell.input_size, self.cell.hidden_size
         W1, b1, W2, b2 = self.dense_W, self.dense_b, self.head_W, self.head_b
         if not (E.ndim == 2 and E.shape[1] == D and W1.ndim == 2 and W1.shape[1] == H
-                and b1.shape == W1.shape[:1] and W2.ndim == 2 and W2.shape[0] >= 1
+                and b1.shape == W1.shape[:1] and W2.ndim == 2 and W2.shape[0] not in (0, 2)
                 and W2.shape[1:] == W1.shape[:1] and b2.shape == W2.shape[:1]):
             raise ShapeError(
                 f"embedding {E.shape}, dense.W {W1.shape}, dense.b {b1.shape}, head.W "
                 f"{W2.shape} and head.b {b2.shape} do not chain with a cell of input size {D} "
-                f"and hidden size {H}: expected (V, {D}), (S, {H}), (S,), (R, S) and (R,), R >= 1")
+                f"and hidden size {H}: expected (V, {D}), (S, {H}), (S,), (R, S) and (R,), "
+                "R = 1 for 2 classes or R >= 3")
 
     @property
     def head(self) -> str:
@@ -114,16 +115,14 @@ class ClassifierModel:
         return max(2, self.head_W.shape[0])
 
     @classmethod
-    def build(cls, embedding: EmbeddingMatrix, cell: cells.Cell, dense_size: int, head: str,
+    def build(cls, embedding: EmbeddingMatrix, cell: cells.Cell, dense_size: int,
               n_classes: int, rng: np.random.Generator,
               vocab_sha: Optional[str] = None) -> "ClassifierModel":
-        """Initialize the dense and head weights over ``embedding`` and ``cell``;
-        a sigmoid head scores exactly 2 classes, a softmax head 2 or more."""
-        if head not in ("sigmoid", "softmax") or n_classes < 2 or (
-                head == "sigmoid" and n_classes != 2):
-            raise ConfigError(f"a {head!r} head cannot score {n_classes} classes: a sigmoid "
-                              "head needs exactly 2, a softmax head 2 or more")
-        out = 1 if head == "sigmoid" else n_classes
+        """Initialize the dense and head weights over ``embedding`` and ``cell``:
+        a sigmoid head for 2 classes, a softmax head for more."""
+        if n_classes < 2:
+            raise ConfigError(f"a classifier needs at least 2 classes, got {n_classes}")
+        out = 1 if n_classes == 2 else n_classes
         # The dense and head layers use a zero-centered draw: recurrent
         # activations are all positive under the positive cell init, so a
         # positive-only readout would start rank-1 with logits far from 0.

@@ -129,8 +129,9 @@ class Vocabulary:
     @classmethod
     def from_text(cls, text: str) -> "Vocabulary":
         """Parse the ``serialize()`` form. Entry 0 must be ``PAD_TOKEN`` and
-        entry 1 ``OOV_TOKEN``, and no token may repeat; a DataError names
-        the first line that breaks a rule."""
+        entry 1 ``OOV_TOKEN``, every later token one that ``clean`` can
+        produce (lowercase ASCII letters and digits), and no token may
+        repeat; a DataError names the first line that breaks a rule."""
         tokens, freqs, first_line = [], [], {}
         reserved = (PAD_TOKEN, OOV_TOKEN)
         for n, line in enumerate(text.splitlines(), start=1):
@@ -152,6 +153,9 @@ class Vocabulary:
                                 f"got {tok!r}")
             if first_line.setdefault(tok, n) != n:
                 raise DataError(f"vocabulary line {n}: token {tok!r} repeats line {first_line[tok]}")
+            if idx >= len(reserved) and not (tok.isascii() and tok.isalnum() and tok == tok.lower()):
+                raise DataError(f"vocabulary line {n}: token {tok!r} is not lowercase ASCII "
+                                "letters and digits, so no cleaned text can reach it")
             tokens.append(tok)
             freqs.append(freq)
         if len(tokens) < 3:

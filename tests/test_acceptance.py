@@ -76,11 +76,11 @@ _CELL_VARIANTS = [
 ]
 
 
-def _tiny_model(head, n_classes, cell_kind, seed):
+def _tiny_model(n_classes, cell_kind, seed):
     rng = np.random.default_rng(seed)
     emb = EmbeddingMatrix.init(9, 2, rng)
     cell = make_cell(cell_kind, 2, 3, rng)
-    return M.ClassifierModel.build(emb, cell, 3, head, n_classes, rng)
+    return M.ClassifierModel.build(emb, cell, 3, n_classes, rng)
 
 
 def test_2_gradient_checks(capsys):
@@ -118,7 +118,7 @@ def test_2_gradient_checks(capsys):
         for head, n_classes in (("sigmoid", 2), ("softmax", 3)):
             for seed in range(5):
                 rng = np.random.default_rng(200 + seed)
-                m = _tiny_model(head, n_classes, cell_kind, 300 + seed)
+                m = _tiny_model(n_classes, cell_kind, 300 + seed)
                 idx = rng.integers(1, 9, size=(2, 5))
                 y = rng.integers(0, n_classes, size=2)
                 target = y.astype(float) if head == "sigmoid" else y
@@ -187,17 +187,17 @@ def test_4_memorizes_small_corpora(capsys):
     t0 = time.perf_counter()
     details = []
     ok = True
-    for task, n_docs, n_classes in (("binary", 32, 2), ("multiclass", 50, 5)):
+    for n_docs, n_classes in ((32, 2), (50, 5)):
         ds, vocab, pcfg = make_synthetic_corpus(n_docs, n_classes, seed=7,
                                                 signal_rate=0.5, filler_tokens=20)
         for cell in ("rnn", "lstm", "gru"):
-            cfg = ExperimentConfig(task=task, cell=cell, epochs=200,
+            cfg = ExperimentConfig(cell=cell, epochs=200,
                                    batch_size=8, hidden_size=8, seed=3)
             model, curve = train_until(
-                cfg, ds, vocab, lambda m, _: engine.evaluate(m, ds, "train").accuracy >= 100.0)
+                cfg, ds, vocab, lambda m, _: engine.evaluate(m, ds, "all").accuracy >= 100.0)
             acc = engine.evaluate(model, ds, "all").accuracy
             ok = ok and acc == 100.0 and len(curve) <= 200
-            details.append(f"{task[:5]}/{cell} {acc:.0f}%@ep{len(curve)}")
+            details.append(f"{n_classes}-class/{cell} {acc:.0f}%@ep{len(curve)}")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _verdict(capsys, ok, "4. memorization",
@@ -213,7 +213,7 @@ def test_5_binary_benchmark_proxy(capsys, tmp_path):
     pipe = PipelineConfig(vocab_size=10000, max_len=250)
     ds, vocab = load_csv_dataset(csv, "text", "label", pipe)
     ds = split(ds, train_count=2000, test_count=2000, seed=7)
-    cfg = ExperimentConfig(task="binary", cell="gru", epochs=30, seed=3)
+    cfg = ExperimentConfig(cell="gru", epochs=30, seed=3)
     model, curve = train_until(cfg, ds, vocab, lambda _, p: p.test_acc >= 75.0)
     best = max(p.test_acc for p in curve)
     elapsed = time.perf_counter() - t0
@@ -232,7 +232,7 @@ def test_6_five_way_benchmark_proxy(capsys, tmp_path):
     pipe = PipelineConfig(vocab_size=10000, max_len=250)
     ds, vocab = load_csv_dataset(csv, "text", "label", pipe)
     ds = split(ds, train_fraction=0.8, seed=7)
-    cfg = ExperimentConfig(task="multiclass", cell="gru", epochs=30, seed=3)
+    cfg = ExperimentConfig(cell="gru", epochs=30, seed=3)
     model, curve = train_until(cfg, ds, vocab, lambda _, p: p.test_acc >= 85.0)
     best = max(p.test_acc for p in curve)
     elapsed = time.perf_counter() - t0
@@ -354,7 +354,7 @@ def test_9_numeric_invariants(capsys, tmp_path):
     if not np.all(np.abs(c_cur - target) < 1e-6):
         failures.append("long-range memory carry")
 
-    m = _tiny_model("sigmoid", 2, "gru", seed=1)
+    m = _tiny_model(2, "gru", seed=1)
     idx = np.array([[0, 0, 3, 4], [0, 2, 5, 6]])
     _, trace = M.forward(m, idx)
     grads = M.backward(m, trace, np.array([1.0, 0.0]))
@@ -370,7 +370,7 @@ def test_9_numeric_invariants(capsys, tmp_path):
 
     ds, vocab, pcfg = make_synthetic_corpus(12, 2, seed=1, signal_rate=0.5,
                                             filler_tokens=20)
-    tcfg = ExperimentConfig(task="binary", cell="lstm", epochs=1, batch_size=8,
+    tcfg = ExperimentConfig(cell="lstm", epochs=1, batch_size=8,
                             hidden_size=4, dense_size=3, embedding_dim=4, seed=2)
     model, _ = train(tcfg, ds, vocab)
     path = tmp_path / "model.sqt"

@@ -212,12 +212,14 @@ class TestBatchedPredict:
         assert cli.entry(["preprocess", "--data", str(csv), "--train-fraction", "0.5",
                           "--vocab-size", "200", "--max-len", "16", "--seed", "2",
                           "--out-dir", str(pre)]) == 0
-        assert cli.entry(["train", "--data", str(pre / "dataset.sqt"), "--task", "multiclass",
+        # three classes pick a softmax head with no setting to say so
+        assert cli.entry(["train", "--data", str(pre / "dataset.sqt"),
                           "--cell", "lstm", "--hidden-size", "6", "--epochs", "20",
                           "--seed", "2", "--quiet", "--out-dir", str(run)]) == 0
+        err = capsys.readouterr().err
+        assert "  learning_rate = 0.005\n" in err and "task =" not in err
         lines = [f"sig{i % 3}w{i % 10:02d} sig{i % 3}w{(i + 3) % 10:02d}" for i in range(300)]
         monkeypatch.setattr(sys, "stdin", _stdin("".join(l + "\n" for l in lines)))
-        capsys.readouterr()
         assert cli.entry(["predict", "--model", str(run / "model.sqt")]) == 0
         got = capsys.readouterr().out.splitlines()
         ckpt = engine.load_checkpoint(run / "model.sqt")
@@ -539,7 +541,7 @@ def lstm_tri(tmp_path_factory):
     engine.make_synthetic_csv(csv, 30, 3, seed=2, filler_tokens=20, min_len=8, max_len=12)
     assert cli.entry(["preprocess", "--data", str(csv), "--train-fraction", "0.5",
                       "--max-len", "16", "--out-dir", str(root)]) == 0
-    assert cli.entry(["train", "--data", str(root / "dataset.sqt"), "--task", "multiclass",
+    assert cli.entry(["train", "--data", str(root / "dataset.sqt"),
                       "--cell", "lstm", "--hidden-size", "6", "--epochs", "0", "--quiet",
                       "--out-dir", str(root)]) == 0
     return root / "model.sqt"
@@ -550,7 +552,7 @@ def lstm_tri(tmp_path_factory):
 _DISAGREEING_HEADERS = [
     ("cell", "gru", lambda h: h["config"].update(cell="lstm"), "lstm cell block"),
     ("task", "gru", lambda h: h["config"].update(task="multiclass"),
-     "the config calls for head 'softmax', but the model has 'sigmoid'"),
+     "the config records task 'multiclass', but 2 classes make it 'binary'"),
     ("hidden-size", "gru", lambda h: h["config"].update(hidden_size=4),
      "the config calls for hidden_size 4, but the model has 8"),
     ("peepholes", "lstm", lambda h: h["config"].update(peepholes=False),
@@ -678,6 +680,35 @@ def _pad_entry_taken_vocab(ws, tmp):
     return vocab
 
 
+def _uncleanable_token_vocab(ws, tmp):
+    """The workspace vocabulary with entry 2 renamed to a token that
+    cleaning never produces, so no document could reach its row."""
+    rows = [line.split("\t")
+            for line in (ws["pre"] / "vocab.tsv").read_text(encoding="utf-8").splitlines()]
+    rows[2][1] = "Fill-0001"
+    vocab = tmp / "vocab.tsv"
+    vocab.write_text("".join("\t".join(r) + "\n" for r in rows), encoding="utf-8")
+    return vocab
+
+
+def _unsplit_dataset(ws, tmp):
+    """The workspace corpus encoded with its vocabulary and no split."""
+    assert cli.entry(["preprocess", "--data", str(ws["csv"]), "--vocab",
+                      str(ws["pre"] / "vocab.tsv"), "--max-len", "32",
+                      "--out-dir", str(tmp / "unsplit")]) == 0
+    return tmp / "unsplit" / "dataset.sqt"
+
+
+def _softmax_over_2_checkpoint(ws, tmp):
+    """The trained binary checkpoint as earlier versions could store a
+    softmax head over its 2 classes: 2 head rows and task multiclass."""
+    return rewrite_artifact(ws["run"] / "model.sqt", tmp / "softmax2.sqt",
+                            edit_header=lambda h: h["config"].update(task="multiclass"),
+                            edit_arrays=lambda a: a.update(
+                                {"head.W": np.vstack([a["head.W"], -a["head.W"]]),
+                                 "head.b": np.zeros(2)}))
+
+
 def _config_file(tmp, line):
     cfg = tmp / "run.cfg"
     cfg.write_text(f"epochs = 1\n{line}\n", encoding="utf-8")
@@ -701,6 +732,27 @@ _EXIT_CODE_CASES = [
         "train", "--data", ws["pre"] / "dataset.sqt", "--config", _config_file(tmp, "loss = bce"),
         "--out-dir", tmp], 1,
      "unknown configuration key 'loss'"),
+    ("task-flag", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--task", "multiclass", "--out-dir", tmp],
+     1, "unrecognized arguments: --task multiclass"),
+    ("task-config-line", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt",
+        "--config", _config_file(tmp, "task = binary"), "--out-dir", tmp], 1,
+     "unknown configuration key 'task'"),
+    ("train-fraction-on-train", lambda ws, tmp: [
+        "train", "--data", ws["pre"] / "dataset.sqt", "--train-fraction", 0.8, "--out-dir", tmp],
+     1, "unrecognized arguments: --train-fraction 0.8"),
+    ("evaluate-train-without-split", lambda ws, tmp: [
+        "evaluate", "--model", ws["run"] / "model.sqt", "--data", _unsplit_dataset(ws, tmp),
+        "--split", "train", "--out-dir", tmp], 1,
+     "the dataset has no train/test split, so no train split; use --split all"),
+    ("evaluate-test-without-split", lambda ws, tmp: [
+        "evaluate", "--model", ws["run"] / "model.sqt", "--data", _unsplit_dataset(ws, tmp),
+        "--split", "test", "--out-dir", tmp], 1,
+     "the dataset has no train/test split, so no test split; use --split all"),
+    ("softmax-over-2-checkpoint", lambda ws, tmp: [
+        "predict", "--model", _softmax_over_2_checkpoint(ws, tmp)], 2,
+     "head.W (2, 8) and head.b (2,) do not chain"),
     ("max-len-flag", lambda ws, tmp: [
         "train", "--data", ws["pre"] / "dataset.sqt", "--max-len", 3, "--out-dir", tmp], 1,
      "unrecognized arguments: --max-len 3"),
@@ -738,6 +790,10 @@ _EXIT_CODE_CASES = [
         "preprocess", "--data", ws["csv"], "--vocab", _pad_entry_taken_vocab(ws, tmp),
         "--out-dir", tmp], 2,
      "error: vocabulary line 1: entry 0 must be '<PAD>', got "),
+    ("vocabulary-token-clean-never-makes", lambda ws, tmp: [
+        "preprocess", "--data", ws["csv"], "--vocab", _uncleanable_token_vocab(ws, tmp),
+        "--out-dir", tmp], 2,
+     "error: vocabulary line 3: token 'Fill-0001' is not lowercase ASCII letters and digits"),
     ("checkpoint-config-type", lambda ws, tmp: [
         "evaluate", "--model", rewrite_artifact(ws["run"] / "model.sqt", tmp / "bad.sqt",
                                                 lambda h: h["config"].update(seed="x")),

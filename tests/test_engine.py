@@ -43,7 +43,7 @@ class TestConfigParsing:
     def test_typed_values_and_comments(self):
         text = """
         # an experiment
-        task = multiclass
+        cell = gru
         epochs = 12
 
         learning_rate = 0.25
@@ -53,7 +53,7 @@ class TestConfigParsing:
         """
         got = parse_config_text(text)
         assert got == {
-            "task": "multiclass",
+            "cell": "gru",
             "epochs": 12,
             "learning_rate": 0.25,
             "peepholes": False,
@@ -84,18 +84,25 @@ class TestConfigParsing:
 
 class TestExperimentConfig:
     def test_learning_rate_resolution_by_task(self):
-        assert ExperimentConfig(task="binary").resolved_learning_rate() == 0.001
-        assert ExperimentConfig(task="multiclass").resolved_learning_rate() == 0.005
-        assert ExperimentConfig(learning_rate=0.2).resolved_learning_rate() == 0.2
+        # the class count is the task: binary for 2 classes, multiclass for more
+        assert ExperimentConfig().resolved_learning_rate(2) == 0.001
+        assert ExperimentConfig().resolved_learning_rate(3) == 0.005
+        assert ExperimentConfig(learning_rate=0.2).resolved_learning_rate(2) == 0.2
+        assert ExperimentConfig(learning_rate=0.2).resolved_learning_rate(5) == 0.2
+
+    def test_task_is_not_a_setting(self):
+        with pytest.raises(ConfigError, match="task"):
+            parse_config_text("task = binary\n")
+        with pytest.raises(ConfigError, match="task"):
+            ExperimentConfig.from_dict({"task": "multiclass"})
+        assert "task" not in ExperimentConfig().describe(100, 3)
 
     def test_loss_resolution_by_head(self):
-        # the task fixes the head, and the head fixes the loss
+        # the class count picks the head, and the head fixes the loss
         vocab = pipeline.Vocabulary([f"t{i}" for i in range(20)], [0] * 20)
-        for task, head, n_classes, loss in [("binary", "sigmoid", 2, M.bce_loss),
-                                             ("multiclass", "softmax", 3, M.cce_loss)]:
-            cfg = ExperimentConfig(task=task)
-            assert cfg.head == head
-            model = build_model(cfg, n_classes, vocab)
+        for head, n_classes, loss in [("sigmoid", 2, M.bce_loss), ("softmax", 3, M.cce_loss)]:
+            model = build_model(ExperimentConfig(), n_classes, vocab)
+            assert model.head == head
             probs = M.forward(model, np.array([[0, 2, 3, 4], [5, 6, 7, 8]]))[0]
             y = np.array([1, 0])
             np.testing.assert_array_equal(M.loss_values(model, probs, y), loss(probs, y))
@@ -109,7 +116,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"task": "regression"},
+            {"literal_recurrence": True, "cell": "gru"},
             {"cell": "transformer"},
             {"optimizer": "lbfgs"},
             {"hidden_size": 0},
@@ -132,11 +139,9 @@ class TestExperimentConfig:
             ExperimentConfig(**kwargs).validate()
 
     def test_describe_round_trips_as_config_text(self):
-        cfg = ExperimentConfig(task="multiclass", cell="gru", embedding_dim="auto",
-                               hidden_size=8, seed=5)
-        text = cfg.describe(500)
+        cfg = ExperimentConfig(cell="gru", embedding_dim="auto", hidden_size=8, seed=5)
+        text = cfg.describe(500, 3)
         back = ExperimentConfig.from_dict(parse_config_text(text))
-        assert back.task == "multiclass"
         assert back.cell == "gru"
         assert back.hidden_size == 8
         assert back.seed == 5
@@ -387,8 +392,7 @@ class TestSyntheticCorpus:
 def _toy_setup(n_docs=16, n_classes=2, seed=0, **cfg_kwargs):
     ds, vocab, pcfg = make_synthetic_corpus(n_docs, n_classes, seed=seed,
                                             signal_rate=0.5, filler_tokens=20)
-    base = dict(task="binary" if n_classes == 2 else "multiclass",
-                cell="rnn", epochs=2, batch_size=8, hidden_size=6,
+    base = dict(cell="rnn", epochs=2, batch_size=8, hidden_size=6,
                 dense_size=4, embedding_dim=8, seed=1)
     base.update(cfg_kwargs)
     return ds, vocab, pcfg, ExperimentConfig(**base)
@@ -464,7 +468,7 @@ class TestTrain:
         model = build_model(cfg, ds.n_classes, vocab)
         epochs = 0
         for epochs, _ in enumerate(train_epochs(model, cfg, ds), start=1):
-            if evaluate(model, ds, "train").accuracy >= 100.0:
+            if evaluate(model, ds, "all").accuracy >= 100.0:
                 break
         assert epochs < 200
 
@@ -521,10 +525,12 @@ class TestTrain:
         with pytest.raises(ConfigError, match="training split is empty"):
             train(cfg, starved, vocab)
 
-    def test_binary_task_needs_two_classes(self):
-        ds, vocab, _, cfg = _toy_setup(n_docs=15, n_classes=3, task="binary")
-        with pytest.raises(ConfigError, match="exactly 2"):
-            train(cfg, ds, vocab)
+    def test_three_classes_train_a_softmax_head_at_the_multiclass_rate(self):
+        ds, vocab, _, cfg = _toy_setup(n_docs=15, n_classes=3, epochs=1)
+        model, curve = train(cfg, ds, vocab)
+        assert (model.head, model.n_classes, model.head_W.shape[0]) == ("softmax", 3, 3)
+        assert "learning_rate = 0.005" in cfg.describe(vocab.size, ds.n_classes).splitlines()
+        assert len(curve) == 1
 
 
 class TestTrainingLossDescends:
@@ -533,7 +539,7 @@ class TestTrainingLossDescends:
         # consecutive epochs are tolerated, sustained rises are not
         ds, vocab, _ = make_synthetic_corpus(32, 2, seed=7,
                                              signal_rate=0.5, filler_tokens=20)
-        cfg = ExperimentConfig(task="binary", cell="lstm", epochs=60,
+        cfg = ExperimentConfig(cell="lstm", epochs=60,
                                batch_size=8, hidden_size=8, seed=3)
         _, curve = train(cfg, ds, vocab)
         losses = [p.train_loss for p in curve]
@@ -739,7 +745,6 @@ class TestCheckpoint:
             (replace(model, cell=replace(model.cell, nonlinearity="sigmoid")), cfg,
              ds.class_names, vocab, "sigmoid rnn cell"),
             (model, replace(cfg, hidden_size=7), ds.class_names, vocab, "hidden_size 7"),
-            (model, replace(cfg, task="multiclass"), ds.class_names, vocab, "head 'softmax'"),
             (model, cfg, ds.class_names + ["other"], vocab, "3 are named"),
             (model, cfg, ds.class_names, other_vocab, "another vocabulary"),
         ]
@@ -774,9 +779,20 @@ class TestCheckpointHeader:
             ["cell.U", "cell.V", "cell.W", "cell.b"]
         assert arrays["cell.W"].shape == (4 * 6, 8) and arrays["cell.V"].shape == (3 * 6, 6)
 
-    # The cell kind comes from config.cell, the head from config.task and
-    # the class count from class_names, so the cases named after the
-    # fields that format 3 stored take those away instead.
+    @pytest.mark.parametrize("n_classes,task", [(2, "binary"), (3, "multiclass")])
+    def test_recorded_task_follows_the_class_count(self, tmp_path, n_classes, task):
+        # earlier readers require config.task, so it is still written
+        ds, vocab, pcfg, cfg = _toy_setup(n_docs=15, n_classes=n_classes, epochs=0)
+        model, _ = train(cfg, ds, vocab)
+        path = tmp_path / "model.sqt"
+        save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
+        assert read_container(path)[0]["config"]["task"] == task
+        assert load_checkpoint(path).config == cfg
+
+    # The cell kind comes from config.cell and the class count, which
+    # picks the head, from class_names; config.task is recorded for
+    # earlier readers and must agree. So the cases named after the fields
+    # that format 3 stored take those away instead.
     @pytest.mark.parametrize("edit,match", [
         (lambda h: h.pop("config"), "config"),
         (lambda h: h["config"].pop("cell"), "config lacks cell"),
@@ -844,7 +860,8 @@ class TestCheckpointHeader:
     # embedding dim 8, dense size 4, over two named classes.
     @pytest.mark.parametrize("edit,match", [
         (lambda c: c.update(cell="gru"), "peephole weights, not gru"),
-        (lambda c: c.update(task="multiclass"), "head 'softmax', but the model has 'sigmoid'"),
+        (lambda c: c.update(task="multiclass"),
+         "records task 'multiclass', but 2 classes make it 'binary'"),
         (lambda c: c.update(hidden_size=5), "hidden_size 5"),
         (lambda c: c.update(embedding_dim="auto"), "embedding_dim 3"),
         (lambda c: c.update(dense_size=3), "dense_size 3"),
@@ -1100,7 +1117,7 @@ class TestByteSweep:
     def test_checkpoint(self, tmp_path):
         ds, vocab, pcfg = make_synthetic_corpus(8, 3, seed=4, tokens_per_class=4,
                                                 filler_tokens=6, min_len=4, max_len=8)
-        cfg = ExperimentConfig(task="multiclass", cell="lstm", embedding_dim=2,
+        cfg = ExperimentConfig(cell="lstm", embedding_dim=2,
                                hidden_size=2, dense_size=2, epochs=0, seed=1)
         model, _ = train(cfg, ds, vocab)
         path = tmp_path / "model.sqt"
@@ -1124,8 +1141,19 @@ class TestEvaluate:
     def test_empty_split_rejected(self):
         ds, vocab, _, cfg = _toy_setup(epochs=0)
         model, _ = train(cfg, ds, vocab)
+        ds = replace(ds, train_idx=np.arange(len(ds)), test_idx=np.arange(0))
         with pytest.raises(ConfigError, match="test split is empty"):
             evaluate(model, ds, which="test")
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_no_stored_split_has_no_train_or_test_side(self, which):
+        # without a split, "train" would silently score the whole corpus
+        ds, vocab, _, cfg = _toy_setup(epochs=0)
+        model, _ = train(cfg, ds, vocab)
+        with pytest.raises(ConfigError, match=f"no train/test split, so no {which} split; "
+                                              "use --split all"):
+            evaluate(model, ds, which=which)
+        assert evaluate(model, ds, which="all").confusion.sum() == len(ds)
 
     def test_vocabulary_mismatch_rejected(self):
         ds, vocab, _, cfg = _toy_setup(epochs=0)

@@ -163,12 +163,11 @@ class TestOptimizers:
         np.testing.assert_array_equal(small["a"], [0.3])
 
 
-def build_tiny(head="sigmoid", n_classes=2, cell_kind="gru", vocab=7, dim=3,
-               hidden=4, dense=3, seed=0):
+def build_tiny(n_classes=2, cell_kind="gru", vocab=7, dim=3, hidden=4, dense=3, seed=0):
     rng = np.random.default_rng(seed)
     emb = EmbeddingMatrix.init(vocab, dim, rng)
     cell = make_cell(cell_kind, dim, hidden, rng)
-    return M.ClassifierModel.build(emb, cell, dense, head, n_classes, rng)
+    return M.ClassifierModel.build(emb, cell, dense, n_classes, rng)
 
 
 class TestForward:
@@ -180,7 +179,7 @@ class TestForward:
         np.testing.assert_allclose(probs, [0.5], atol=1e-15)
 
     def test_softmax_head_rows_normalized(self):
-        m = build_tiny(head="softmax", n_classes=4)
+        m = build_tiny(n_classes=4)
         probs, _ = M.forward(m, np.array([[1, 2], [3, 4], [5, 6]]))
         assert probs.shape == (3, 4)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -207,16 +206,16 @@ class TestForward:
         emb = EmbeddingMatrix.init(7, 3, rng)
         cell = make_cell("gru", 5, 4, rng)  # input 5 != embedding dim 3
         with pytest.raises(ShapeError):
-            M.ClassifierModel.build(emb, cell, 3, "sigmoid", 2, rng)
+            M.ClassifierModel.build(emb, cell, 3, 2, rng)
 
     def test_build_validates_head(self):
-        with pytest.raises(ConfigError):
-            build_tiny(head="sigmoid", n_classes=3)
-        with pytest.raises(ConfigError):
-            build_tiny(head="argmax")
+        # the class count picks the head, so only a count below 2 is refused
+        for n_classes in (1, 0):
+            with pytest.raises(ConfigError, match="at least 2 classes"):
+                build_tiny(n_classes=n_classes)
 
 
-def build_paper_size(variant: str, head: str = "sigmoid", vocab: int = 60,
+def build_paper_size(variant: str, n_classes: int = 2, vocab: int = 60,
                      seed: int = 0) -> M.ClassifierModel:
     """A model at the paper's sizes (E = H = 16, dense 8) for one cell
     variant; the peephole blocks get nonzero weights so that c reaches h."""
@@ -229,7 +228,7 @@ def build_paper_size(variant: str, head: str = "sigmoid", vocab: int = 60,
     if cell.V is not None:
         cell.V[...] = rng.normal(scale=0.3, size=cell.V.shape)
     emb = EmbeddingMatrix.init(vocab, 16, rng)
-    return M.ClassifierModel.build(emb, cell, 8, head, 2 if head == "sigmoid" else 3, rng)
+    return M.ClassifierModel.build(emb, cell, 8, n_classes, rng)
 
 
 CELL_VARIANTS = ["rnn-tanh", "rnn-sigmoid", "rnn-literal", "lstm-peepholes", "lstm-plain", "gru"]
@@ -243,7 +242,7 @@ class TestUntracedForward:
     def test_bitwise_equal_to_traced(self, variant):
         # T = 31, 32 and 33 put a chunk boundary before, at and after the
         # end; 250 carries h (and the LSTM's c) across seven boundaries.
-        m = build_paper_size(variant, head="softmax" if variant.endswith("plain") else "sigmoid")
+        m = build_paper_size(variant, n_classes=3 if variant.endswith("plain") else 2)
         rng = np.random.default_rng(1)
         for B in (1, 5, 256):
             for T in (1, 31, 32, 33, 250):
@@ -287,28 +286,33 @@ class TestUntracedForward:
 
 
 class TestHeadLossPairing:
-    """The head fixes the loss, so what is left to pair is the head and
-    the class count."""
+    """The class count picks the head and the head fixes the loss: one
+    sigmoid row for 2 classes, a C-row softmax for C >= 3."""
 
     def test_validate_pairings(self):
-        for head, c in [("sigmoid", 2), ("softmax", 5), ("softmax", 2)]:
-            m = build_tiny(head=head, n_classes=c)
-            assert (m.head, m.n_classes) == (head, c)
-        for head, c in [("sigmoid", 3), ("sigmoid", 1), ("softmax", 1), ("relu", 2)]:
+        for c, head, rows in [(2, "sigmoid", 1), (3, "softmax", 3), (5, "softmax", 5)]:
+            m = build_tiny(n_classes=c)
+            assert (m.head, m.n_classes, m.head_W.shape[0]) == (head, c, rows)
+        for c in (1, 0, -1):
             with pytest.raises(ConfigError):
-                build_tiny(head=head, n_classes=c)
+                build_tiny(n_classes=c)
 
-    @pytest.mark.parametrize("rows,head,n_classes",
-                             [(1, "sigmoid", 2), (2, "softmax", 2), (3, "softmax", 3)])
+    @pytest.mark.parametrize("rows,head,n_classes", [(1, "sigmoid", 2), (3, "softmax", 3)])
     def test_head_and_class_count_come_from_head_rows(self, rows, head, n_classes):
         m = build_tiny()
         m = replace(m, head_W=np.zeros((rows, m.dense_W.shape[0])), head_b=np.zeros(rows))
         assert (m.head, m.n_classes) == (head, n_classes)
 
+    def test_two_head_rows_are_refused(self):
+        # two classes take the one-row sigmoid head, so a softmax over 2 has no form
+        m = build_tiny()
+        with pytest.raises(ShapeError, match=r"R = 1 for 2 classes or R >= 3"):
+            replace(m, head_W=np.zeros((2, m.dense_W.shape[0])), head_b=np.zeros(2))
+
 
 class TestBackward:
     def test_zero_loss_gradient_when_prediction_matches_target(self):
-        m = build_tiny(head="softmax", n_classes=3)
+        m = build_tiny(n_classes=3)
         probs, trace = M.forward(m, np.array([[1, 2]]))
         fake = trace._replace(probs=np.array([[0.0, 1.0, 0.0]]))
         grads = M.backward(m, fake, np.array([1]))
@@ -335,8 +339,9 @@ class TestBackward:
     def test_full_model_gradients_match_finite_differences(self, cell_kind, head, n_classes):
         for seed in range(5):
             rng = np.random.default_rng(200 + seed)
-            m = build_tiny(head=head, n_classes=n_classes, cell_kind=cell_kind,
+            m = build_tiny(n_classes=n_classes, cell_kind=cell_kind,
                            vocab=9, dim=2, hidden=3, dense=3, seed=300 + seed)
+            assert m.head == head
             # keep index 0 out of the batch: its row is pinned to zero
             # gradient, which finite differences would contradict
             idx = rng.integers(1, 9, size=(2, 5))
@@ -363,8 +368,7 @@ class TestBackward:
     def test_one_sgd_step_decreases_loss(self):
         for seed in range(10):
             rng = np.random.default_rng(400 + seed)
-            m = build_tiny(head="softmax", n_classes=3, cell_kind="rnn",
-                           seed=500 + seed)
+            m = build_tiny(n_classes=3, cell_kind="rnn", seed=500 + seed)
             idx = rng.integers(1, 7, size=(1, 4))
             y = np.array([int(rng.integers(0, 3))])
             probs, trace = M.forward(m, idx)
@@ -383,7 +387,7 @@ class TestPredictClasses:
             M.predict_classes(m, np.array([0.49, 0.5, 0.51])), [0, 1, 1])
 
     def test_softmax_argmax(self):
-        m = build_tiny(head="softmax", n_classes=3)
+        m = build_tiny(n_classes=3)
         probs = np.array([[0.2, 0.5, 0.3], [0.7, 0.2, 0.1]])
         np.testing.assert_array_equal(M.predict_classes(m, probs), [1, 0])
 

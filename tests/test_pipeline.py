@@ -167,6 +167,19 @@ class TestVocabularyPersistence:
         with pytest.raises(DataError, match=f"line 4: token '{token}' repeats line {first}"):
             Vocabulary.from_text(text)
 
+    @pytest.mark.parametrize("token", ["Fill0001", "fill-0001", "caf\u00e9", "\u00b2", "a b",
+                                       "<UNK2>", ""])
+    def test_token_clean_cannot_produce_rejected(self, token):
+        # such a row is unreachable: every occurrence in a text encodes as OOV
+        text = f"0\t<PAD>\t0\n1\t<UNK>\t0\n2\ta\t5\n3\t{token}\t1\n"
+        with pytest.raises(DataError, match=f"line 4: token '{token}' is not lowercase ASCII"):
+            Vocabulary.from_text(text)
+
+    def test_every_token_clean_produces_is_accepted(self):
+        raw = "Caf\u00e9 NO.1, x\u00b2 -- Fill-0001 \u0130stanbul 42"
+        vocab = build_vocabulary([clean(raw, small_cfg())], small_cfg())
+        assert Vocabulary.from_text(vocab.serialize()).index_to_token == vocab.index_to_token
+
 
 def test_load_stopwords(tmp_path):
     p = tmp_path / "stop.txt"
