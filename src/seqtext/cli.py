@@ -1,17 +1,19 @@
 """Command-line front door: preprocess, train, evaluate, predict.
 
 ``preprocess`` takes the encoding settings --vocab-size and --max-len,
-which the dataset keeps, and --seed for the split; --vocab reuses a
-vocabulary and its size in place of --vocab-size. ``train`` takes every
-option of the experiment configuration as a flag with the same name
-(hyphen or underscore spelling both accepted); a config file given with
---config supplies defaults and explicit flags win. Each run logs its
+which the dataset keeps, and --train-fraction and --seed for the split;
+--vocab reuses a vocabulary and its size in place of --vocab-size.
+``train`` takes every option of the experiment configuration as a flag
+with the same name (hyphen or underscore spelling both accepted); a
+config file given with --config supplies defaults and explicit flags
+win. Each run logs its
 resolved settings to stderr before reading its input; the printout of
 train, evaluate and predict is itself valid config-file syntax.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data or file
-error (a line of predict's standard input that is not UTF-8 included),
-3 numerical divergence during training.
+Exit codes: 0 success, 1 usage or configuration error (a split fraction
+outside (0, 1) included), 2 data or file error (a class too small to
+split and a line of predict's standard input that is not UTF-8
+included), 3 numerical divergence during training.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ def _cmd_preprocess(args) -> int:
                                         pipe, vocab=vocab)
     if args.train_fraction is not None:
         ds = engine.split(ds, train_fraction=args.train_fraction, seed=args.seed)
-    elif args.train_count is not None or args.test_count is not None:
-        ds = engine.split(ds, train_count=args.train_count, test_count=args.test_count,
-                          seed=args.seed)
     stats = engine.corpus_stats(ds)
     print(f"documents: {stats['documents']}")
     for name, n in stats["classes"].items():
@@ -204,9 +203,8 @@ def _build_parser() -> _Parser:
     pre.add_argument("--label-column", default="label")
     pre.add_argument("--vocab", help="reuse an existing vocabulary file")
     pre.add_argument("--stopwords", help="file with one stopword per line")
-    pre.add_argument("--train-fraction", type=float)
-    pre.add_argument("--train-count", type=int)
-    pre.add_argument("--test-count", type=int)
+    pre.add_argument("--train-fraction", type=float,
+                     help="share of each class that trains, in (0, 1); default no split")
     _add_flag(pre, "vocab_size", type=int, help="keep the most frequent tokens, pad and OOV "
               f"included (default {PipelineConfig.vocab_size}; not with --vocab)")
     _add_flag(pre, "max_len", type=int, default=PipelineConfig.max_len,

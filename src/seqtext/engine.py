@@ -243,7 +243,9 @@ class Dataset:
         if bad.size:
             i = bad[0]
             raise DataError(f"document {i} has label {self.labels[i]}, but only {C} classes are named")
-        if self.train_idx is not None and self.test_idx is not None:
+        if (self.train_idx is None) != (self.test_idx is None):
+            raise ConfigError("a split needs both train_idx and test_idx")
+        if self.train_idx is not None:
             if np.intersect1d(self.train_idx, self.test_idx).size:
                 raise ConfigError("train and test splits overlap")
             both = np.concatenate([self.train_idx, self.test_idx]).astype(np.int64)
@@ -337,58 +339,27 @@ def load_csv_dataset(path, text_column: str, label_column: str, cfg: PipelineCon
     return ds, vocab
 
 
-def _apportion(counts: list, total: int) -> list:
-    """Largest-remainder allocation of ``total`` slots proportional to
-    ``counts`` (sum(counts) >= total)."""
-    N = sum(counts)
-    ideal = [c * total / N for c in counts]
-    base = [math.floor(x) for x in ideal]
-    leftover = total - sum(base)
-    order = sorted(range(len(counts)), key=lambda j: (base[j] - ideal[j], j))
-    for j in order[:leftover]:
-        base[j] += 1
-    return base
+def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> Dataset:
+    """Deterministic stratified split: each class puts ``train_fraction``
+    of its documents, rounded up, on the training side and the rest on
+    the test side.
 
-
-def split(dataset: Dataset, train_fraction: Optional[float] = None,
-          train_count: Optional[int] = None, test_count: Optional[int] = None,
-          seed: int = 0) -> Dataset:
-    """Deterministic stratified split; the fractional remainder of each
-    class goes to the training side.
-
-    Returns a new Dataset sharing the arrays, with index sets filled;
-    give either a fraction in (0, 1) or explicit counts summing to the
-    corpus size.
+    Returns a new Dataset sharing the arrays, with index sets filled. The
+    fraction lies in (0, 1), every class needs at least 2 documents, and
+    the test side may not come out empty.
     """
-    by_fraction = train_fraction is not None
-    by_count = train_count is not None or test_count is not None
-    if by_fraction == by_count:
-        raise ConfigError("give either train_fraction or train_count/test_count, not both")
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if seed < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed}")
-    N = len(dataset)
-    y = dataset.labels
-    C = dataset.n_classes
-    class_idx = [np.flatnonzero(y == j) for j in range(C)]
+    class_idx = [np.flatnonzero(dataset.labels == j) for j in range(dataset.n_classes)]
     for j, idx in enumerate(class_idx):
         if idx.size < 2:
             raise DataError(
                 f"class {dataset.class_names[j]!r} has {idx.size} example(s); "
                 "stratified splitting needs at least 2 per class")
-
-    if by_fraction:
-        if not 0.0 < train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
-        # the 1e-9 guard keeps exact products like 5 * 0.8 from ceiling up
-        take = [math.ceil(idx.size * train_fraction - 1e-9) for idx in class_idx]
-    else:
-        if train_count is None or test_count is None:
-            raise ConfigError("explicit splitting needs both train_count and test_count")
-        if train_count < 1 or test_count < 1 or train_count + test_count != N:
-            raise ConfigError(
-                f"train_count + test_count must equal the corpus size {N}, "
-                f"got {train_count} + {test_count}")
-        take = _apportion([idx.size for idx in class_idx], train_count)
+    # the 1e-9 guard keeps exact products like 5 * 0.8 from ceiling up
+    take = [math.ceil(idx.size * train_fraction - 1e-9) for idx in class_idx]
 
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
@@ -398,7 +369,7 @@ def split(dataset: Dataset, train_fraction: Optional[float] = None,
         test_parts.append(perm[tc:])
     train_idx = np.sort(np.concatenate(train_parts)).astype(np.int64)
     test_idx = np.sort(np.concatenate(test_parts)).astype(np.int64)
-    if by_fraction and test_idx.size == 0:
+    if test_idx.size == 0:
         raise ConfigError(f"train_fraction {train_fraction} leaves an empty test split")
     return replace(dataset, train_idx=train_idx, test_idx=test_idx)
 
@@ -775,7 +746,9 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
 
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild a stored model from its blocks, its config and its class
-    names; blocks that disagree with them are an integrity error."""
+    names; blocks that disagree with them are an integrity error, and so
+    is a recorded task that disagrees with the class names, which is
+    checked before the blocks are read."""
     header, arrays = read_container(path)
     _check_header(path, header, "checkpoint", CHECKPOINT_FORMAT, _CHECKPOINT_HEADER)
     missing = sorted((_FIELD_TYPES.keys() | {"task"}) - header["config"].keys())
@@ -785,6 +758,10 @@ def load_checkpoint(path) -> Checkpoint:
     cfg = _from_header(path, "config", ExperimentConfig.from_dict, header["config"])
     names = header["class_names"]
     _from_header(path, "class_names", _check_class_names, names)
+    want = _recorded_task(len(names))
+    if task != want:
+        raise IntegrityError(f"{path}: the config records task {task!r}, but {len(names)} "
+                             f"classes make it {want!r}; retrain the model")
     model = _from_header(path, "model", ClassifierModel.from_blocks, arrays, cfg.cell,
                          cfg.literal_recurrence, header["vocab_sha"])
     _check_vocab_hash(path, header["vocab_text"], model.vocab_sha)
@@ -793,9 +770,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: the embedding table has {model.embedding.vocab_size} "
                              f"rows but the embedded vocabulary has {vocab.size} entries")
     problem = _disagreement(model, cfg, names)
-    want = _recorded_task(len(names))
-    if problem is None and task != want:
-        problem = f"the config records task {task!r}, but {len(names)} classes make it {want!r}"
     if problem is not None:
         raise IntegrityError(f"{path}: {problem}")
     pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
@@ -815,7 +789,7 @@ def save_dataset(path, dataset: Dataset, vocab: Vocabulary,
         "vocab_sha": vocab.sha256(),
         "vocab_text": vocab.serialize(),
         "pipeline": pipeline_cfg.to_dict(),
-        "has_split": dataset.train_idx is not None and dataset.test_idx is not None,
+        "has_split": dataset.train_idx is not None,
     }
     blocks = [("indices", dataset.indices), ("labels", dataset.labels),
               ("original_lengths", dataset.lengths)]

@@ -212,7 +212,7 @@ def test_5_binary_benchmark_proxy(capsys, tmp_path):
                        min_len=40, max_len=300)
     pipe = PipelineConfig(vocab_size=10000, max_len=250)
     ds, vocab = load_csv_dataset(csv, "text", "label", pipe)
-    ds = split(ds, train_count=2000, test_count=2000, seed=7)
+    ds = split(ds, train_fraction=0.5, seed=7)
     cfg = ExperimentConfig(cell="gru", epochs=30, seed=3)
     model, curve = train_until(cfg, ds, vocab, lambda _, p: p.test_acc >= 75.0)
     best = max(p.test_acc for p in curve)

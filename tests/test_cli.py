@@ -557,7 +557,9 @@ _DISAGREEING_HEADERS = [
      "the config calls for hidden_size 4, but the model has 8"),
     ("peepholes", "lstm", lambda h: h["config"].update(peepholes=False),
      "the config calls for peepholes False, but the model has True"),
-    ("short-class-names", "lstm", lambda h: h.update(class_names=h["class_names"][:2]),
+    # the recorded task follows the names, so that only the class count disagrees
+    ("short-class-names", "lstm",
+     lambda h: (h.update(class_names=h["class_names"][:2]), h["config"].update(task="binary")),
      "the model scores 3 classes, but 2 are named"),
 ]
 
@@ -580,6 +582,19 @@ class TestConfigAgainstBlocks:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_softmax_over_2_is_refused_by_its_task(self, workspace, tmp_path, command):
+        # the recorded task is checked before the blocks, whose 2 head rows
+        # no longer chain
+        args = ["--model", _softmax_over_2_checkpoint(workspace, tmp_path)]
+        if command == "evaluate":
+            args += ["--data", workspace["pre"] / "dataset.sqt", "--out-dir", tmp_path]
+        proc = _run_cli(command, *args, stdin="sig1w00\n")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith("the config records task 'multiclass', but 2 classes "
+                                    "make it 'binary'; retrain the model\n")
 
 
 def _reencoded(ws, tmp, name, edit_rows):
@@ -742,6 +757,9 @@ _EXIT_CODE_CASES = [
     ("train-fraction-on-train", lambda ws, tmp: [
         "train", "--data", ws["pre"] / "dataset.sqt", "--train-fraction", 0.8, "--out-dir", tmp],
      1, "unrecognized arguments: --train-fraction 0.8"),
+    ("split-counts", lambda ws, tmp: [
+        "preprocess", "--data", ws["csv"], "--train-count", 5, "--test-count", 5,
+        "--out-dir", tmp], 1, "unrecognized arguments: --train-count 5 --test-count 5"),
     ("evaluate-train-without-split", lambda ws, tmp: [
         "evaluate", "--model", ws["run"] / "model.sqt", "--data", _unsplit_dataset(ws, tmp),
         "--split", "train", "--out-dir", tmp], 1,
@@ -752,7 +770,7 @@ _EXIT_CODE_CASES = [
      "the dataset has no train/test split, so no test split; use --split all"),
     ("softmax-over-2-checkpoint", lambda ws, tmp: [
         "predict", "--model", _softmax_over_2_checkpoint(ws, tmp)], 2,
-     "head.W (2, 8) and head.b (2,) do not chain"),
+     "the config records task 'multiclass', but 2 classes make it 'binary'; retrain the model"),
     ("max-len-flag", lambda ws, tmp: [
         "train", "--data", ws["pre"] / "dataset.sqt", "--max-len", 3, "--out-dir", tmp], 1,
      "unrecognized arguments: --max-len 3"),

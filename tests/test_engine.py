@@ -185,12 +185,16 @@ class TestSplit:
         both = np.concatenate([out.train_idx, out.test_idx])
         assert np.array_equal(np.sort(both), np.arange(21))
 
-    def test_explicit_counts_largest_remainder(self):
-        # 5 + 5 + 5 examples, 10 train slots: the first class wins the tie
-        ds, _, _ = make_synthetic_corpus(15, 3, seed=0)
-        out = split(ds, train_count=10, test_count=5, seed=0)
-        y = out.labels
-        assert np.bincount(y[out.train_idx]).tolist() == [4, 3, 3]
+    def test_rows_are_pinned(self):
+        # 7 documents per class, labels 0 1 2 0 1 2 ...: each class puts
+        # ceil(4.9) = 5 on the training side. The rows follow the seed's
+        # draws, so this list changes only when the split's draws change.
+        labels = np.arange(21) % 3
+        ds = Dataset(indices=np.zeros((21, 4), dtype=np.int32), labels=labels,
+                     lengths=np.zeros(21, dtype=np.int32), class_names=["a", "b", "c"])
+        out = split(ds, train_fraction=0.7, seed=0)
+        assert out.train_idx.tolist() == [2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 18, 19, 20]
+        assert out.test_idx.tolist() == [0, 1, 3, 10, 14, 17]
 
     def test_seed_determinism(self):
         ds, _, _ = make_synthetic_corpus(20, 2, seed=3)
@@ -207,23 +211,16 @@ class TestSplit:
 
     def test_argument_validation(self):
         ds, _, _ = make_synthetic_corpus(10, 2, seed=0)
-        with pytest.raises(ConfigError, match="not both"):
-            split(ds, train_fraction=0.5, train_count=5, test_count=5)
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError, match="train_fraction"):
             split(ds)
-        with pytest.raises(ConfigError, match="train_fraction"):
-            split(ds, train_fraction=1.0)
-        with pytest.raises(ConfigError, match="both train_count and test_count"):
-            split(ds, train_count=5)
-        with pytest.raises(ConfigError, match="corpus size"):
-            split(ds, train_count=5, test_count=6)
+        for bad in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ConfigError, match=r"train_fraction must be in \(0, 1\)"):
+                split(ds, train_fraction=bad)
 
-    @pytest.mark.parametrize("kw", [dict(train_fraction=0.5),
-                                    dict(train_count=5, test_count=5)])
-    def test_negative_seed_rejected(self, kw):
+    def test_negative_seed_rejected(self):
         ds, _, _ = make_synthetic_corpus(10, 2, seed=0)
         with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
-            split(ds, seed=-1, **kw)
+            split(ds, train_fraction=0.5, seed=-1)
 
     def test_fraction_leaving_empty_test_rejected(self):
         ds, _, _ = make_synthetic_corpus(4, 2, seed=0)
@@ -791,13 +788,15 @@ class TestCheckpointHeader:
 
     # The cell kind comes from config.cell and the class count, which
     # picks the head, from class_names; config.task is recorded for
-    # earlier readers and must agree. So the cases named after the fields
-    # that format 3 stored take those away instead.
+    # earlier readers and must agree; that is checked before the blocks are
+    # read. So the cases named after the fields that format 3 stored take
+    # those away instead.
     @pytest.mark.parametrize("edit,match", [
         (lambda h: h.pop("config"), "config"),
         (lambda h: h["config"].pop("cell"), "config lacks cell"),
         (lambda h: h["config"].pop("task"), "config lacks task"),
-        (lambda h: h["class_names"].pop(), "the model scores 2 classes, but 1 are named"),
+        (lambda h: h["class_names"].pop(),
+         "the config records task 'binary', but 1 classes make it 'multiclass'"),
         (lambda h: h.pop("class_names"), "class_names"),
         (lambda h: h.pop("vocab_sha"), "vocab_sha"),
         (lambda h: h.pop("vocab_text"), "vocab_text"),
@@ -973,6 +972,16 @@ class TestDatasetChecks:
         rewrite_artifact(path, path, edit_arrays=edit)
         with pytest.raises(IntegrityError, match=match):
             load_dataset(path)
+
+    @pytest.mark.parametrize("side", ["train_idx", "test_idx"])
+    def test_half_a_split_is_refused(self, saved, side):
+        # one side alone would read as no split and be dropped on save
+        ds, _ = saved
+        with pytest.raises(ConfigError, match="a split needs both train_idx and test_idx"):
+            replace(ds, **{side: None})
+        unsplit = replace(ds, train_idx=None, test_idx=None)
+        with pytest.raises(ConfigError, match="a split needs both train_idx and test_idx"):
+            replace(unsplit, **{side: np.arange(4)})
 
     def test_valid_arrays_are_accepted(self, saved):
         ds, _ = saved
