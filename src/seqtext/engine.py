@@ -15,6 +15,7 @@ import json
 import math
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 
@@ -26,7 +27,7 @@ from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      VocabularyMismatchError)
 from .model import ClassifierModel, backward, cost, forward, loss_values, predict_classes
 from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
-                       build_vocabulary, clean, encode, text_sha256)
+                       build_vocabulary, clean, text_sha256)
 
 # Documents per forward pass when only scoring: evaluate, predict, the
 # per-epoch test pass and train's final evaluate. At hidden size 16 a
@@ -297,10 +298,14 @@ def load_csv_dataset(path, text_column: str, label_column: str, cfg: PipelineCon
 
     Label values map to class indices by first appearance. When ``vocab``
     is given it is reused instead of built, so indices stay comparable
-    across files. ``encode`` writes each document's row of a
-    preallocated (N, max_len) int32 matrix.
+    across files. Each row is cleaned as it is read, and its tokens are
+    kept only as corpus-local int32 ids, numbered by first appearance; one
+    lookup array then maps them to vocabulary indices, so the memory held
+    grows with the token count, not with the text.
     """
-    texts, labels, names = [], [], {}
+    labels, names = [], {}
+    local = {}                        # token -> corpus-local id
+    ids, lengths = array("i"), array("i")
     rows = _read_csv(path)
     header = next(rows, None)
     if header is None:
@@ -319,23 +324,31 @@ def load_csv_dataset(path, text_column: str, label_column: str, cfg: PipelineCon
         label = row[l_i].strip()
         if not label:
             raise DataError(f"{path}: row {rownum} has an empty label")
-        texts.append(row[t_i])
         labels.append(names.setdefault(label, len(names)))
-    if not texts:
+        tokens = clean(row[t_i], cfg)
+        ids.extend([local.setdefault(t, len(local)) for t in tokens])
+        lengths.append(len(tokens))
+    if not labels:
         raise DataError(f"{path}: no data rows")
 
-    token_lists = [clean(t, cfg) for t in texts]
+    flat = np.frombuffer(ids, dtype=np.intc)
     if vocab is None:
+        counts = np.bincount(flat, minlength=len(local)).tolist()
         try:
-            vocab = build_vocabulary(token_lists, cfg)
+            vocab = build_vocabulary(dict(zip(local, counts)), cfg)
         except DataError as e:
             raise DataError(f"{path}: {e}") from None
-    indices = np.empty((len(token_lists), cfg.max_len), dtype=np.int32)
-    for row, tokens in enumerate(token_lists):
-        indices[row] = encode(tokens, vocab, cfg)
+    lookup = np.fromiter((vocab.token_to_index.get(t, OOV_INDEX) for t in local),
+                         np.int32, len(local))
+    indices = np.zeros((len(lengths), cfg.max_len), dtype=np.int32)
+    start = 0
+    for r, n in enumerate(lengths):
+        kept = min(n, cfg.max_len)    # the tail is cut, the front padded
+        indices[r, cfg.max_len - kept:] = lookup[flat[start:start + kept]]
+        start += n
     ds = Dataset(indices=indices, labels=np.array(labels, dtype=np.int64),
-                 lengths=np.array([len(t) for t in token_lists], dtype=np.int32),
-                 class_names=list(names), vocab_sha=vocab.sha256())
+                 lengths=np.array(lengths, dtype=np.int32), class_names=list(names),
+                 vocab_sha=vocab.sha256())
     return ds, vocab
 
 
@@ -561,11 +574,12 @@ def write_container(path, header: dict, arrays: list) -> None:
     header, raw C-order blocks, then a length + CRC32 trailer.
 
     ``arrays`` is an ordered list of (name, ndarray); only float64 and
-    int32 blocks are stored. No timestamps enter the file, so identical
-    inputs give identical bytes.
+    int32 blocks are stored. Each block is written from its own memory
+    as the length and CRC run on, so no copy of the file is held. No
+    timestamps enter the file, so identical inputs give identical bytes.
     """
     manifest = []
-    blobs = []
+    blocks = []
     for name, arr in arrays:
         arr = np.ascontiguousarray(arr)
         if arr.dtype == np.float64:
@@ -575,15 +589,18 @@ def write_container(path, header: dict, arrays: list) -> None:
         else:
             raise ConfigError(f"block {name!r} has unsupported dtype {arr.dtype}")
         manifest.append({"name": name, "dtype": code, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes(order="C"))
+        # a byte view; memoryview.cast refuses a block with a zero dim
+        blocks.append(arr.reshape(-1).view(np.uint8))
     head = dict(header)
     head["blocks"] = manifest
     hb = json.dumps(head, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = _MAGIC + struct.pack("<Q", len(hb)) + hb + b"".join(blobs)
-    trailer = struct.pack("<Q", len(body)) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    size = crc = 0
     with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(trailer)
+        for part in [_MAGIC + struct.pack("<Q", len(hb)) + hb] + blocks:
+            fh.write(part)
+            size += len(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<QI", size, crc))
 
 
 def read_container(path) -> tuple[dict, dict]:
@@ -747,8 +764,8 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild a stored model from its blocks, its config and its class
     names; blocks that disagree with them are an integrity error, and so
-    is a recorded task that disagrees with the class names, which is
-    checked before the blocks are read."""
+    are fewer than 2 class names and a recorded task that disagrees with
+    the class names, which are checked before the blocks are read."""
     header, arrays = read_container(path)
     _check_header(path, header, "checkpoint", CHECKPOINT_FORMAT, _CHECKPOINT_HEADER)
     missing = sorted((_FIELD_TYPES.keys() | {"task"}) - header["config"].keys())
@@ -758,6 +775,9 @@ def load_checkpoint(path) -> Checkpoint:
     cfg = _from_header(path, "config", ExperimentConfig.from_dict, header["config"])
     names = header["class_names"]
     _from_header(path, "class_names", _check_class_names, names)
+    if len(names) < 2:
+        raise IntegrityError(f"{path}: the header names {len(names)} class(es), but a model "
+                             "scores at least 2 classes")
     want = _recorded_task(len(names))
     if task != want:
         raise IntegrityError(f"{path}: the config records task {task!r}, but {len(names)} "

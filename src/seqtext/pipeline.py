@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -168,18 +167,12 @@ class Vocabulary:
         return cls.from_text("".join(read_lines(path)))
 
 
-def build_vocabulary(corpus, cfg: PipelineConfig) -> Vocabulary:
+def build_vocabulary(counts, cfg: PipelineConfig) -> Vocabulary:
     """Rank tokens by corpus frequency and keep the top vocab_size - 2.
 
-    `corpus` is an iterable of token sequences (the output of clean()).
+    ``counts`` maps each token of the cleaned corpus to its number of
+    occurrences, as a ``Counter`` over clean() output does.
     """
-    counts = Counter()
-    n_docs = 0
-    for tokens in corpus:
-        n_docs += 1
-        counts.update(tokens)
-    if n_docs == 0:
-        raise ConfigError("cannot build a vocabulary from an empty corpus")
     if not counts:
         raise DataError("no document has a token after cleaning, so no vocabulary can be built")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -6,6 +6,7 @@ outcome inline even when everything passes.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -364,7 +365,7 @@ def test_9_numeric_invariants(capsys, tmp_path):
     cfg = PipelineConfig(vocab_size=30, max_len=12)
     corpus = [[f"w{rng.integers(40)}" for _ in range(int(rng.integers(0, 30)))]
               for _ in range(200)]
-    vocab = build_vocabulary([c for c in corpus if c] or [["w0"]], cfg)
+    vocab = build_vocabulary(Counter(t for c in corpus for t in c) or Counter(["w0"]), cfg)
     if not all(encode(toks, vocab, cfg).size == cfg.max_len for toks in corpus):
         failures.append("encoded length law")
 

@@ -1,5 +1,6 @@
 """End-to-end command-line flows: preprocess, train, evaluate, predict."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -869,3 +870,42 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert "preprocess" in proc.stdout
         assert "predict" in proc.stdout
+
+
+# A dataset is integer work only, so its bytes do not depend on the BLAS
+# build or the host. Case b re-encodes with case a's vocabulary; case c
+# drops two stopwords and caps the vocabulary where counts tie, and its
+# length cuts most documents.
+_PREPROCESS_PINS = [
+    ("built", lambda d: ["--train-fraction", 0.5, "--vocab-size", 500, "--max-len", 70],
+     "8192a1731f13e59d7dcc63b9680c476f0d7d1a89fac35bc55b6e3f58d5e797da",
+     "565da1ec7e7d00718b3bc0dfabd4694e3f0dc7e5b66cb8f1a93c44f07ff7d5fb"),
+    ("vocab-reuse", lambda d: ["--vocab", d / "built" / "vocab.tsv", "--max-len", 100],
+     "11656014a9070036982c482952213ed0547b9106a6f8a7eaaad432ef23a6f26b",
+     "565da1ec7e7d00718b3bc0dfabd4694e3f0dc7e5b66cb8f1a93c44f07ff7d5fb"),
+    ("stopwords", lambda d: ["--stopwords", d / "stop.txt", "--vocab-size", 40,
+                             "--max-len", 20],
+     "49927403063fe5a8743723c490097a52aa0fe2dbf33b781df3f3e95ad0c53583",
+     "0f3652e6fcd8f552697f6c281145cd1595b3c3ae82f0d6f98f75704436514194"),
+]
+
+
+class TestPreprocessBytes:
+    @pytest.fixture(scope="class")
+    def pinned(self, tmp_path_factory):
+        """The CI smoke corpus preprocessed three ways, in case order."""
+        root = tmp_path_factory.mktemp("pins")
+        engine.make_synthetic_csv(root / "corpus.csv", 600, 2, seed=0)
+        (root / "stop.txt").write_text("fill0001\nfill0002\n", encoding="utf-8")
+        for name, args, _, _ in _PREPROCESS_PINS:
+            proc = _run_cli("preprocess", "--data", root / "corpus.csv", *args(root),
+                            "--out-dir", root / name)
+            assert proc.returncode == 0, proc.stderr
+        return root
+
+    @pytest.mark.parametrize("case", _PREPROCESS_PINS, ids=[c[0] for c in _PREPROCESS_PINS])
+    def test_artifact_bytes_are_pinned(self, pinned, case):
+        name, _, dataset_sha, vocab_sha = case
+        for file, want in (("dataset.sqt", dataset_sha), ("vocab.tsv", vocab_sha)):
+            got = hashlib.sha256((pinned / name / file).read_bytes()).hexdigest()
+            assert got == want, file

@@ -1,5 +1,7 @@
 """Embedding table lookup and pretrained-vector loading."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ def test_dim_heuristic():
 
 def _tiny_vocab(tokens):
     cfg = PipelineConfig(vocab_size=len(tokens) + 2, max_len=4)
-    return build_vocabulary([tokens], cfg)
+    return build_vocabulary(Counter(tokens), cfg)
 
 
 class TestLoadPretrained:

@@ -1,6 +1,7 @@
 """Config parsing, splits, CSV loading, training loop, and artifacts."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -316,12 +317,59 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"long\.csv: line 3: field larger than field limit"):
             load_csv_dataset(p, "text", "label", cfg)
 
+    @pytest.mark.parametrize("reuse", [False, True], ids=["built", "reused"])
+    def test_rows_match_encode(self, tmp_path, reuse):
+        # predict encodes one line at a time; a stored row must be the same
+        p = tmp_path / "toy.csv"
+        texts = ["b a c d e f a", "", "a a z", "c b; a. e d c b a"]
+        _write_csv(p, [(t, "x") for t in texts])
+        cfg = pipeline.PipelineConfig(vocab_size=5, max_len=4)
+        vocab = pipeline.build_vocabulary({"e": 9, "b": 2, "zz": 3}, cfg) if reuse else None
+        ds, vocab = load_csv_dataset(p, "text", "label", cfg, vocab=vocab)
+        for row, text in zip(ds.indices, texts):
+            tokens = pipeline.clean(text, cfg)
+            assert row.tolist() == pipeline.encode(tokens, vocab, cfg).tolist()
+        assert ds.lengths.tolist() == [7, 0, 3, 8]
+
     def test_utf8_bom_is_transparent(self, tmp_path):
         p = tmp_path / "bom.csv"
         _write_csv(p, [("fine", "pos"), ("bad", "neg")], encoding="utf-8-sig")
         cfg = pipeline.PipelineConfig(vocab_size=10, max_len=4)
         ds, _ = load_csv_dataset(p, "text", "label", cfg)
         assert ds.class_names == ["pos", "neg"]
+
+
+class TestPreprocessMemory:
+    """Preprocessing holds memory in proportion to what it writes, not to
+    the raw text: the CSV smoke corpus of 600 documents, traced."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("mem") / "corpus.csv"
+        make_synthetic_csv(path, 600, 2, seed=0)
+        return path, pipeline.PipelineConfig(vocab_size=500, max_len=70)
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_csv_dataset_peak_within_6x_the_indices(self, corpus):
+        path, cfg = corpus
+        (ds, _), peak = self._peak(load_csv_dataset, path, "text", "label", cfg)
+        assert peak <= 6 * ds.indices.nbytes
+
+    def test_save_dataset_peak_within_the_file_size(self, corpus, tmp_path):
+        path, cfg = corpus
+        ds, vocab = load_csv_dataset(path, "text", "label", cfg)
+        ds = split(ds, train_fraction=0.5, seed=0)
+        out = tmp_path / "dataset.sqt"
+        _, peak = self._peak(save_dataset, out, ds, vocab, cfg)
+        assert peak <= out.stat().st_size
 
 
 class TestSyntheticCorpus:
@@ -668,6 +716,14 @@ class TestContainer:
             read_container(path)
         assert str(path) in str(err.value)
 
+    def test_zero_size_block_round_trips(self, tmp_path):
+        path = tmp_path / "empty.sqt"
+        write_container(path, {}, [("head.W", np.zeros((0, 8))),
+                                   ("ids", np.arange(3, dtype=np.int32))])
+        _, got = read_container(path)
+        assert got["head.W"].shape == (0, 8)
+        assert got["ids"].tolist() == [0, 1, 2]
+
     def test_header_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "list.sqt"
         hb = b"[1,2]"
@@ -795,8 +851,7 @@ class TestCheckpointHeader:
         (lambda h: h.pop("config"), "config"),
         (lambda h: h["config"].pop("cell"), "config lacks cell"),
         (lambda h: h["config"].pop("task"), "config lacks task"),
-        (lambda h: h["class_names"].pop(),
-         "the config records task 'binary', but 1 classes make it 'multiclass'"),
+        (lambda h: h["class_names"].pop(), "names 1 class\\(es\\), but a model scores at least 2"),
         (lambda h: h.pop("class_names"), "class_names"),
         (lambda h: h.pop("vocab_sha"), "vocab_sha"),
         (lambda h: h.pop("vocab_text"), "vocab_text"),

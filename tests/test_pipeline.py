@@ -1,5 +1,6 @@
 """Text cleaning, vocabulary construction, and encoding contracts."""
 
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -40,36 +41,39 @@ class TestClean:
 class TestBuildVocabulary:
     def test_frequency_ranking_and_oov(self):
         cfg = small_cfg(vocab_size=4)
-        vocab = build_vocabulary([["a", "a", "a", "b", "b", "c"]], cfg)
+        vocab = build_vocabulary(Counter("aaabbc"), cfg)
         assert vocab.token_to_index["a"] == 2
         assert vocab.token_to_index["b"] == 3
         assert "c" not in vocab.token_to_index
         assert vocab.size == 4
 
     def test_singleton_corpus(self):
-        vocab = build_vocabulary([["x"]], small_cfg(vocab_size=3))
+        vocab = build_vocabulary(Counter(["x"]), small_cfg(vocab_size=3))
         assert vocab.token_to_index["x"] == 2
 
     def test_lexicographic_tie_break(self):
-        vocab = build_vocabulary([["n", "m"]], small_cfg(vocab_size=4))
+        vocab = build_vocabulary(Counter(["n", "m"]), small_cfg(vocab_size=4))
         assert vocab.token_to_index["m"] == 2
         assert vocab.token_to_index["n"] == 3
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ConfigError):
-            build_vocabulary([], small_cfg())
-
-    def test_corpus_without_tokens_rejected(self):
+        # counts cannot tell no document from documents without a token
         with pytest.raises(DataError, match="no document has a token"):
-            build_vocabulary([[], []], small_cfg())
+            build_vocabulary(Counter(), small_cfg())
+
+    def test_corpus_without_tokens_rejected(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("text,label\n...,pos\n!?,neg\n", encoding="utf-8")
+        with pytest.raises(DataError, match="blank.csv: no document has a token"):
+            load_csv_dataset(p, "text", "label", small_cfg())
 
     def test_reserved_indices(self):
-        vocab = build_vocabulary([["a"]], small_cfg())
+        vocab = build_vocabulary(Counter(["a"]), small_cfg())
         assert vocab.index_to_token[PAD_INDEX] == "<PAD>"
         assert vocab.index_to_token[OOV_INDEX] == "<UNK>"
 
     def test_deterministic_construction(self):
-        corpus = [["q", "w", "e", "q"], ["w", "q"]]
+        corpus = Counter(["q", "w", "e", "q", "w", "q"])
         v1 = build_vocabulary(corpus, small_cfg())
         v2 = build_vocabulary(corpus, small_cfg())
         assert v1.index_to_token == v2.index_to_token
@@ -79,33 +83,33 @@ class TestBuildVocabulary:
 class TestEncode:
     def test_pre_padding(self):
         cfg = small_cfg(vocab_size=4, max_len=5)
-        vocab = build_vocabulary([["a", "a", "b"]], cfg)
+        vocab = build_vocabulary(Counter(["a", "a", "b"]), cfg)
         np.testing.assert_array_equal(encode(["a", "b"], vocab, cfg),
                                       [0, 0, 0, 2, 3])
 
     def test_tail_truncation(self):
         cfg = small_cfg(vocab_size=20, max_len=4)
         toks = ["a", "b", "c", "d", "e", "f"]
-        vocab = build_vocabulary([toks], cfg)
+        vocab = build_vocabulary(Counter(toks), cfg)
         out = encode(toks, vocab, cfg)
         assert out.shape == (4,)
         assert _tokens(out, vocab) == ["a", "b", "c", "d"]
 
     def test_oov_replacement(self):
         cfg = small_cfg(vocab_size=3, max_len=2)
-        vocab = build_vocabulary([["a"]], cfg)
+        vocab = build_vocabulary(Counter(["a"]), cfg)
         np.testing.assert_array_equal(encode(["z"], vocab, cfg), [0, OOV_INDEX])
 
     def test_empty_tokens_all_pad(self):
         cfg = small_cfg(max_len=3)
-        vocab = build_vocabulary([["a"]], cfg)
+        vocab = build_vocabulary(Counter(["a"]), cfg)
         np.testing.assert_array_equal(encode([], vocab, cfg), [0, 0, 0])
 
     def test_length_law(self):
         rng = np.random.default_rng(3)
         words = [f"w{k}" for k in range(30)]
         cfg = small_cfg(vocab_size=40, max_len=7)
-        vocab = build_vocabulary([words], cfg)
+        vocab = build_vocabulary(Counter(words), cfg)
         for _ in range(200):
             n = int(rng.integers(0, 20))
             toks = [words[int(rng.integers(30))] for _ in range(n)]
@@ -115,7 +119,7 @@ class TestEncode:
         rng = np.random.default_rng(4)
         words = [f"w{k}" for k in range(10)]
         cfg = small_cfg(vocab_size=20, max_len=8)
-        vocab = build_vocabulary([words], cfg)
+        vocab = build_vocabulary(Counter(words), cfg)
         for _ in range(100):
             n = int(rng.integers(1, 9))
             toks = [words[int(rng.integers(10))] for _ in range(n)]
@@ -124,14 +128,14 @@ class TestEncode:
 
 class TestVocabularyPersistence:
     def test_serialize_round_trip(self):
-        vocab = build_vocabulary([["a", "b", "a"]], small_cfg())
+        vocab = build_vocabulary(Counter(["a", "b", "a"]), small_cfg())
         again = Vocabulary.from_text(vocab.serialize())
         assert again.index_to_token == vocab.index_to_token
         assert again.frequencies == vocab.frequencies
         assert again.sha256() == vocab.sha256()
 
     def test_save_load(self, tmp_path):
-        vocab = build_vocabulary([["a", "b"]], small_cfg())
+        vocab = build_vocabulary(Counter(["a", "b"]), small_cfg())
         p = tmp_path / "vocab.tsv"
         vocab.save(p)
         assert Vocabulary.load(p).sha256() == vocab.sha256()
@@ -177,7 +181,7 @@ class TestVocabularyPersistence:
 
     def test_every_token_clean_produces_is_accepted(self):
         raw = "Caf\u00e9 NO.1, x\u00b2 -- Fill-0001 \u0130stanbul 42"
-        vocab = build_vocabulary([clean(raw, small_cfg())], small_cfg())
+        vocab = build_vocabulary(Counter(clean(raw, small_cfg())), small_cfg())
         assert Vocabulary.from_text(vocab.serialize()).index_to_token == vocab.index_to_token
 
 
