@@ -21,9 +21,11 @@ runs it over the whole document and keeps every step for the backward
 pass. Inference runs it without history, one time chunk at a time: the
 projection then covers one chunk, the state lives in two alternating
 slots, and the returned :class:`CellState` starts the next chunk.
-:func:`backward_sequence` keeps only the recurrent terms in its loop;
-the input, recurrent, bias and peephole gradients and the input
-gradients are matrix products over all steps after it.
+:func:`backward_sequence` keeps only the recurrent terms in its loop:
+the gate factors that depend on the recorded activations alone are
+computed before it, and the input, recurrent, bias and peephole
+gradients and the input gradients are matrix products over all steps
+after it.
 
 Update rules, with ``@`` the matrix product and ``*`` elementwise:
 
@@ -59,6 +61,10 @@ from .errors import ConfigError, ShapeError
 from .linalg import sigmoid
 
 GATES = {"rnn": 1, "lstm": 4, "gru": 3}
+# Steps per window of the gate factors that backward_sequence computes
+# ahead of its loop. It bounds each factor at (BPTT_WINDOW, batch, H)
+# instead of the whole document's, which keeps training's peak memory.
+BPTT_WINDOW = 32
 
 
 def _gates(kind: str) -> int:
@@ -244,13 +250,31 @@ def run_sequence(xs: np.ndarray, cell: Cell, state: Optional[CellState] = None,
     return hs[last].copy(), SequenceCache(xs=xs, hs=hs, acts=acts, cs=cs)
 
 
+def _windows(T: int) -> list[slice]:
+    """Slices of at most ``BPTT_WINDOW`` steps that cover range(T), the
+    last steps first."""
+    return [slice(max(t1 - BPTT_WINDOW, 0), t1) for t1 in range(T, 0, -BPTT_WINDOW)]
+
+
 def backward_sequence(cache: SequenceCache, grad_h_final: np.ndarray,
                       cell: Cell) -> tuple[dict, np.ndarray]:
     """Exact reverse-mode gradients through a recorded forward pass.
 
-    ``grad_h_final`` is (batch, H). Returns (parameter gradients keyed
-    like ``named_params``, (T, batch, input) input gradients). The gate
-    deltas overwrite ``cache.acts``, so a cache serves one backward pass.
+    ``grad_h_final`` is (batch, H) and is not modified. Returns (parameter
+    gradients keyed like ``named_params``, (T, batch, input) input
+    gradients). The gate deltas overwrite ``cache.acts``, so a cache
+    serves one backward pass.
+
+    Each gate delta is the gradient flowing back (dh, and for the LSTM
+    dc) times a factor of the recorded activations alone. Those factors
+    are computed with whole-array operations ahead of the step loop:
+    the RNN's 1 - h^2 (h(1 - h) for a sigmoid) for all T steps, into
+    ``acts`` itself, and the gated cells' one window of ``BPTT_WINDOW``
+    steps at a time. The loop keeps only their products with dh and dc,
+    written into the gate slots of ``acts``, and the recurrent matrix
+    products. The tanh RNN's arithmetic is that of a per-step loop; the
+    gated cells multiply in another grouping, and their gradients agree
+    with a per-step loop to rounding.
     """
     xs, hs, acts, cs = cache
     T, B, D = xs.shape
@@ -264,40 +288,57 @@ def backward_sequence(cache: SequenceCache, grad_h_final: np.ndarray,
     if cell.kind == "gru":
         Uzr, Uc = U[:2 * H], U[2 * H:]
         rh = acts[:, :, H:2 * H] * hs[:-1]  # U_c's input, before the deltas replace r
-        for t in range(T - 1, -1, -1):
-            a, h_prev = acts[t], hs[t]
-            z, r, cand = a[:, :H], a[:, H:2 * H], a[:, 2 * H:]
-            da_z = dh * (cand - h_prev) * z * (1.0 - z)
-            da_c = dh * z * (1.0 - cand * cand)
-            drh = da_c @ Uc
-            da_r = drh * h_prev * r * (1.0 - r)
-            dh_direct = dh * (1.0 - z) + drh * r
-            a[:, :H], a[:, H:2 * H], a[:, 2 * H:] = da_z, da_r, da_c
-            dh = dh_direct + a[:, :2 * H] @ Uzr
+        for w in _windows(T):
+            aw, h_prev = acts[w], hs[w]
+            z, r, cand = aw[..., :H], aw[..., H:2 * H], aw[..., 2 * H:]
+            keep = 1.0 - z
+            z_f = (cand - h_prev) * z * keep
+            c_f = z * (1.0 - cand * cand)
+            r_f = rh[w] * (1.0 - r)
+            for k in range(len(aw) - 1, -1, -1):
+                a = aw[k]
+                np.multiply(dh, z_f[k], out=a[:, :H])
+                da_c = np.multiply(dh, c_f[k], out=a[:, 2 * H:])
+                drh = da_c @ Uc
+                dh_direct = dh * keep[k]
+                dh_direct += drh * a[:, H:2 * H]  # r, read before its delta replaces it
+                np.multiply(drh, r_f[k], out=a[:, H:2 * H])
+                dh = a[:, :2 * H] @ Uzr
+                dh += dh_direct
     elif cell.kind == "lstm":
         V = cell.V
         dc = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            a, tanh_c, c_prev = acts[t], np.tanh(cs[t + 1]), cs[t]
-            i, f, o, cand = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-            da_o = dh * tanh_c * o * (1.0 - o)
-            dc = dh * o * (1.0 - tanh_c * tanh_c) + dc
-            if V is not None:
-                dc = dc + da_o @ V[2 * H:]
-            da_i = dc * cand * i * (1.0 - i)
-            da_f = dc * c_prev * f * (1.0 - f)
-            da_c = dc * i * (1.0 - cand * cand)
-            dc = dc * f
-            a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:] = da_i, da_f, da_o, da_c
-            if V is not None:
-                dc = dc + a[:, :2 * H] @ V[:2 * H]
-            dh = a @ U
+        for w in _windows(T):
+            aw, c_prev = acts[w], cs[w]
+            i, f, o, cand = (aw[..., k * H:(k + 1) * H] for k in range(4))
+            tanh_c = np.tanh(cs[w.start + 1:w.stop + 1])
+            o_f = tanh_c * o * (1.0 - o)
+            dc_f = o * (1.0 - tanh_c * tanh_c)
+            i_f = cand * i * (1.0 - i)
+            f_f = c_prev * f * (1.0 - f)
+            c_f = i * (1.0 - cand * cand)
+            for k in range(len(aw) - 1, -1, -1):
+                a = aw[k]
+                da_o = np.multiply(dh, o_f[k], out=a[:, 2 * H:3 * H])
+                dc_t = dh * dc_f[k]
+                dc_t += dc
+                if V is not None:
+                    dc_t += da_o @ V[2 * H:]
+                np.multiply(dc_t, i_f[k], out=a[:, :H])
+                np.multiply(dc_t, c_f[k], out=a[:, 3 * H:])
+                dc = dc_t * a[:, H:2 * H]  # f, read before its delta replaces it
+                np.multiply(dc_t, f_f[k], out=a[:, H:2 * H])
+                if V is not None:
+                    dc += a[:, :2 * H] @ V[:2 * H]
+                dh = a @ U
     else:
-        tanh = cell.nonlinearity == "tanh"
+        h = hs[1:]
+        if cell.nonlinearity == "tanh":
+            np.subtract(1.0, np.multiply(h, h, out=acts), out=acts)
+        else:
+            np.multiply(h, np.subtract(1.0, h), out=acts)
         for t in range(T - 1, -1, -1):
-            h = hs[t + 1]
-            da = dh * (1.0 - h * h) if tanh else dh * h * (1.0 - h)
-            acts[t] = da
+            da = np.multiply(dh, acts[t], out=acts[t])
             dh = da @ U
 
     DA = acts.reshape(T * B, -1)

@@ -181,8 +181,7 @@ def _cmd_predict(args) -> int:
     # fills or stdin ends.
     stdin = _stdin_lines()
     while lines := list(islice(stdin, engine.INFERENCE_BATCH_SIZE)):
-        rows = np.stack([encode(clean(line.rstrip("\n"), pipe), vocab, pipe)
-                         for line in lines])
+        rows = encode([clean(line.rstrip("\n"), pipe) for line in lines], vocab, pipe)
         probs = forward(model, rows, trace=False)[0]
         classes = predict_classes(model, probs)
         chosen = probs if model.head == "sigmoid" else probs.max(axis=1)

@@ -74,14 +74,15 @@ def lookup_grad(indices: np.ndarray, grad_rows: np.ndarray, vocab_size: int) -> 
     ``grad_rows`` is shaped like ``lookup(indices, ...)``. Row i of the
     result sums the gradients of every occurrence of index i, in the
     row-major order of ``indices``; the pad row gets none. One weighted
-    ``bincount`` per column adds in the order of ``np.add.at`` into a
-    zero table, so the sums are bitwise equal, and it runs faster.
+    ``bincount`` over the flat table positions ``index * dim + column``
+    adds in the order of ``np.add.at`` into a zero table, so the sums are
+    bitwise equal, and it runs faster.
     """
-    flat_idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-    out = np.empty((vocab_size, grad_rows.shape[-1]))
-    for j in range(out.shape[1]):
-        out[:, j] = np.bincount(flat_idx, weights=grad_rows[..., j].reshape(-1),
-                                minlength=vocab_size)
+    dim = grad_rows.shape[-1]
+    flat_idx = np.asarray(indices, dtype=np.intp).reshape(-1, 1)
+    positions = (flat_idx * dim + np.arange(dim)).reshape(-1)
+    out = np.bincount(positions, weights=grad_rows.reshape(-1), minlength=vocab_size * dim)
+    out = out.reshape(vocab_size, dim)
     out[PAD_INDEX] = 0.0
     return out
 

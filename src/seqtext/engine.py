@@ -495,6 +495,8 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
                 if cfg.gradient_clip is not None:
                     optim.clip_gradients(grads, cfg.gradient_clip)
                 opt.step(params, grads)
+                # both are spent; freed now, the next batch reuses their memory
+                del trace, grads
             except DivergenceError as e:
                 raise DivergenceError(
                     f"diverged at epoch {ep + 1}, batch {bi + 1}: {e}; "

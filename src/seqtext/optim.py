@@ -1,8 +1,12 @@
 """Gradient-descent optimizers operating on named parameter dicts.
 
 All three update in place and keep per-parameter accumulator slots
-shaped exactly like the parameters. A non-finite gradient aborts with a
-diagnostic naming the offending block.
+shaped exactly like the parameters. A step consumes its gradients: each
+block's gradient array is overwritten as scratch, so that an update
+allocates at most one temporary the size of its block, and the caller
+must not read the gradients after the step. A non-finite gradient
+aborts with a diagnostic naming the offending block, before that block
+is modified.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ class Sgd:
         for name, p in params.items():
             g = grads[name]
             _check_finite(name, g)
-            p -= self.learning_rate * g
+            g *= self.learning_rate
+            p -= g
 
 
 class RmsProp:
@@ -51,9 +56,15 @@ class RmsProp:
             s = self.s.get(name)
             if s is None:
                 s = self.s[name] = np.zeros_like(p)
+            tmp = np.multiply(g, 1.0 - RMSPROP_RHO)
+            tmp *= g
             s *= RMSPROP_RHO
-            s += (1.0 - RMSPROP_RHO) * g * g
-            p -= self.learning_rate * g / (np.sqrt(s) + EPS)
+            s += tmp
+            g *= self.learning_rate
+            np.sqrt(s, out=tmp)
+            tmp += EPS
+            g /= tmp
+            p -= g
 
 
 class Adam:
@@ -75,13 +86,20 @@ class Adam:
                 m = self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
             v = self.v[name]
+            tmp = np.multiply(g, 1.0 - ADAM_BETA1)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += tmp
+            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+            tmp *= g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+            v += tmp
+            m_hat = np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=g)
+            m_hat *= self.learning_rate
+            v_hat = np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=tmp)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += EPS
+            m_hat /= v_hat
+            p -= m_hat
 
 
 def make_optimizer(kind: str, learning_rate: float):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -182,16 +182,16 @@ def build_vocabulary(counts, cfg: PipelineConfig) -> Vocabulary:
     return Vocabulary(tokens, freqs)
 
 
-def encode(tokens, vocab: Vocabulary, cfg: PipelineConfig) -> np.ndarray:
-    """Map tokens to indices, truncate the tail, pre-pad with zeros.
-
-    Output always has exactly max_len entries. A token outside the
-    vocabulary maps to ``OOV_INDEX``.
+def encode(documents, vocab: Vocabulary, cfg: PipelineConfig) -> np.ndarray:
+    """Map a list of token lists to one (len(documents), max_len) int32
+    matrix: each row keeps its document's first max_len tokens, pre-padded
+    with zeros. A token outside the vocabulary maps to ``OOV_INDEX``.
     """
-    tokens = tokens[: cfg.max_len]
-    out = np.zeros(cfg.max_len, dtype=np.int32)
-    if tokens:
-        ids = map(vocab.token_to_index.get, tokens, repeat(OOV_INDEX))
-        out[cfg.max_len - len(tokens):] = np.fromiter(ids, np.int32, len(tokens))
+    kept = [tokens[: cfg.max_len] for tokens in documents]
+    lengths = np.fromiter(map(len, kept), np.intp, len(kept))
+    ids = map(vocab.token_to_index.get, chain.from_iterable(kept), repeat(OOV_INDEX))
+    out = np.zeros((len(kept), cfg.max_len), dtype=np.int32)
+    # the filled positions of each row are its last len(tokens), in row-major order
+    out[np.arange(cfg.max_len) >= cfg.max_len - lengths[:, None]] = np.fromiter(
+        ids, np.int32, int(lengths.sum()))
     return out
-

@@ -18,6 +18,7 @@ from seqtext.engine import (build_model, load_csv_dataset, make_synthetic_csv, r
                             train_epochs, write_container)
 from seqtext.errors import ConfigError, ShapeError
 from seqtext.metrics import EvalReport
+from seqtext.optim import ADAM_BETA1, ADAM_BETA2, EPS, RMSPROP_RHO
 from seqtext.pipeline import PipelineConfig
 
 
@@ -158,6 +159,120 @@ def backward_document(cache, grad_h_final, cell: Cell):
     final gradient and returns (T, input) input gradients."""
     grads, dxs = backward_sequence(cache, _one_row(grad_h_final), cell)
     return grads, dxs[:, 0]
+
+
+def reference_backward_sequence(cache, grad_h_final, cell: Cell):
+    """``backward_sequence`` as a per-step loop that forms every gate delta
+    from the activations of its own step. Kept as the oracle for the
+    loop with precomputed gate factors; like it, it overwrites
+    ``cache.acts``."""
+    xs, hs, acts, cs = cache
+    T, B, D = xs.shape
+    H = cell.hidden_size
+    dh = grad_h_final
+    U = cell.U
+    if cell.kind == "gru":
+        Uzr, Uc = U[:2 * H], U[2 * H:]
+        rh = acts[:, :, H:2 * H] * hs[:-1]
+        for t in range(T - 1, -1, -1):
+            a, h_prev = acts[t], hs[t]
+            z, r, cand = a[:, :H], a[:, H:2 * H], a[:, 2 * H:]
+            da_z = dh * (cand - h_prev) * z * (1.0 - z)
+            da_c = dh * z * (1.0 - cand * cand)
+            drh = da_c @ Uc
+            da_r = drh * h_prev * r * (1.0 - r)
+            dh_direct = dh * (1.0 - z) + drh * r
+            a[:, :H], a[:, H:2 * H], a[:, 2 * H:] = da_z, da_r, da_c
+            dh = dh_direct + a[:, :2 * H] @ Uzr
+    elif cell.kind == "lstm":
+        V = cell.V
+        dc = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            a, tanh_c, c_prev = acts[t], np.tanh(cs[t + 1]), cs[t]
+            i, f, o, cand = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+            da_o = dh * tanh_c * o * (1.0 - o)
+            dc = dh * o * (1.0 - tanh_c * tanh_c) + dc
+            if V is not None:
+                dc = dc + da_o @ V[2 * H:]
+            da_i = dc * cand * i * (1.0 - i)
+            da_f = dc * c_prev * f * (1.0 - f)
+            da_c = dc * i * (1.0 - cand * cand)
+            dc = dc * f
+            a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:] = da_i, da_f, da_o, da_c
+            if V is not None:
+                dc = dc + a[:, :2 * H] @ V[:2 * H]
+            dh = a @ U
+    else:
+        tanh = cell.nonlinearity == "tanh"
+        for t in range(T - 1, -1, -1):
+            h = hs[t + 1]
+            da = dh * (1.0 - h * h) if tanh else dh * h * (1.0 - h)
+            acts[t] = da
+            dh = da @ U
+
+    DA = acts.reshape(T * B, -1)
+    grads = {"W": DA.T @ xs.reshape(T * B, D)}
+    if not cell.literal_mode:
+        h_prev = hs[:-1].reshape(T * B, H)
+        if cell.kind == "gru":
+            grads["U"] = np.concatenate([DA[:, :2 * H].T @ h_prev,
+                                         DA[:, 2 * H:].T @ rh.reshape(T * B, H)])
+        else:
+            grads["U"] = DA.T @ h_prev
+        grads["b"] = DA.sum(axis=0)
+    if cell.V is not None:
+        grads["V"] = np.concatenate([DA[:, :2 * H].T @ cs[:-1].reshape(T * B, H),
+                                     DA[:, 2 * H:3 * H].T @ cs[1:].reshape(T * B, H)])
+    return grads, (DA @ cell.W).reshape(T, B, D)
+
+
+class ReferenceSgd:
+    """``optim.Sgd``'s update as one expression, leaving the gradient intact."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
+
+    def step(self, params, grads):
+        for name, p in params.items():
+            p -= self.learning_rate * grads[name]
+
+
+class ReferenceRmsProp:
+    """``optim.RmsProp``'s update as expressions with fresh temporaries."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
+        self.s = {}
+
+    def step(self, params, grads):
+        for name, p in params.items():
+            g = grads[name]
+            s = self.s.setdefault(name, np.zeros_like(p))
+            s *= RMSPROP_RHO
+            s += (1.0 - RMSPROP_RHO) * g * g
+            p -= self.learning_rate * g / (np.sqrt(s) + EPS)
+
+
+class ReferenceAdam:
+    """``optim.Adam``'s update as expressions with fresh temporaries."""
+
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
+        self.m, self.v, self.t = {}, {}, 0
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, p in params.items():
+            g = grads[name]
+            m = self.m.setdefault(name, np.zeros_like(p))
+            v = self.v.setdefault(name, np.zeros_like(p))
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def one_step(x, cell: Cell, h_prev, c_prev=None):

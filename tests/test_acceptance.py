@@ -366,7 +366,7 @@ def test_9_numeric_invariants(capsys, tmp_path):
     corpus = [[f"w{rng.integers(40)}" for _ in range(int(rng.integers(0, 30)))]
               for _ in range(200)]
     vocab = build_vocabulary(Counter(t for c in corpus for t in c) or Counter(["w0"]), cfg)
-    if not all(encode(toks, vocab, cfg).size == cfg.max_len for toks in corpus):
+    if encode(corpus, vocab, cfg).shape != (len(corpus), cfg.max_len):
         failures.append("encoded length law")
 
     ds, vocab, pcfg = make_synthetic_corpus(12, 2, seed=1, signal_rate=0.5,

@@ -14,8 +14,8 @@ from seqtext.cells import (GATES, Cell, CellState, backward_sequence, init_weigh
 from seqtext.errors import ConfigError, ShapeError
 from seqtext.linalg import sigmoid
 
-from helpers import (backward_document, fd_gradient, gate_errors, one_step, run_document,
-                     zero_cell)
+from helpers import (backward_document, fd_gradient, gate_errors, one_step,
+                     reference_backward_sequence, rel_error, run_document, zero_cell)
 
 
 class TestAnalyticSteps:
@@ -263,6 +263,31 @@ def test_gradients_match_finite_differences(label, factory):
                 assert err < 1e-5, f"{label} seed {seed} block {name} gate {k}: rel err {err:.2e}"
         err = gate_errors(dxs, fd_gradient(loss, xs), T)[0]
         assert err < 1e-5, f"{label} seed {seed} inputs: rel err {err:.2e}"
+
+
+@pytest.mark.parametrize("label,factory", CELL_VARIANTS, ids=[v[0] for v in CELL_VARIANTS])
+@pytest.mark.parametrize("T", [1, 2, 33])
+@pytest.mark.parametrize("B", [1, 5, 32])
+def test_backward_equals_per_step_reference(label, factory, T, B):
+    # The tanh RNN keeps the per-step arithmetic exactly; the gated cells
+    # regroup each gate delta's products, which moves results by rounding.
+    rng = np.random.default_rng(T * 100 + B)
+    p = factory(16, 16, rng)
+    xs = rng.normal(size=(T, B, 16))
+    w = rng.normal(size=(B, 16))
+    w_before = w.copy()
+    grads, dxs = backward_sequence(run_sequence(xs, p)[1], w, p)
+    ref, ref_dxs = reference_backward_sequence(run_sequence(xs, p)[1], w, p)
+    np.testing.assert_array_equal(w, w_before)
+    assert sorted(grads) == sorted(ref)
+    if p.kind == "rnn" and p.nonlinearity == "tanh":
+        for name in ref:
+            assert grads[name].tobytes() == ref[name].tobytes(), name
+        assert dxs.tobytes() == ref_dxs.tobytes()
+    else:
+        for name in ref:
+            assert rel_error(grads[name], ref[name]) < 1e-12, name
+        assert rel_error(dxs, ref_dxs) < 1e-12
 
 
 class TestShapesAndValidation:

@@ -131,8 +131,8 @@ class TestHappyPath:
 
 def _predict_alone(ckpt, line):
     """The answer for one line, from a forward pass over its row alone."""
-    row = pipeline.encode(pipeline.clean(line, ckpt.pipeline), ckpt.vocab, ckpt.pipeline)
-    probs = forward(ckpt.model, row)[0]
+    rows = pipeline.encode([pipeline.clean(line, ckpt.pipeline)], ckpt.vocab, ckpt.pipeline)
+    probs = forward(ckpt.model, rows)[0][0]
     if ckpt.model.head == "sigmoid":
         cls, prob = int(probs >= 0.5), probs
     else:

@@ -319,16 +319,15 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("reuse", [False, True], ids=["built", "reused"])
     def test_rows_match_encode(self, tmp_path, reuse):
-        # predict encodes one line at a time; a stored row must be the same
+        # predict encodes its lines with encode; the stored rows must be its rows
         p = tmp_path / "toy.csv"
         texts = ["b a c d e f a", "", "a a z", "c b; a. e d c b a"]
         _write_csv(p, [(t, "x") for t in texts])
         cfg = pipeline.PipelineConfig(vocab_size=5, max_len=4)
         vocab = pipeline.build_vocabulary({"e": 9, "b": 2, "zz": 3}, cfg) if reuse else None
         ds, vocab = load_csv_dataset(p, "text", "label", cfg, vocab=vocab)
-        for row, text in zip(ds.indices, texts):
-            tokens = pipeline.clean(text, cfg)
-            assert row.tolist() == pipeline.encode(tokens, vocab, cfg).tolist()
+        rows = pipeline.encode([pipeline.clean(text, cfg) for text in texts], vocab, cfg)
+        assert ds.indices.tolist() == rows.tolist()
         assert ds.lengths.tolist() == [7, 0, 3, 8]
 
     def test_utf8_bom_is_transparent(self, tmp_path):

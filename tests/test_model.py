@@ -15,7 +15,8 @@ from seqtext.engine import ExperimentConfig
 from seqtext.errors import ConfigError, DivergenceError, ShapeError
 from seqtext.linalg import sigmoid
 
-from helpers import fd_gradient, gate_errors, rel_error
+from helpers import (ReferenceAdam, ReferenceRmsProp, ReferenceSgd, fd_gradient, gate_errors,
+                     rel_error)
 
 
 class TestSoftmax:
@@ -139,6 +140,61 @@ class TestOptimizers:
         for _ in range(500):
             opt.step(p, {"w": 2.0 * (p["w"] - 3.0)})
         assert abs(p["w"][0] - 3.0) < 1e-3
+
+    # The blocks of a peephole lstm at the paper's shapes: an embedding of
+    # 10,000 x 16, E = H = 16, dense 8 and a sigmoid head.
+    PAPER_BLOCKS = {"embedding.weights": (10_000, 16), "cell.W": (64, 16), "cell.U": (64, 16),
+                    "cell.b": (64,), "cell.V": (48, 16), "dense.W": (8, 16), "dense.b": (8,),
+                    "head.W": (1, 8), "head.b": (1,)}
+
+    @staticmethod
+    def _paper_grads(rng):
+        grads = {n: rng.normal(size=s) * 10.0 ** rng.integers(-6, 2, size=s)
+                 for n, s in TestOptimizers.PAPER_BLOCKS.items()}
+        emb = grads["embedding.weights"]
+        emb[rng.random(emb.shape[0]) < 0.75] = 0.0  # the rows no document of the batch holds
+        return grads
+
+    @pytest.mark.parametrize("kind,reference", [("sgd", ReferenceSgd), ("rmsprop", ReferenceRmsProp),
+                                                ("adam", ReferenceAdam)])
+    def test_in_place_steps_equal_reference_bitwise(self, kind, reference):
+        rng = np.random.default_rng(7)
+        params = {n: rng.normal(size=s) for n, s in self.PAPER_BLOCKS.items()}
+        ref_params = {n: p.copy() for n, p in params.items()}
+        opt, ref = optim.make_optimizer(kind, 0.01), reference(0.01)
+        for _ in range(20):
+            grads = self._paper_grads(rng)
+            ref.step(ref_params, {n: g.copy() for n, g in grads.items()})
+            opt.step(params, grads)
+        for name in params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), name
+
+    def test_adam_step_allocates_one_block(self):
+        rng = np.random.default_rng(8)
+        shape = self.PAPER_BLOCKS["embedding.weights"]
+        p = {"embedding.weights": rng.normal(size=shape)}
+        opt = optim.Adam(0.01)
+        # the first step allocates the moment slots; a later one measures the update
+        opt.step(p, {"embedding.weights": self._paper_grads(rng)["embedding.weights"]})
+        grads = {"embedding.weights": self._paper_grads(rng)["embedding.weights"]}
+        tracemalloc.start()
+        try:
+            opt.step(p, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * p["embedding.weights"].nbytes
+
+    @pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
+    def test_non_finite_gradient_leaves_its_block_unmodified(self, kind):
+        params = {"a": np.ones(3), "b": np.full(4, 2.0)}
+        opt = optim.make_optimizer(kind, 0.1)
+        opt.step(params, {"a": np.ones(3), "b": np.ones(4)})
+        before = params["b"].copy()
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DivergenceError, match="'b'"):
+                opt.step(params, {"a": np.ones(3), "b": np.array([1.0, bad, 1.0, 1.0])})
+            np.testing.assert_array_equal(params["b"], before)
 
     def test_non_finite_gradient_aborts_with_block_name(self):
         p = {"dense.W": np.zeros(2)}

@@ -84,46 +84,52 @@ class TestEncode:
     def test_pre_padding(self):
         cfg = small_cfg(vocab_size=4, max_len=5)
         vocab = build_vocabulary(Counter(["a", "a", "b"]), cfg)
-        np.testing.assert_array_equal(encode(["a", "b"], vocab, cfg),
-                                      [0, 0, 0, 2, 3])
+        out = encode([["a", "b"], ["b"]], vocab, cfg)
+        assert out.dtype == np.int32
+        np.testing.assert_array_equal(out, [[0, 0, 0, 2, 3], [0, 0, 0, 0, 3]])
 
     def test_tail_truncation(self):
         cfg = small_cfg(vocab_size=20, max_len=4)
         toks = ["a", "b", "c", "d", "e", "f"]
         vocab = build_vocabulary(Counter(toks), cfg)
-        out = encode(toks, vocab, cfg)
-        assert out.shape == (4,)
-        assert _tokens(out, vocab) == ["a", "b", "c", "d"]
+        out = encode([toks, toks[:4]], vocab, cfg)
+        assert out.shape == (2, 4)
+        assert _tokens(out[0], vocab) == _tokens(out[1], vocab) == ["a", "b", "c", "d"]
 
     def test_oov_replacement(self):
         cfg = small_cfg(vocab_size=3, max_len=2)
         vocab = build_vocabulary(Counter(["a"]), cfg)
-        np.testing.assert_array_equal(encode(["z"], vocab, cfg), [0, OOV_INDEX])
+        np.testing.assert_array_equal(encode([["z"], ["a", "z"]], vocab, cfg),
+                                      [[0, OOV_INDEX], [2, OOV_INDEX]])
 
     def test_empty_tokens_all_pad(self):
         cfg = small_cfg(max_len=3)
         vocab = build_vocabulary(Counter(["a"]), cfg)
-        np.testing.assert_array_equal(encode([], vocab, cfg), [0, 0, 0])
+        np.testing.assert_array_equal(encode([[], ["a"], []], vocab, cfg),
+                                      [[0, 0, 0], [0, 0, 2], [0, 0, 0]])
+        assert encode([], vocab, cfg).shape == (0, 3)
 
     def test_length_law(self):
         rng = np.random.default_rng(3)
         words = [f"w{k}" for k in range(30)]
         cfg = small_cfg(vocab_size=40, max_len=7)
         vocab = build_vocabulary(Counter(words), cfg)
-        for _ in range(200):
-            n = int(rng.integers(0, 20))
-            toks = [words[int(rng.integers(30))] for _ in range(n)]
-            assert encode(toks, vocab, cfg).shape == (7,)
+        docs = [[words[int(rng.integers(30))] for _ in range(int(rng.integers(0, 20)))]
+                for _ in range(200)]
+        out = encode(docs, vocab, cfg)
+        assert out.shape == (200, 7)
+        for row, toks in zip(out, docs):
+            assert (row != 0).sum() == min(len(toks), 7)
 
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         words = [f"w{k}" for k in range(10)]
         cfg = small_cfg(vocab_size=20, max_len=8)
         vocab = build_vocabulary(Counter(words), cfg)
-        for _ in range(100):
-            n = int(rng.integers(1, 9))
-            toks = [words[int(rng.integers(10))] for _ in range(n)]
-            assert _tokens(encode(toks, vocab, cfg), vocab) == toks
+        docs = [[words[int(rng.integers(10))] for _ in range(int(rng.integers(1, 9)))]
+                for _ in range(100)]
+        for row, toks in zip(encode(docs, vocab, cfg), docs):
+            assert _tokens(row, vocab) == toks
 
 
 class TestVocabularyPersistence:
