@@ -31,8 +31,8 @@ from . import engine, metrics
 from .engine import ExperimentConfig, parse_config_text, parse_config_value
 from .errors import ConfigError, DataError, DivergenceError
 from .model import forward, predict_classes
-from .pipeline import (PipelineConfig, Vocabulary, clean, encode, load_stopwords,
-                       read_lines)
+from .pipeline import (PipelineConfig, Vocabulary, clean, decoded, encode,
+                       load_stopwords, read_lines)
 
 _CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
 
@@ -160,13 +160,10 @@ def _cmd_evaluate(args) -> int:
 
 def _stdin_lines():
     """Standard input's lines, split at line feeds as ``sys.stdin`` splits
-    them on POSIX, and decoded as strict UTF-8 whatever the locale: as in
-    ``read_lines``, a byte that does not decode is a DataError."""
+    them on POSIX, and decoded as strict UTF-8 whatever the locale."""
     stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
     try:
-        yield from stdin
-    except UnicodeDecodeError as e:
-        raise DataError(f"<stdin>: not UTF-8 text ({e.reason})") from None
+        yield from decoded(stdin, "<stdin>")
     finally:
         stdin.detach()  # sys.stdin.buffer stays open
 

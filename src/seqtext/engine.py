@@ -27,7 +27,7 @@ from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      VocabularyMismatchError)
 from .model import ClassifierModel, backward, cost, forward, loss_values, predict_classes
 from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
-                       build_vocabulary, clean, text_sha256)
+                       build_vocabulary, clean, decoded, pad_rows, text_sha256)
 
 # Documents per forward pass when only scoring: evaluate, predict, the
 # per-epoch test pass and train's final evaluate. At hidden size 16 a
@@ -274,16 +274,13 @@ class Dataset:
 
 
 def _read_csv(path):
-    """The rows of a UTF-8 CSV file, header first. A byte that does not
-    decode is a DataError naming the file; the decoder reads ahead of the
-    csv reader, so its line is not known. A field over the csv module's
-    limit is a DataError naming the file and the line."""
+    """The rows of a UTF-8 CSV file, header first, a leading byte-order
+    mark dropped. A field over the csv module's limit is a DataError
+    naming the file and the line."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(decoded(fh, path))
         try:
             yield from reader
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
         except csv.Error as e:
             raise DataError(f"{path}: line {reader.line_num}: {e}") from None
 
@@ -340,13 +337,8 @@ def load_csv_dataset(path, text_column: str, label_column: str, cfg: PipelineCon
             raise DataError(f"{path}: {e}") from None
     lookup = np.fromiter((vocab.token_to_index.get(t, OOV_INDEX) for t in local),
                          np.int32, len(local))
-    indices = np.zeros((len(lengths), cfg.max_len), dtype=np.int32)
-    start = 0
-    for r, n in enumerate(lengths):
-        kept = min(n, cfg.max_len)    # the tail is cut, the front padded
-        indices[r, cfg.max_len - kept:] = lookup[flat[start:start + kept]]
-        start += n
-    ds = Dataset(indices=indices, labels=np.array(labels, dtype=np.int64),
+    ds = Dataset(indices=pad_rows(lookup[flat], lengths, cfg.max_len),
+                 labels=np.array(labels, dtype=np.int64),
                  lengths=np.array(lengths, dtype=np.int32), class_names=list(names),
                  vocab_sha=vocab.sha256())
     return ds, vocab
@@ -659,44 +651,46 @@ def read_container(path) -> tuple[dict, dict]:
     return head, arrays
 
 
-# ---------------------------------------------------------------------------
-# checkpoints
-
-@dataclass
-class Checkpoint:
-    model: ClassifierModel
-    config: ExperimentConfig
-    class_names: list
-    vocab: Vocabulary
-    pipeline: PipelineConfig
+# Each artifact kind: its format number and how an error names it.
+_KINDS = {"checkpoint": (4, "a checkpoint"), "dataset": (1, "an encoded dataset")}
+# The header fields every artifact holds, with their JSON types.
+_SHARED_FIELDS = {"class_names": list, "vocab_sha": str, "vocab_text": str, "pipeline": dict}
 
 
-CHECKPOINT_FORMAT = 4
-DATASET_FORMAT = 1
-# Header fields each reader uses, with their JSON types.
-_CHECKPOINT_HEADER = {
-    "config": dict, "class_names": list, "vocab_sha": str, "vocab_text": str,
-    "pipeline": dict,
-}
-_DATASET_HEADER = {
-    "class_names": list, "vocab_sha": str, "vocab_text": str,
-    "pipeline": dict, "has_split": bool,
-}
+def _write_artifact(path, kind: str, class_names, vocab: Vocabulary,
+                    pipeline_cfg: PipelineConfig, blocks: list, **own) -> None:
+    """Store ``blocks`` under the header that every artifact kind shares
+    (the class names, the vocabulary with its hash and the pipeline
+    settings) and the kind's own header fields ``own``."""
+    header = {"kind": kind, "format": _KINDS[kind][0], "class_names": list(class_names),
+              "vocab_sha": vocab.sha256(), "vocab_text": vocab.serialize(),
+              "pipeline": pipeline_cfg.to_dict(), **own}
+    write_container(path, header, blocks)
 
 
-def _check_header(path, header: dict, kind: str, fmt: int, schema: dict) -> None:
-    """Reject an artifact of another kind or format, or whose header lacks
-    a field or holds one of the wrong JSON type."""
+def _read_artifact(path, kind: str, **own) -> tuple[dict, dict, Vocabulary, PipelineConfig]:
+    """The header, blocks, vocabulary and pipeline settings of an artifact
+    of ``kind``, whose own header fields ``own`` maps to their JSON types.
+    Another kind is a DataError; any fault of the shared header is an
+    integrity error."""
+    header, arrays = read_container(path)
+    fmt, what = _KINDS[kind]
     if header.get("kind") != kind:
-        what = "an encoded dataset" if kind == "dataset" else "a checkpoint"
         raise DataError(f"{path}: this is a {header.get('kind')!r} artifact, not {what}")
     found = header.get("format")
     if type(found) is not int or found != fmt:
         raise IntegrityError(f"{path}: {kind} format {found!r} is not supported "
                              f"(this version reads format {fmt})")
-    for name, types in schema.items():
+    for name, types in {**_SHARED_FIELDS, **own}.items():
         if not isinstance(header.get(name), types):
             raise IntegrityError(f"{path}: header field {name!r} is missing or has the wrong type")
+    _from_header(path, "class_names", _check_class_names, header["class_names"])
+    # writers store the canonical serialize() text, so any other form fails here too
+    if text_sha256(header["vocab_text"]) != header["vocab_sha"]:
+        raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
+    vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
+    pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
+    return header, arrays, vocab, pipe
 
 
 def _from_header(path, what: str, build, *args):
@@ -707,12 +701,16 @@ def _from_header(path, what: str, build, *args):
         raise IntegrityError(f"{path}: {what}: {e}") from None
 
 
-def _check_vocab_hash(path, text: str, sha: str) -> None:
-    """Compare the recorded hash with the stored vocabulary text itself.
-    Writers store the canonical ``serialize()`` text, so a text in any
-    other form is rejected too."""
-    if text_sha256(text) != sha:
-        raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
+# ---------------------------------------------------------------------------
+# checkpoints
+
+@dataclass
+class Checkpoint:
+    model: ClassifierModel
+    config: ExperimentConfig
+    class_names: list
+    vocab: Vocabulary
+    pipeline: PipelineConfig
 
 
 def _disagreement(model: ClassifierModel, cfg: ExperimentConfig, class_names) -> Optional[str]:
@@ -745,22 +743,14 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
                     pipeline_cfg: PipelineConfig) -> None:
     """Store the model's blocks beside the settings that describe them;
     a model that they do not describe is refused."""
-    sha = vocab.sha256()
     problem = _disagreement(model, config, class_names)
-    if model.vocab_sha not in (None, sha):
+    if model.vocab_sha not in (None, vocab.sha256()):
         problem = "the model was built over another vocabulary"
     if problem is not None:
         raise ConfigError(f"cannot store this model: {problem}")
-    header = {
-        "kind": "checkpoint",
-        "format": CHECKPOINT_FORMAT,
-        "config": {**config.to_dict(), "task": _recorded_task(len(class_names))},
-        "class_names": list(class_names),
-        "vocab_sha": sha,
-        "vocab_text": vocab.serialize(),
-        "pipeline": pipeline_cfg.to_dict(),
-    }
-    write_container(path, header, model.state_blocks())
+    _write_artifact(path, "checkpoint", class_names, vocab, pipeline_cfg,
+                    model.state_blocks(),
+                    config={**config.to_dict(), "task": _recorded_task(len(class_names))})
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -768,15 +758,13 @@ def load_checkpoint(path) -> Checkpoint:
     names; blocks that disagree with them are an integrity error, and so
     are fewer than 2 class names and a recorded task that disagrees with
     the class names, which are checked before the blocks are read."""
-    header, arrays = read_container(path)
-    _check_header(path, header, "checkpoint", CHECKPOINT_FORMAT, _CHECKPOINT_HEADER)
+    header, arrays, vocab, pipe = _read_artifact(path, "checkpoint", config=dict)
     missing = sorted((_FIELD_TYPES.keys() | {"task"}) - header["config"].keys())
     if missing:
         raise IntegrityError(f"{path}: config lacks {', '.join(missing)}")
     task = header["config"].pop("task")
     cfg = _from_header(path, "config", ExperimentConfig.from_dict, header["config"])
     names = header["class_names"]
-    _from_header(path, "class_names", _check_class_names, names)
     if len(names) < 2:
         raise IntegrityError(f"{path}: the header names {len(names)} class(es), but a model "
                              "scores at least 2 classes")
@@ -786,15 +774,12 @@ def load_checkpoint(path) -> Checkpoint:
                              f"classes make it {want!r}; retrain the model")
     model = _from_header(path, "model", ClassifierModel.from_blocks, arrays, cfg.cell,
                          cfg.literal_recurrence, header["vocab_sha"])
-    _check_vocab_hash(path, header["vocab_text"], model.vocab_sha)
-    vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
     if vocab.size != model.embedding.vocab_size:
         raise IntegrityError(f"{path}: the embedding table has {model.embedding.vocab_size} "
                              f"rows but the embedded vocabulary has {vocab.size} entries")
     problem = _disagreement(model, cfg, names)
     if problem is not None:
         raise IntegrityError(f"{path}: {problem}")
-    pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
     return Checkpoint(model=model, config=cfg, class_names=list(names),
                       vocab=vocab, pipeline=pipe)
 
@@ -804,32 +789,48 @@ def load_checkpoint(path) -> Checkpoint:
 
 def save_dataset(path, dataset: Dataset, vocab: Vocabulary,
                  pipeline_cfg: PipelineConfig) -> None:
-    header = {
-        "kind": "dataset",
-        "format": DATASET_FORMAT,
-        "class_names": list(dataset.class_names),
-        "vocab_sha": vocab.sha256(),
-        "vocab_text": vocab.serialize(),
-        "pipeline": pipeline_cfg.to_dict(),
-        "has_split": dataset.train_idx is not None,
-    }
     blocks = [("indices", dataset.indices), ("labels", dataset.labels),
               ("original_lengths", dataset.lengths)]
-    if header["has_split"]:
+    has_split = dataset.train_idx is not None
+    if has_split:
         blocks += [("train_idx", dataset.train_idx), ("test_idx", dataset.test_idx)]
-    write_container(path, header, [(n, np.asarray(a, dtype=np.int32)) for n, a in blocks])
+    _write_artifact(path, "dataset", dataset.class_names, vocab, pipeline_cfg,
+                    [(n, np.asarray(a, dtype=np.int32)) for n, a in blocks],
+                    has_split=has_split)
+
+
+def _row_fault(indices: np.ndarray, lengths: np.ndarray, max_len: int) -> Optional[str]:
+    """How stored rows break the row rule (``pipeline.pad_rows``) for
+    their recorded lengths, or None when they keep it. No cleaned token
+    maps to the pad, so a row holds min(length, max_len) tokens after its
+    pad."""
+    if indices.shape[1] != max_len:
+        return f"rows hold {indices.shape[1]} ids, but the pipeline records max_len {max_len}"
+    rows = np.flatnonzero(lengths < 0)
+    if rows.size:
+        return f"row {rows[0]} records length {lengths[rows[0]]}"
+    tokens = indices != PAD_INDEX
+    counts = np.count_nonzero(tokens, axis=1)
+    # from a row's first token to its end, every id is a token
+    span = np.where(counts > 0, max_len - tokens.argmax(axis=1), 0)
+    rows = np.flatnonzero(span != counts)
+    if rows.size:
+        return f"row {rows[0]} has a pad after a token"
+    want = np.minimum(lengths, max_len)
+    rows = np.flatnonzero(counts != want)
+    if rows.size:
+        r = rows[0]
+        return (f"row {r} holds {counts[r]} tokens, but its recorded length {lengths[r]} "
+                f"keeps {want[r]}")
+    return None
 
 
 def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
-    header, arrays = read_container(path)
-    _check_header(path, header, "dataset", DATASET_FORMAT, _DATASET_HEADER)
+    header, arrays, vocab, pipe = _read_artifact(path, "dataset", has_split=bool)
     split_blocks = ("train_idx", "test_idx") if header["has_split"] else ()
     for name in ("indices", "labels", "original_lengths") + split_blocks:
         if name not in arrays or arrays[name].dtype != np.int32:
             raise IntegrityError(f"{path}: int32 block {name!r} is missing")
-    _check_vocab_hash(path, header["vocab_text"], header["vocab_sha"])
-    vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
-    pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
     train_idx = test_idx = None
     if split_blocks:
         train_idx, test_idx = (arrays[n].astype(np.int64) for n in split_blocks)
@@ -842,6 +843,9 @@ def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
         row, col = np.argwhere(bad)[0]
         raise IntegrityError(f"{path}: row {row} holds token index {ds.indices[row, col]}, "
                              f"outside the vocabulary range [0, {vocab.size})")
+    problem = _row_fault(ds.indices, ds.lengths, pipe.max_len)
+    if problem is not None:
+        raise IntegrityError(f"{path}: {problem}")
     return ds, vocab, pipe
 
 

@@ -4,7 +4,9 @@ Cleaning, whitespace tokenization, frequency-ranked vocabulary
 construction, OOV replacement, pre-padding and tail truncation. Index 0
 is always the pad, index 1 the OOV token; real tokens start at 2 and are
 ordered by descending corpus frequency with lexicographic tie-break, so
-construction is fully deterministic.
+construction is fully deterministic. One row rule, ``pad_rows``, encodes
+for ``preprocess`` and ``predict`` alike: a document's row keeps its
+first ``max_len`` tokens and is padded in front.
 """
 
 from __future__ import annotations
@@ -71,15 +73,20 @@ def clean(raw: str, cfg: PipelineConfig) -> list[str]:
     return tokens
 
 
+def decoded(lines, name, error=DataError):
+    """Pass on the lines of the text stream ``lines``; a byte that does not
+    decode raises ``error`` naming ``name``, but not the line, since the
+    decoder reads ahead."""
+    try:
+        yield from lines
+    except UnicodeDecodeError as e:
+        raise error(f"{name}: not UTF-8 text ({e.reason})") from None
+
+
 def read_lines(path, error=DataError):
-    """The lines of a UTF-8 text file. A byte that does not decode raises
-    ``error`` naming the file; the decoder reads ahead, so its line is
-    not known."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as e:
-            raise error(f"{path}: not UTF-8 text ({e.reason})") from None
+    """The lines of a UTF-8 text file; a leading byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
+        yield from decoded(fh, path, error)
 
 
 def load_stopwords(path) -> frozenset:
@@ -182,16 +189,25 @@ def build_vocabulary(counts, cfg: PipelineConfig) -> Vocabulary:
     return Vocabulary(tokens, freqs)
 
 
-def encode(documents, vocab: Vocabulary, cfg: PipelineConfig) -> np.ndarray:
-    """Map a list of token lists to one (len(documents), max_len) int32
-    matrix: each row keeps its document's first max_len tokens, pre-padded
-    with zeros. A token outside the vocabulary maps to ``OOV_INDEX``.
-    """
-    kept = [tokens[: cfg.max_len] for tokens in documents]
-    lengths = np.fromiter(map(len, kept), np.intp, len(kept))
-    ids = map(vocab.token_to_index.get, chain.from_iterable(kept), repeat(OOV_INDEX))
-    out = np.zeros((len(kept), cfg.max_len), dtype=np.int32)
-    # the filled positions of each row are its last len(tokens), in row-major order
-    out[np.arange(cfg.max_len) >= cfg.max_len - lengths[:, None]] = np.fromiter(
-        ids, np.int32, int(lengths.sum()))
+def pad_rows(ids: np.ndarray, lengths, max_len: int) -> np.ndarray:
+    """The row rule: the documents whose vocabulary ids ``ids`` holds back
+    to back, ``lengths[r]`` of them for document r, as the rows of one
+    (len(lengths), max_len) int32 matrix. A row keeps its document's first
+    max_len ids, pre-padded with ``PAD_INDEX``."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    kept = np.minimum(lengths, max_len)
+    if kept.sum() < ids.size:  # drop each document's run of cut ids
+        ids = ids[np.repeat(np.tile([True, False], kept.size),
+                            np.stack([kept, lengths - kept], axis=1).reshape(-1))]
+    out = np.zeros((kept.size, max_len), dtype=np.int32)
+    # a row's last kept[r] positions take its ids, filled in row-major order
+    out[np.arange(max_len) >= max_len - kept[:, None]] = ids
     return out
+
+
+def encode(documents, vocab: Vocabulary, cfg: PipelineConfig) -> np.ndarray:
+    """Map a list of token lists to their rows (``pad_rows``). A token
+    outside the vocabulary maps to ``OOV_INDEX``."""
+    lengths = np.fromiter(map(len, documents), np.intp, len(documents))
+    ids = map(vocab.token_to_index.get, chain.from_iterable(documents), repeat(OOV_INDEX))
+    return pad_rows(np.fromiter(ids, np.int32, int(lengths.sum())), lengths, cfg.max_len)

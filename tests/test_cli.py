@@ -444,6 +444,39 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert f"error: {side}: not UTF-8 text (" in proc.stderr
 
+    @pytest.mark.parametrize("flag", ["--stopwords", "--vocab", "--pretrained-vectors",
+                                      "--config"])
+    def test_side_file_may_start_with_a_bom(self, workspace, tmp_path, capsys, flag):
+        vocab = workspace["pre"] / "vocab.tsv"
+        token = pipeline.Vocabulary.load(vocab).index_to_token[2]
+        text = {"--stopwords": f"{token}\n", "--vocab": vocab.read_text(encoding="utf-8"),
+                "--pretrained-vectors": f"{token} 0.5 0.25\n", "--config": "cell = gru\n"}[flag]
+        side = tmp_path / "side.txt"
+        side.write_text(text, encoding="utf-8-sig")
+        if flag in ("--stopwords", "--vocab"):
+            args = ["preprocess", "--data", workspace["csv"], "--max-len", 32]
+        else:
+            args = ["train", "--data", workspace["pre"] / "dataset.sqt", "--epochs", 1,
+                    "--embedding-dim", 2]
+        assert cli.entry([*map(str, args), flag, str(side), "--out-dir", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        if flag == "--stopwords":
+            assert token not in (tmp_path / "vocab.tsv").read_text(encoding="utf-8").split()
+        elif flag == "--vocab":
+            assert (tmp_path / "vocab.tsv").read_text(encoding="utf-8") == text
+        elif flag == "--pretrained-vectors":
+            assert "pretrained vectors: matched 1 of" in err
+        else:
+            assert "\n  cell = gru\n" in err
+
+    def test_stdin_bom_is_cleaned_away(self, workspace, monkeypatch, capsys):
+        # stdin is decoded as strict UTF-8; clean drops the BOM as a separator
+        line = "sig0w01 fill0001 sig1w02"
+        monkeypatch.setattr(sys, "stdin", _stdin(f"\ufeff{line}\n{line}\n"))
+        assert cli.entry(["predict", "--model", str(workspace["run"] / "model.sqt")]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+
 
 def _run_cli(*args, stdin=""):
     return subprocess.run([sys.executable, "-m", "seqtext", *map(str, args)],
@@ -462,6 +495,25 @@ class TestMalformedArtifacts:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"row 2 holds token index {bad}" in proc.stderr
+
+    # The workspace dataset has max_len 32, and row 2 is shorter than that.
+    @pytest.mark.parametrize("edit,message", [
+        (lambda a: a.update(indices=a["indices"][:, 12:]),
+         "rows hold 20 ids, but the pipeline records max_len 32"),
+        (lambda a: a["original_lengths"].__setitem__(2, -5), "row 2 records length -5"),
+        (lambda a: a["original_lengths"].__setitem__(2, a["original_lengths"][2] + 1),
+         "row 2 holds"),
+        (lambda a: a["indices"].__setitem__(2, np.roll(a["indices"][2], 1)),
+         "row 2 has a pad after a token"),
+    ], ids=["width", "negative-length", "length", "pad-after-token"])
+    def test_dataset_rows_that_break_the_row_rule(self, workspace, tmp_path, edit, message):
+        data = rewrite_artifact(workspace["pre"] / "dataset.sqt", tmp_path / "bad.sqt",
+                                edit_arrays=edit)
+        proc = _run_cli("evaluate", "--model", workspace["run"] / "model.sqt",
+                        "--data", data, "--out-dir", tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"error: {data}: {message}" in proc.stderr
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_checkpoint_without_config(self, workspace, tmp_path, command):

@@ -137,6 +137,16 @@ class TestLoadPretrained:
         with pytest.raises(ConfigError, match="3-dimensional"):
             load_pretrained(p, _tiny_vocab(["cat"]), 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("text", ["1 2\ncat 3.0 4.0\n", "cat 3.0 4.0\n"],
+                             ids=["header", "no-header"])
+    def test_file_may_start_with_a_bom(self, tmp_path, text):
+        p = tmp_path / "vec.txt"
+        p.write_text(text, encoding="utf-8-sig")
+        vocab = _tiny_vocab(["cat"])
+        emb, matched = load_pretrained(p, vocab, 2, np.random.default_rng(0))
+        assert matched == 1
+        np.testing.assert_array_equal(emb.weights[vocab.token_to_index["cat"]], [3.0, 4.0])
+
     def test_pad_row_forced_zero(self, tmp_path):
         # a file entry for the pad display token must not overwrite row 0
         p = tmp_path / "vec.txt"

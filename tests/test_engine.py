@@ -1,6 +1,7 @@
 """Config parsing, splits, CSV loading, training loop, and artifacts."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -968,6 +969,81 @@ class TestCheckpointHeader:
             load_checkpoint(ckpt)
 
 
+@pytest.fixture(params=["checkpoint", "dataset"])
+def artifact(request, tmp_path):
+    """A stored artifact of each kind, and the function that loads it."""
+    ds, vocab, pcfg, cfg = _toy_setup(epochs=0, cell="lstm")
+    path = tmp_path / f"{request.param}.sqt"
+    if request.param == "dataset":
+        save_dataset(path, ds, vocab, pcfg)
+        return path, load_dataset
+    model, _ = train(cfg, ds, vocab)
+    save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
+    return path, load_checkpoint
+
+
+def _unparsable_vocabulary(h):
+    h["vocab_text"] = "0\t<PAD>\t0\n"
+    h["vocab_sha"] = pipeline.text_sha256(h["vocab_text"])
+
+
+# Faults of the header fields that every artifact kind shares.
+_SHARED_HEADER_FAULTS = [
+    pytest.param(lambda h: h.update(kind="model"), DataError,
+                 "this is a 'model' artifact, not a", id="kind-other"),
+    pytest.param(lambda h: h.pop("kind"), DataError, "this is a None artifact", id="kind-missing"),
+    pytest.param(lambda h: h.update(format=99), IntegrityError, "format 99 is not supported",
+                 id="format-other"),
+    pytest.param(lambda h: h.update(format=str(h["format"])), IntegrityError,
+                 "format '[14]' is not supported", id="format-string"),
+    pytest.param(lambda h: h.update(format=float(h["format"])), IntegrityError,
+                 r"format [14]\.0 is not supported", id="format-float"),
+    pytest.param(lambda h: h.pop("format"), IntegrityError, "format None is not supported",
+                 id="format-missing"),
+    *[pytest.param(lambda h, f=field: h.pop(f), IntegrityError,
+                   f"header field '{field}' is missing", id=f"{field}-missing")
+      for field in ("class_names", "vocab_sha", "vocab_text", "pipeline")],
+    pytest.param(lambda h: h.update(class_names="neg,pos"), IntegrityError,
+                 "header field 'class_names' is missing or has the wrong type",
+                 id="class_names-string"),
+    pytest.param(lambda h: h.update(vocab_sha=None), IntegrityError,
+                 "header field 'vocab_sha'", id="vocab_sha-None"),
+    pytest.param(lambda h: h.update(vocab_text=3), IntegrityError,
+                 "header field 'vocab_text'", id="vocab_text-int"),
+    pytest.param(lambda h: h.update(pipeline=[]), IntegrityError,
+                 "header field 'pipeline'", id="pipeline-list"),
+    pytest.param(lambda h: h.update(class_names=["neg", 7]), IntegrityError,
+                 "class_names: class names must be distinct strings", id="class_names-int"),
+    pytest.param(lambda h: h.update(class_names=["neg", "neg"]), IntegrityError,
+                 "class_names: class names must be distinct strings", id="class_names-repeat"),
+    *[pytest.param(lambda h, e=edit: h.update(vocab_text=e(h["vocab_text"])), IntegrityError,
+                   "embedded vocabulary does not match the recorded hash", id=f"vocab_text-{i}")
+      for edit, i in zip(_VOCAB_TEXT_EDITS, _VOCAB_TEXT_EDIT_IDS)],
+    pytest.param(_unparsable_vocabulary, IntegrityError,
+                 "vocabulary: vocabulary must hold pad, OOV and at least one token",
+                 id="vocab_text-unparsable"),
+    pytest.param(lambda h: h["pipeline"].update(max_len=0), IntegrityError,
+                 "pipeline: max_len must be >= 1", id="pipeline-max_len"),
+    pytest.param(lambda h: h["pipeline"].update(vocab_size="many"), IntegrityError,
+                 "pipeline: ", id="pipeline-vocab_size"),
+    pytest.param(lambda h: h["pipeline"].update(lowercase=False), IntegrityError,
+                 "pipeline: lowercase must be True", id="pipeline-lowercase"),
+    pytest.param(lambda h: h["pipeline"].update(stemming=True), IntegrityError,
+                 "pipeline: .*stemming", id="pipeline-unknown-key"),
+]
+
+
+class TestSharedHeader:
+    """Both artifact kinds check the header fields they share the same way."""
+
+    @pytest.mark.parametrize("edit,error,match", _SHARED_HEADER_FAULTS)
+    def test_fault_is_refused(self, artifact, edit, error, match):
+        path, load = artifact
+        rewrite_artifact(path, path, edit)
+        with pytest.raises(error, match=match):
+            load(path)
+
+
 def _blocks(ds):
     """The arrays of a split Dataset, named as the dataset file names them."""
     return {"indices": ds.indices.copy(), "labels": ds.labels.copy(),
@@ -995,6 +1071,27 @@ _BAD_BLOCKS = [
                  "inconsistent shapes", id="short-lengths"),
     pytest.param(lambda a: a.update(indices=a["indices"][0]), DataError,
                  "inconsistent shapes", id="1-d-indices"),
+]
+
+
+# Each case breaks the rows of the same dataset against its recorded
+# lengths and max_len 40, where every row is shorter than 40 and row 3
+# holds 26 tokens. Only a dataset file is checked for these.
+_BAD_ROWS = [
+    pytest.param(lambda a: a.update(indices=a["indices"][:, 10:]),
+                 "rows hold 30 ids, but the pipeline records max_len 40", id="narrow-rows"),
+    pytest.param(lambda a: a["original_lengths"].__setitem__(0, -5),
+                 "row 0 records length -5", id="negative-length"),
+    pytest.param(lambda a: a["original_lengths"].__setitem__(3, 27),
+                 "row 3 holds 26 tokens, but its recorded length 27 keeps 27", id="longer"),
+    pytest.param(lambda a: a["original_lengths"].__setitem__(3, 25),
+                 "row 3 holds 26 tokens, but its recorded length 25 keeps 25", id="shorter"),
+    pytest.param(lambda a: a["original_lengths"].__setitem__(3, 100),
+                 "row 3 holds 26 tokens, but its recorded length 100 keeps 40", id="cut"),
+    pytest.param(lambda a: a["indices"].__setitem__(3, np.roll(a["indices"][3], 1)),
+                 "row 3 has a pad after a token", id="token-before-pad"),
+    pytest.param(lambda a: a["indices"].__setitem__((3, 20), 0),
+                 "row 3 has a pad after a token", id="pad-among-tokens"),
 ]
 
 
@@ -1026,6 +1123,21 @@ class TestDatasetChecks:
         rewrite_artifact(path, path, edit_arrays=edit)
         with pytest.raises(IntegrityError, match=match):
             load_dataset(path)
+
+    @pytest.mark.parametrize("edit,match", _BAD_ROWS)
+    def test_file_rows_must_keep_the_row_rule(self, saved, edit, match):
+        _, path = saved
+        rewrite_artifact(path, path, edit_arrays=edit)
+        with pytest.raises(IntegrityError, match=re.escape(f"{path}: {match}")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("edit,match", _BAD_ROWS)
+    def test_constructor_leaves_rows_to_the_file_check(self, saved, edit, match):
+        ds, _ = saved
+        a = _blocks(ds)
+        edit(a)
+        Dataset(indices=a["indices"], labels=a["labels"], lengths=a["original_lengths"],
+                class_names=ds.class_names, train_idx=a["train_idx"], test_idx=a["test_idx"])
 
     @pytest.mark.parametrize("side", ["train_idx", "test_idx"])
     def test_half_a_split_is_refused(self, saved, side):

@@ -9,7 +9,7 @@ import pytest
 from seqtext.engine import load_csv_dataset
 from seqtext.errors import ConfigError, DataError
 from seqtext.pipeline import (PAD_INDEX, OOV_INDEX, PipelineConfig, Vocabulary,
-                              build_vocabulary, clean, encode, load_stopwords)
+                              build_vocabulary, clean, encode, load_stopwords, pad_rows)
 
 
 def small_cfg(**kw):
@@ -132,6 +132,31 @@ class TestEncode:
             assert _tokens(row, vocab) == toks
 
 
+# One document under the row rule at max_len 4: its ids, then its row.
+_ROWS = [
+    ([], [0, 0, 0, 0]),
+    ([5, 6], [0, 0, 5, 6]),
+    ([5, 6, 7, 8], [5, 6, 7, 8]),
+    ([5, 6, 7, 8, 9, 3], [5, 6, 7, 8]),
+]
+_ROW_IDS = ["empty", "short", "exactly-max_len", "longer"]
+
+
+class TestPadRows:
+    @pytest.mark.parametrize("ids,row", _ROWS, ids=_ROW_IDS)
+    def test_one_document(self, ids, row):
+        out = pad_rows(np.array(ids, dtype=np.int32), [len(ids)], 4)
+        assert out.dtype == np.int32
+        assert out.tolist() == [row]
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [3, 0, 3, 1, 2, 0]],
+                             ids=["table", "reversed", "mixed"])
+    def test_documents_back_to_back_are_their_rows(self, order):
+        ids = np.array([i for k in order for i in _ROWS[k][0]], dtype=np.int32)
+        lengths = np.array([len(_ROWS[k][0]) for k in order], dtype=np.int32)
+        assert pad_rows(ids, lengths, 4).tolist() == [_ROWS[k][1] for k in order]
+
+
 class TestVocabularyPersistence:
     def test_serialize_round_trip(self):
         vocab = build_vocabulary(Counter(["a", "b", "a"]), small_cfg())
@@ -195,6 +220,19 @@ def test_load_stopwords(tmp_path):
     p = tmp_path / "stop.txt"
     p.write_text("the\n\na\n  \nan\n", encoding="utf-8")
     assert load_stopwords(p) == frozenset({"the", "a", "an"})
+
+
+def test_stopwords_file_may_start_with_a_bom(tmp_path):
+    p = tmp_path / "stop.txt"
+    p.write_text("the\nand\n", encoding="utf-8-sig")
+    assert load_stopwords(p) == frozenset({"the", "and"})
+
+
+def test_vocabulary_file_may_start_with_a_bom(tmp_path):
+    vocab = build_vocabulary(Counter(["b", "a", "b"]), small_cfg())
+    p = tmp_path / "vocab.tsv"
+    p.write_text(vocab.serialize(), encoding="utf-8-sig")
+    assert Vocabulary.load(p).serialize() == vocab.serialize()
 
 
 def test_config_validation():
