@@ -8,7 +8,7 @@ confusion-matrix metrics. Everything is deterministic under a seed.
 """
 
 from .cells import Cell, make_cell, run_sequence
-from .embedding import EmbeddingMatrix, embedding_dim_heuristic, load_pretrained
+from .embedding import embedding_dim_heuristic, load_pretrained
 from .engine import (Checkpoint, Dataset, ExperimentConfig, build_model,
                      corpus_stats, emit_learning_curve, evaluate, load_checkpoint,
                      load_csv_dataset, load_dataset, make_synthetic_csv,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cell", "make_cell", "run_sequence",
-    "EmbeddingMatrix", "embedding_dim_heuristic", "load_pretrained",
+    "embedding_dim_heuristic", "load_pretrained",
     "Checkpoint", "Dataset", "ExperimentConfig",
     "build_model", "corpus_stats", "emit_learning_curve", "evaluate", "load_checkpoint",
     "load_csv_dataset", "load_dataset", "make_synthetic_csv",

@@ -58,7 +58,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .linalg import sigmoid
 
 GATES = {"rnn": 1, "lstm": 4, "gru": 3}
 # Steps per window of the gate factors that backward_sequence computes
@@ -72,6 +71,19 @@ def _gates(kind: str) -> int:
     if kind not in GATES:
         raise ConfigError(f"unknown cell kind {kind!r} (expected rnn, lstm or gru)")
     return GATES[kind]
+
+
+def sigmoid(x):
+    """Numerically stable logistic function, elementwise.
+
+    exp() is only ever taken of -|x|, so it never overflows for finite
+    input; the sign of x picks 1/(1+e) or e/(1+e). No masked indexing,
+    so strided gate slices cost no gather or scatter.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def init_weight(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

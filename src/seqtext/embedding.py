@@ -9,7 +9,6 @@ gradient, so padding cannot inject signal into the recurrent stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,29 +16,16 @@ from .errors import ConfigError, DataError
 from .pipeline import PAD_INDEX, Vocabulary, read_lines
 
 
-@dataclass
-class EmbeddingMatrix:
-    weights: np.ndarray  # (vocab_size, dim) float64
+def init_table(vocab_size: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A (vocab_size, dim) table of random rows in U(0,1)/dim, pad row zeroed.
 
-    @property
-    def vocab_size(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
-    @classmethod
-    def init(cls, vocab_size: int, dim: int, rng: np.random.Generator) -> "EmbeddingMatrix":
-        """Random rows in U(0,1)/dim, pad row zeroed.
-
-        The plain U(0,1) draw keeps entries slightly above zero; the
-        1/dim scale keeps summed activations out of tanh saturation at
-        realistic dims.
-        """
-        w = rng.uniform(0.0, 1.0, size=(vocab_size, dim)) / dim
-        w[PAD_INDEX] = 0.0
-        return cls(weights=w)
+    The plain U(0,1) draw keeps entries slightly above zero; the 1/dim
+    scale keeps summed activations out of tanh saturation at realistic
+    dims.
+    """
+    table = rng.uniform(0.0, 1.0, size=(vocab_size, dim)) / dim
+    table[PAD_INDEX] = 0.0
+    return table
 
 
 def embedding_dim_heuristic(vocab_size: int) -> int:
@@ -49,29 +35,25 @@ def embedding_dim_heuristic(vocab_size: int) -> int:
     return max(1, round(vocab_size ** 0.25))
 
 
-def check_indices(indices, emb: EmbeddingMatrix) -> np.ndarray:
-    """``indices`` as an array; an index outside the table raises
-    IndexError naming the first one in row-major order and its position."""
+def check_indices(indices, vocab_size: int) -> np.ndarray:
+    """``indices`` as an array; an index outside a table of ``vocab_size``
+    rows raises IndexError naming the first one in row-major order and
+    its position."""
     idx = np.asarray(indices)
-    bad = (idx < 0) | (idx >= emb.vocab_size)
+    bad = (idx < 0) | (idx >= vocab_size)
     if bad.any():
         pos = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), idx.shape))
         pos = pos[0] if len(pos) == 1 else pos
         raise IndexError(
-            f"embedding index {int(idx[pos])} at position {pos} out of range [0, {emb.vocab_size})"
+            f"embedding index {int(idx[pos])} at position {pos} out of range [0, {vocab_size})"
         )
     return idx
-
-
-def lookup(indices, emb: EmbeddingMatrix) -> np.ndarray:
-    """Select rows of the table; works on any integer index array shape."""
-    return emb.weights[check_indices(indices, emb)]
 
 
 def lookup_grad(indices: np.ndarray, grad_rows: np.ndarray, vocab_size: int) -> np.ndarray:
     """The gradient of the table from the gradients of the looked-up rows.
 
-    ``grad_rows`` is shaped like ``lookup(indices, ...)``. Row i of the
+    ``grad_rows`` is shaped like ``table[indices]``. Row i of the
     result sums the gradients of every occurrence of index i, in the
     row-major order of ``indices``; the pad row gets none. One weighted
     ``bincount`` over the flat table positions ``index * dim + column``
@@ -88,7 +70,7 @@ def lookup_grad(indices: np.ndarray, grad_rows: np.ndarray, vocab_size: int) -> 
 
 
 def load_pretrained(path, vocab: Vocabulary, dim: int,
-                    rng: np.random.Generator) -> tuple[EmbeddingMatrix, int]:
+                    rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Build an embedding table and copy in matching pretrained rows.
 
     The file holds space-separated "token v1 ... v_dim" lines; an
@@ -98,7 +80,7 @@ def load_pretrained(path, vocab: Vocabulary, dim: int,
     finite number is a DataError naming the line. Returns the table and
     the number of matched tokens.
     """
-    emb = EmbeddingMatrix.init(vocab.size, dim, rng)
+    table = init_table(vocab.size, dim, rng)
     matched = 0
     for n, line in enumerate(read_lines(path), start=1):
         parts = line.rstrip("\n").split(" ")
@@ -131,7 +113,6 @@ def load_pretrained(path, vocab: Vocabulary, dim: int,
                             "not a finite number")
         idx = vocab.token_to_index.get(token)
         if idx is not None and idx != PAD_INDEX:
-            emb.weights[idx] = values
+            table[idx] = values
             matched += 1
-    emb.weights[PAD_INDEX] = 0.0
-    return emb, matched
+    return table, matched

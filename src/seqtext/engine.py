@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 import numpy as np
 
 from . import cells, metrics, optim
-from .embedding import EmbeddingMatrix, embedding_dim_heuristic, load_pretrained
+from .embedding import embedding_dim_heuristic, init_table, load_pretrained
 from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      VocabularyMismatchError)
 from .model import ClassifierModel, backward, cost, forward, loss_values, predict_classes
@@ -262,16 +262,6 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def train_indices(self) -> np.ndarray:
-        if self.train_idx is None:
-            return np.arange(len(self))
-        return np.asarray(self.train_idx)
-
-    def test_indices(self) -> np.ndarray:
-        if self.test_idx is None:
-            return np.arange(0)
-        return np.asarray(self.test_idx)
-
 
 def _read_csv(path):
     """The rows of a UTF-8 CSV file, header first, a leading byte-order
@@ -420,7 +410,7 @@ def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
         if log:
             log(f"pretrained vectors: matched {matched} of {vocab.size} tokens")
     else:
-        emb = EmbeddingMatrix.init(vocab.size, dim, rng)
+        emb = init_table(vocab.size, dim, rng)
     cell = cells.make_cell(cfg.cell, dim, cfg.hidden_size, rng,
                            literal_mode=cfg.literal_recurrence, peepholes=cfg.peepholes)
     return ClassifierModel.build(emb, cell, cfg.dense_size, n_classes, rng,
@@ -459,13 +449,15 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
     dataset has no test split.
     """
     cfg.validate()
-    tr_idx = dataset.train_indices()
+    if dataset.train_idx is None:
+        tr_idx, te_idx = np.arange(len(dataset)), np.arange(0)
+    else:
+        tr_idx, te_idx = dataset.train_idx, dataset.test_idx
     if tr_idx.size == 0:
         raise ConfigError("training split is empty")
     rng_epochs = np.random.default_rng(cfg.seed + 1)
     opt = optim.make_optimizer(cfg.optimizer, cfg.resolved_learning_rate(dataset.n_classes))
     params = model.named_params()
-    te_idx = dataset.test_indices()
     X, y = dataset.indices, dataset.labels
     Xtr, ytr = X[tr_idx], y[tr_idx]
     Xte, yte = X[te_idx], y[te_idx]
@@ -539,7 +531,7 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test") -> m
     elif dataset.train_idx is None:
         raise ConfigError(f"the dataset has no train/test split, so no {which} split; use --split all")
     else:
-        idx = dataset.train_indices() if which == "train" else dataset.test_indices()
+        idx = dataset.train_idx if which == "train" else dataset.test_idx
     if idx.size == 0:
         raise ConfigError(f"the {which} split is empty")
     preds = np.concatenate([predict_classes(model, probs)
@@ -716,14 +708,14 @@ class Checkpoint:
 def _disagreement(model: ClassifierModel, cfg: ExperimentConfig, class_names) -> Optional[str]:
     """How the model differs from what ``cfg`` builds over its embedding
     table for ``class_names``, or None when they agree."""
-    cell, emb = model.cell, model.embedding
+    cell, (vocab_size, dim) = model.cell, model.embedding.shape
     if cell.nonlinearity != "tanh":
         return f"no configuration describes a {cell.nonlinearity} {cell.kind} cell"
     for key, want, found in (
             ("cell", cfg.cell, cell.kind),
             ("literal_recurrence", cfg.literal_recurrence, cell.literal_mode),
             ("hidden_size", cfg.hidden_size, cell.hidden_size),
-            ("embedding_dim", cfg.resolve_embedding_dim(emb.vocab_size), emb.dim),
+            ("embedding_dim", cfg.resolve_embedding_dim(vocab_size), dim),
             ("dense_size", cfg.dense_size, model.dense_W.shape[0]),
             ("peepholes", cfg.cell == "lstm" and cfg.peepholes, cell.V is not None)):
         if found != want:
@@ -774,8 +766,8 @@ def load_checkpoint(path) -> Checkpoint:
                              f"classes make it {want!r}; retrain the model")
     model = _from_header(path, "model", ClassifierModel.from_blocks, arrays, cfg.cell,
                          cfg.literal_recurrence, header["vocab_sha"])
-    if vocab.size != model.embedding.vocab_size:
-        raise IntegrityError(f"{path}: the embedding table has {model.embedding.vocab_size} "
+    if vocab.size != model.embedding.shape[0]:
+        raise IntegrityError(f"{path}: the embedding table has {model.embedding.shape[0]} "
                              f"rows but the embedded vocabulary has {vocab.size} entries")
     problem = _disagreement(model, cfg, names)
     if problem is not None:
@@ -826,14 +818,26 @@ def _row_fault(indices: np.ndarray, lengths: np.ndarray, max_len: int) -> Option
 
 
 def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
+    """The dataset, vocabulary and pipeline settings a dataset file holds.
+    Besides the checks of every artifact and of a Dataset, a block the
+    header does not call for, a stored split with an empty side and rows
+    that break the row rule are integrity errors."""
     header, arrays, vocab, pipe = _read_artifact(path, "dataset", has_split=bool)
     split_blocks = ("train_idx", "test_idx") if header["has_split"] else ()
-    for name in ("indices", "labels", "original_lengths") + split_blocks:
+    names = ("indices", "labels", "original_lengths") + split_blocks
+    for name in names:
         if name not in arrays or arrays[name].dtype != np.int32:
             raise IntegrityError(f"{path}: int32 block {name!r} is missing")
+    unexpected = sorted(arrays.keys() - set(names))
+    if unexpected:
+        raise IntegrityError(f"{path}: unexpected blocks {unexpected} in a dataset "
+                             f"with has_split {str(header['has_split']).lower()}")
     train_idx = test_idx = None
     if split_blocks:
         train_idx, test_idx = (arrays[n].astype(np.int64) for n in split_blocks)
+        for side, rows in (("train", train_idx), ("test", test_idx)):
+            if rows.size == 0:
+                raise IntegrityError(f"{path}: the stored {side} split is empty")
     ds = _from_header(path, "dataset", lambda: Dataset(
         indices=arrays["indices"], labels=arrays["labels"].astype(np.int64),
         lengths=arrays["original_lengths"], class_names=list(header["class_names"]),

@@ -19,9 +19,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import cells
-from .embedding import EmbeddingMatrix, check_indices, lookup, lookup_grad
+from .cells import sigmoid
+from .embedding import check_indices, lookup_grad
 from .errors import ConfigError, ShapeError
-from .linalg import sigmoid
 
 PROB_FLOOR = 1e-12
 # Time steps per input projection when forward runs without a trace. It
@@ -85,7 +85,7 @@ class ModelTrace(NamedTuple):
 
 @dataclass
 class ClassifierModel:
-    embedding: EmbeddingMatrix
+    embedding: np.ndarray      # (vocab, dim)
     cell: cells.Cell
     dense_W: np.ndarray        # (dense, hidden)
     dense_b: np.ndarray        # (dense,)
@@ -94,7 +94,7 @@ class ClassifierModel:
     vocab_sha: Optional[str] = None
 
     def __post_init__(self):
-        E, D, H = self.embedding.weights, self.cell.input_size, self.cell.hidden_size
+        E, D, H = self.embedding, self.cell.input_size, self.cell.hidden_size
         W1, b1, W2, b2 = self.dense_W, self.dense_b, self.head_W, self.head_b
         if not (E.ndim == 2 and E.shape[1] == D and W1.ndim == 2 and W1.shape[1] == H
                 and b1.shape == W1.shape[:1] and W2.ndim == 2 and W2.shape[0] not in (0, 2)
@@ -115,7 +115,7 @@ class ClassifierModel:
         return max(2, self.head_W.shape[0])
 
     @classmethod
-    def build(cls, embedding: EmbeddingMatrix, cell: cells.Cell, dense_size: int,
+    def build(cls, embedding: np.ndarray, cell: cells.Cell, dense_size: int,
               n_classes: int, rng: np.random.Generator,
               vocab_sha: Optional[str] = None) -> "ClassifierModel":
         """Initialize the dense and head weights over ``embedding`` and ``cell``:
@@ -140,7 +140,7 @@ class ClassifierModel:
         cell = cells.Cell(kind=cell_kind, literal_mode=literal_mode,
                           **{n[5:]: a for n, a in blocks.items() if n.startswith("cell.")})
         try:
-            model = cls(embedding=EmbeddingMatrix(blocks["embedding.weights"]), cell=cell,
+            model = cls(embedding=blocks["embedding.weights"], cell=cell,
                         dense_W=blocks["dense.W"], dense_b=blocks["dense.b"],
                         head_W=blocks["head.W"], head_b=blocks["head.b"], vocab_sha=vocab_sha)
         except KeyError as e:
@@ -152,7 +152,7 @@ class ClassifierModel:
 
     def state_blocks(self) -> list[tuple[str, np.ndarray]]:
         """Every parameter array, trained or pinned, for checkpointing."""
-        out = [("embedding.weights", self.embedding.weights)]
+        out = [("embedding.weights", self.embedding)]
         out += [(f"cell.{n}", a) for n, a in self.cell.state_blocks()]
         out += [("dense.W", self.dense_W), ("dense.b", self.dense_b),
                 ("head.W", self.head_W), ("head.b", self.head_b)]
@@ -181,14 +181,14 @@ def forward(model: ClassifierModel, indices,
     idx = np.atleast_2d(idx)
     if idx.shape[1] == 0:
         raise ShapeError("cannot classify an empty index sequence")
+    check_indices(idx, model.embedding.shape[0])
     if trace:
-        xs = np.swapaxes(lookup(idx, model.embedding), 0, 1)   # (T, B, D)
+        xs = np.swapaxes(model.embedding[idx], 0, 1)   # (T, B, D)
         h, cache = cells.run_sequence(xs, model.cell)
     else:
-        check_indices(idx, model.embedding)
         state = None
         for t0 in range(0, idx.shape[1], INFERENCE_CHUNK):
-            xs = np.swapaxes(model.embedding.weights[idx[:, t0:t0 + INFERENCE_CHUNK]], 0, 1)
+            xs = np.swapaxes(model.embedding[idx[:, t0:t0 + INFERENCE_CHUNK]], 0, 1)
             state = cells.run_sequence(xs, model.cell, state, history=False)
         h = state.h
     dense_pre = h @ model.dense_W.T + model.dense_b
@@ -243,7 +243,7 @@ def backward(model: ClassifierModel, trace: ModelTrace, y: np.ndarray) -> dict[s
         grads[f"cell.{name}"] = g
 
     grads["embedding.weights"] = lookup_grad(trace.indices, np.swapaxes(dxs, 0, 1),
-                                             model.embedding.vocab_size)
+                                             model.embedding.shape[0])
     return grads
 
 

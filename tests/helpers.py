@@ -108,6 +108,15 @@ def rewrite_artifact(src, dst, edit_header=None, edit_arrays=None):
     return dst
 
 
+def all_rows_on(side):
+    """An edit for ``rewrite_artifact`` that moves every row of a stored
+    split to ``side`` (``train_idx`` or ``test_idx``), leaving the other
+    side empty."""
+    other = "test_idx" if side == "train_idx" else "train_idx"
+    return lambda a: a.update({side: np.sort(np.concatenate([a[side], a[other]])),
+                               other: a[other][:0]})
+
+
 def reseal(body: bytes) -> bytes:
     """A container's ``body`` (magic, header and blocks) with a valid
     length + CRC32 trailer appended, so a reader gets past the checksum."""

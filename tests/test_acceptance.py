@@ -11,10 +11,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seqtext import cli, engine, linalg, metrics
+from seqtext import cells, cli, engine, metrics
 from seqtext import model as M
 from seqtext.cells import Cell, CellState, make_cell
-from seqtext.embedding import EmbeddingMatrix
+from seqtext.embedding import init_table
 from seqtext.engine import (
     ExperimentConfig,
     load_csv_dataset,
@@ -79,7 +79,7 @@ _CELL_VARIANTS = [
 
 def _tiny_model(n_classes, cell_kind, seed):
     rng = np.random.default_rng(seed)
-    emb = EmbeddingMatrix.init(9, 2, rng)
+    emb = init_table(9, 2, rng)
     cell = make_cell(cell_kind, 2, 3, rng)
     return M.ClassifierModel.build(emb, cell, 3, n_classes, rng)
 
@@ -318,7 +318,7 @@ def test_9_numeric_invariants(capsys, tmp_path):
         failures.append("softmax shift invariance")
 
     xs = np.linspace(-36.0, 36.0, 2001)
-    if not np.all(np.abs(linalg.sigmoid(-xs) - (1.0 - linalg.sigmoid(xs))) < 1e-12):
+    if not np.all(np.abs(cells.sigmoid(-xs) - (1.0 - cells.sigmoid(xs))) < 1e-12):
         failures.append("sigmoid symmetry")
 
     in_range = True

@@ -12,7 +12,7 @@ import pytest
 from seqtext import cli, engine, pipeline
 from seqtext.model import forward
 
-from helpers import rewrite_artifact, rewrite_manifest
+from helpers import all_rows_on, rewrite_artifact, rewrite_manifest
 
 
 def _stdin(text):
@@ -310,7 +310,7 @@ class TestConfigHandling:
         assert cli.entry(["train", "--data", str(pre / "dataset.sqt"), "--hidden-size", "4",
                           "--epochs", "1", "--quiet", "--out-dir", str(run)]) == 0
         capsys.readouterr()
-        assert engine.load_checkpoint(run / "model.sqt").model.embedding.vocab_size == 12002
+        assert engine.load_checkpoint(run / "model.sqt").model.embedding.shape[0] == 12002
 
     def test_reused_vocabulary_sets_the_size(self, workspace, tmp_path, capsys):
         # the workspace vocabulary was built under a cap of 200 but holds fewer
@@ -514,6 +514,16 @@ class TestMalformedArtifacts:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"error: {data}: {message}" in proc.stderr
+
+    def test_dataset_with_an_empty_test_side_trains_nothing(self, workspace, tmp_path):
+        data = rewrite_artifact(workspace["pre"] / "dataset.sqt", tmp_path / "bad.sqt",
+                                edit_arrays=all_rows_on("train_idx"))
+        out = tmp_path / "run"
+        proc = _run_cli("train", "--data", data, "--epochs", "1", "--out-dir", out)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "epoch 1/1" not in proc.stderr
+        assert f"error: {data}: the stored test split is empty" in proc.stderr
+        assert not (out / "model.sqt").exists() and not (out / "curve.csv").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_checkpoint_without_config(self, workspace, tmp_path, command):

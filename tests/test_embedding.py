@@ -1,56 +1,66 @@
-"""Embedding table lookup and pretrained-vector loading."""
+"""Embedding table initialization, index checks, row gradients and
+pretrained-vector loading."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from seqtext.embedding import (EmbeddingMatrix, embedding_dim_heuristic,
-                               load_pretrained, lookup, lookup_grad)
+from seqtext.embedding import (check_indices, embedding_dim_heuristic, init_table,
+                               load_pretrained, lookup_grad)
 from seqtext.errors import ConfigError, DataError
 from seqtext.pipeline import PipelineConfig, build_vocabulary
 
 
 def test_pad_row_zero_after_init():
-    emb = EmbeddingMatrix.init(7, 4, np.random.default_rng(0))
-    np.testing.assert_array_equal(emb.weights[0], np.zeros(4))
-    np.testing.assert_array_equal(lookup([0], emb)[0], np.zeros(4))
+    table = init_table(7, 4, np.random.default_rng(0))
+    np.testing.assert_array_equal(table[0], np.zeros(4))
+    np.testing.assert_array_equal(table[check_indices([0], 7)][0], np.zeros(4))
 
 
 def test_init_range():
-    emb = EmbeddingMatrix.init(100, 8, np.random.default_rng(1))
-    w = emb.weights[1:]
+    table = init_table(100, 8, np.random.default_rng(1))
+    w = table[1:]
     assert w.min() >= 0.0
     assert w.max() <= 1.0 / 8
 
 
+def test_init_is_the_scaled_uniform_draw_bitwise():
+    want = np.random.default_rng(11).uniform(0.0, 1.0, size=(30, 6)) / 6
+    want[0] = 0.0
+    table = init_table(30, 6, np.random.default_rng(11))
+    assert table.dtype == np.float64 and table.shape == (30, 6)
+    assert table.tobytes() == want.tobytes()
+
+
 def test_row_selection():
-    emb = EmbeddingMatrix.init(5, 2, np.random.default_rng(2))
-    emb.weights[3] = [0.1, 0.2]
-    np.testing.assert_array_equal(lookup([3], emb), [[0.1, 0.2]])
+    table = init_table(5, 2, np.random.default_rng(2))
+    table[3] = [0.1, 0.2]
+    np.testing.assert_array_equal(table[check_indices([3], 5)], [[0.1, 0.2]])
 
 
 def test_lookup_equals_one_hot_product():
     rng = np.random.default_rng(3)
-    emb = EmbeddingMatrix.init(12, 5, rng)
+    table = init_table(12, 5, rng)
     for i in rng.integers(0, 12, size=10):
         onehot = np.zeros((1, 12))
         onehot[0, i] = 1.0
-        np.testing.assert_array_equal(lookup([int(i)], emb), onehot @ emb.weights)
+        np.testing.assert_array_equal(table[check_indices([int(i)], 12)], onehot @ table)
 
 
 def test_lookup_batch_shapes():
-    emb = EmbeddingMatrix.init(9, 3, np.random.default_rng(4))
-    out = lookup(np.array([[1, 2], [3, 4]]), emb)
-    assert out.shape == (2, 2, 3)
+    table = init_table(9, 3, np.random.default_rng(4))
+    idx = np.array([[1, 2], [3, 4]])
+    assert check_indices(idx, 9) is idx
+    assert table[idx].shape == (2, 2, 3)
 
 
 def test_out_of_range_index_names_position():
-    emb = EmbeddingMatrix.init(4, 2, np.random.default_rng(5))
-    with pytest.raises(IndexError, match="position"):
-        lookup([1, 9], emb)
-    with pytest.raises(IndexError):
-        lookup([-1], emb)
+    with pytest.raises(IndexError, match=r"embedding index 9 at position 1 out of range \[0, 4\)"):
+        check_indices([1, 9], 4)
+    with pytest.raises(IndexError, match=r"index -1 at position \(1, 0\)"):
+        check_indices([[1, 2], [-1, 3]], 4)
+    assert check_indices([0, 3], 4).tolist() == [0, 3]
 
 
 def test_lookup_grad_equals_add_at_bitwise():
@@ -93,16 +103,16 @@ class TestLoadPretrained:
         vocab = _tiny_vocab(["cat"])
         emb, matched = load_pretrained(p, vocab, 2, np.random.default_rng(0))
         assert matched == 1
-        np.testing.assert_array_equal(emb.weights[vocab.token_to_index["cat"]], [1.0, 2.0])
+        np.testing.assert_array_equal(emb[vocab.token_to_index["cat"]], [1.0, 2.0])
 
     def test_unmatched_token_is_noop(self, tmp_path):
         p = tmp_path / "vec.txt"
         p.write_text("dog 1.0 2.0\n", encoding="utf-8")
         vocab = _tiny_vocab(["cat"])
         emb, matched = load_pretrained(p, vocab, 2, np.random.default_rng(0))
-        fresh = EmbeddingMatrix.init(vocab.size, 2, np.random.default_rng(0))
+        fresh = init_table(vocab.size, 2, np.random.default_rng(0))
         assert matched == 0
-        np.testing.assert_array_equal(emb.weights, fresh.weights)
+        np.testing.assert_array_equal(emb, fresh)
 
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "vec.txt"
@@ -129,7 +139,7 @@ class TestLoadPretrained:
         vocab = _tiny_vocab(["cat"])
         emb, matched = load_pretrained(p, vocab, 2, np.random.default_rng(0))
         assert matched == 1
-        np.testing.assert_array_equal(emb.weights[vocab.token_to_index["cat"]], [3.0, 4.0])
+        np.testing.assert_array_equal(emb[vocab.token_to_index["cat"]], [3.0, 4.0])
 
     def test_header_dim_mismatch(self, tmp_path):
         p = tmp_path / "vec.txt"
@@ -145,7 +155,7 @@ class TestLoadPretrained:
         vocab = _tiny_vocab(["cat"])
         emb, matched = load_pretrained(p, vocab, 2, np.random.default_rng(0))
         assert matched == 1
-        np.testing.assert_array_equal(emb.weights[vocab.token_to_index["cat"]], [3.0, 4.0])
+        np.testing.assert_array_equal(emb[vocab.token_to_index["cat"]], [3.0, 4.0])
 
     def test_pad_row_forced_zero(self, tmp_path):
         # a file entry for the pad display token must not overwrite row 0
@@ -153,4 +163,4 @@ class TestLoadPretrained:
         p.write_text("<PAD> 9.0 9.0\ncat 1.0 1.0\n", encoding="utf-8")
         vocab = _tiny_vocab(["cat"])
         emb, _ = load_pretrained(p, vocab, 2, np.random.default_rng(0))
-        np.testing.assert_array_equal(emb.weights[0], [0.0, 0.0])
+        np.testing.assert_array_equal(emb[0], [0.0, 0.0])

@@ -38,7 +38,8 @@ from seqtext.errors import (
     VocabularyMismatchError,
 )
 
-from helpers import make_synthetic_corpus, reseal, rewrite_artifact, rewrite_manifest
+from helpers import (all_rows_on, make_synthetic_corpus, reseal, rewrite_artifact,
+                     rewrite_manifest)
 
 
 class TestConfigParsing:
@@ -1010,10 +1011,18 @@ _SHARED_HEADER_FAULTS = [
                  "header field 'vocab_sha'", id="vocab_sha-None"),
     pytest.param(lambda h: h.update(vocab_text=3), IntegrityError,
                  "header field 'vocab_text'", id="vocab_text-int"),
+    pytest.param(lambda h: h.update(vocab_text=None), IntegrityError,
+                 "header field 'vocab_text'", id="vocab_text-None"),
     pytest.param(lambda h: h.update(pipeline=[]), IntegrityError,
                  "header field 'pipeline'", id="pipeline-list"),
+    pytest.param(lambda h: h.update(pipeline=3), IntegrityError,
+                 "header field 'pipeline'", id="pipeline-int"),
+    pytest.param(lambda h: h.update(pipeline=None), IntegrityError,
+                 "header field 'pipeline'", id="pipeline-None"),
     pytest.param(lambda h: h.update(class_names=["neg", 7]), IntegrityError,
                  "class_names: class names must be distinct strings", id="class_names-int"),
+    pytest.param(lambda h: h.update(class_names=["neg", True]), IntegrityError,
+                 "class_names: class names must be distinct strings", id="class_names-bool"),
     pytest.param(lambda h: h.update(class_names=["neg", "neg"]), IntegrityError,
                  "class_names: class names must be distinct strings", id="class_names-repeat"),
     *[pytest.param(lambda h, e=edit: h.update(vocab_text=e(h["vocab_text"])), IntegrityError,
@@ -1095,6 +1104,24 @@ _BAD_ROWS = [
 ]
 
 
+# Each case stores blocks that preprocess never writes beside the header
+# of the same dataset. A Dataset accepts the empty sides
+# (TestEvaluate::test_empty_split_rejected builds one); only the file is
+# refused.
+_BAD_FILES = [
+    pytest.param(None, all_rows_on("train_idx"), "the stored test split is empty",
+                 id="empty-test-side"),
+    pytest.param(None, all_rows_on("test_idx"), "the stored train split is empty",
+                 id="empty-train-side"),
+    pytest.param(lambda h: h.update(has_split=False), None,
+                 "unexpected blocks ['test_idx', 'train_idx'] in a dataset with has_split false",
+                 id="split-blocks-without-split"),
+    pytest.param(None, lambda a: a.update(notes=np.zeros(3, dtype=np.int32)),
+                 "unexpected blocks ['notes'] in a dataset with has_split true",
+                 id="unread-block"),
+]
+
+
 class TestDatasetChecks:
     """A Dataset checks its own arrays; a dataset file holding the same
     faults is an integrity error."""
@@ -1138,6 +1165,14 @@ class TestDatasetChecks:
         edit(a)
         Dataset(indices=a["indices"], labels=a["labels"], lengths=a["original_lengths"],
                 class_names=ds.class_names, train_idx=a["train_idx"], test_idx=a["test_idx"])
+
+    @pytest.mark.parametrize("edit_header,edit_arrays,match", _BAD_FILES)
+    def test_file_holds_only_what_preprocess_writes(self, saved, edit_header, edit_arrays,
+                                                    match):
+        _, path = saved
+        rewrite_artifact(path, path, edit_header, edit_arrays)
+        with pytest.raises(IntegrityError, match=re.escape(f"{path}: {match}")):
+            load_dataset(path)
 
     @pytest.mark.parametrize("side", ["train_idx", "test_idx"])
     def test_half_a_split_is_refused(self, saved, side):

@@ -9,11 +9,10 @@ import pytest
 
 from seqtext import model as M
 from seqtext import optim
-from seqtext.cells import make_cell
-from seqtext.embedding import EmbeddingMatrix
+from seqtext.cells import make_cell, sigmoid
+from seqtext.embedding import init_table
 from seqtext.engine import ExperimentConfig
 from seqtext.errors import ConfigError, DivergenceError, ShapeError
-from seqtext.linalg import sigmoid
 
 from helpers import (ReferenceAdam, ReferenceRmsProp, ReferenceSgd, fd_gradient, gate_errors,
                      rel_error)
@@ -221,7 +220,7 @@ class TestOptimizers:
 
 def build_tiny(n_classes=2, cell_kind="gru", vocab=7, dim=3, hidden=4, dense=3, seed=0):
     rng = np.random.default_rng(seed)
-    emb = EmbeddingMatrix.init(vocab, dim, rng)
+    emb = init_table(vocab, dim, rng)
     cell = make_cell(cell_kind, dim, hidden, rng)
     return M.ClassifierModel.build(emb, cell, dense, n_classes, rng)
 
@@ -259,7 +258,7 @@ class TestForward:
 
     def test_build_validates_dimension_chain(self):
         rng = np.random.default_rng(0)
-        emb = EmbeddingMatrix.init(7, 3, rng)
+        emb = init_table(7, 3, rng)
         cell = make_cell("gru", 5, 4, rng)  # input 5 != embedding dim 3
         with pytest.raises(ShapeError):
             M.ClassifierModel.build(emb, cell, 3, 2, rng)
@@ -283,7 +282,7 @@ def build_paper_size(variant: str, n_classes: int = 2, vocab: int = 60,
         cell = replace(cell, nonlinearity="sigmoid")
     if cell.V is not None:
         cell.V[...] = rng.normal(scale=0.3, size=cell.V.shape)
-    emb = EmbeddingMatrix.init(vocab, 16, rng)
+    emb = init_table(vocab, 16, rng)
     return M.ClassifierModel.build(emb, cell, 8, n_classes, rng)
 
 
