@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Union, get_args, get_type_hints
 import numpy as np
 
 from . import cells, metrics, optim
-from .embedding import embedding_dim_heuristic, init_table, load_pretrained
+from .embedding import check_indices, embedding_dim_heuristic, init_table, load_pretrained
 from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      VocabularyMismatchError)
 from .model import ClassifierModel, backward, cost, forward, loss_values, predict_classes
@@ -85,15 +85,16 @@ def parse_config_value(key: str, raw: str):
     try:
         return kind(raw)
     except ValueError:
-        what = "an integer or 'auto'" if key == "embedding_dim" else "a number"
-        raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
+        what = "an integer" if kind is int else "a number"
+        auto = " or 'auto'" if key == "embedding_dim" else ""
+        raise ConfigError(f"{key} must be {what}{auto}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Flat ``key = value`` lines to a typed option dict.
 
-    Blank lines and '#' comments are ignored; unknown keys and repeated
-    keys are errors.
+    Blank lines and '#' comment lines are ignored (a later '#' is part of
+    the value); unknown keys, repeated keys and bad values name the line.
     """
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -108,7 +109,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: unknown configuration key {key!r}")
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        out[key] = parse_config_value(key, raw)
+        try:
+            out[key] = parse_config_value(key, raw)
+        except ConfigError as e:
+            raise ConfigError(f"{source}:{lineno}: {e}") from None
     return out
 
 
@@ -216,13 +220,13 @@ def _check_class_names(names) -> None:
         raise DataError(f"class names must be distinct strings, got {names!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """An encoded corpus as the row-aligned arrays of the dataset file:
     ``indices`` (N, max_len) int32 front-padded token indices, ``labels``
     (N,) int64 class indices (int32 in the file) and ``lengths`` (N,)
-    token counts before truncation. A split is a pair of row-index arrays
-    that together name every row exactly once."""
+    token counts before truncation, N >= 1. A split is a pair of nonempty
+    row-index arrays that together name every row exactly once."""
 
     indices: np.ndarray
     labels: np.ndarray
@@ -238,6 +242,8 @@ class Dataset:
             raise DataError(
                 f"dataset arrays have inconsistent shapes: indices {self.indices.shape}, "
                 f"labels {self.labels.shape}, lengths {self.lengths.shape}")
+        if N == 0:
+            raise DataError("a dataset needs at least one document")
         _check_class_names(self.class_names)
         C = len(self.class_names)
         bad = np.flatnonzero((self.labels < 0) | (self.labels >= C))
@@ -247,10 +253,13 @@ class Dataset:
         if (self.train_idx is None) != (self.test_idx is None):
             raise ConfigError("a split needs both train_idx and test_idx")
         if self.train_idx is not None:
+            for side, rows in (("train", self.train_idx), ("test", self.test_idx)):
+                if rows.size == 0:
+                    raise ConfigError(f"the {side} split is empty")
             if np.intersect1d(self.train_idx, self.test_idx).size:
                 raise ConfigError("train and test splits overlap")
             both = np.concatenate([self.train_idx, self.test_idx]).astype(np.int64)
-            if both.size and (both.min() < 0 or both.max() >= N):
+            if both.min() < 0 or both.max() >= N:
                 raise ConfigError(f"split rows must lie in [0, {N})")
             if both.size != N or not np.bincount(both, minlength=N).all():
                 raise ConfigError("splits must cover every document exactly once")
@@ -341,7 +350,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> Dataset:
 
     Returns a new Dataset sharing the arrays, with index sets filled. The
     fraction lies in (0, 1), every class needs at least 2 documents, and
-    the test side may not come out empty.
+    neither side may come out empty.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -364,8 +373,6 @@ def split(dataset: Dataset, train_fraction: float, seed: int = 0) -> Dataset:
         test_parts.append(perm[tc:])
     train_idx = np.sort(np.concatenate(train_parts)).astype(np.int64)
     test_idx = np.sort(np.concatenate(test_parts)).astype(np.int64)
-    if test_idx.size == 0:
-        raise ConfigError(f"train_fraction {train_fraction} leaves an empty test split")
     return replace(dataset, train_idx=train_idx, test_idx=test_idx)
 
 
@@ -379,7 +386,7 @@ def corpus_stats(dataset: Dataset) -> dict:
     return {
         "documents": n,
         "classes": dict(zip(dataset.class_names, counts)),
-        "avg_length": int(dataset.lengths.sum()) / n if n else 0.0,
+        "avg_length": int(dataset.lengths.sum()) / n,
         "oov_rate": oov / nonpad if nonpad else 0.0,
         "truncated": int(np.count_nonzero(dataset.lengths > dataset.indices.shape[1])),
     }
@@ -453,8 +460,6 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
         tr_idx, te_idx = np.arange(len(dataset)), np.arange(0)
     else:
         tr_idx, te_idx = dataset.train_idx, dataset.test_idx
-    if tr_idx.size == 0:
-        raise ConfigError("training split is empty")
     rng_epochs = np.random.default_rng(cfg.seed + 1)
     opt = optim.make_optimizer(cfg.optimizer, cfg.resolved_learning_rate(dataset.n_classes))
     params = model.named_params()
@@ -532,8 +537,6 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test") -> m
         raise ConfigError(f"the dataset has no train/test split, so no {which} split; use --split all")
     else:
         idx = dataset.train_idx if which == "train" else dataset.test_idx
-    if idx.size == 0:
-        raise ConfigError(f"the {which} split is empty")
     preds = np.concatenate([predict_classes(model, probs)
                             for _, probs in _scored_batches(model, dataset.indices[idx])])
     return metrics.scores(metrics.confusion(preds, dataset.labels[idx], model.n_classes))
@@ -820,8 +823,8 @@ def _row_fault(indices: np.ndarray, lengths: np.ndarray, max_len: int) -> Option
 def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
     """The dataset, vocabulary and pipeline settings a dataset file holds.
     Besides the checks of every artifact and of a Dataset, a block the
-    header does not call for, a stored split with an empty side and rows
-    that break the row rule are integrity errors."""
+    header does not call for, a token index outside the vocabulary and
+    rows that break the row rule are integrity errors."""
     header, arrays, vocab, pipe = _read_artifact(path, "dataset", has_split=bool)
     split_blocks = ("train_idx", "test_idx") if header["has_split"] else ()
     names = ("indices", "labels", "original_lengths") + split_blocks
@@ -835,18 +838,14 @@ def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
     train_idx = test_idx = None
     if split_blocks:
         train_idx, test_idx = (arrays[n].astype(np.int64) for n in split_blocks)
-        for side, rows in (("train", train_idx), ("test", test_idx)):
-            if rows.size == 0:
-                raise IntegrityError(f"{path}: the stored {side} split is empty")
     ds = _from_header(path, "dataset", lambda: Dataset(
         indices=arrays["indices"], labels=arrays["labels"].astype(np.int64),
         lengths=arrays["original_lengths"], class_names=list(header["class_names"]),
         train_idx=train_idx, test_idx=test_idx, vocab_sha=header["vocab_sha"]))
-    bad = (ds.indices < 0) | (ds.indices >= vocab.size)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise IntegrityError(f"{path}: row {row} holds token index {ds.indices[row, col]}, "
-                             f"outside the vocabulary range [0, {vocab.size})")
+    try:
+        check_indices(ds.indices, vocab.size)
+    except IndexError as e:
+        raise IntegrityError(f"{path}: {e}") from None
     problem = _row_fault(ds.indices, ds.lengths, pipe.max_len)
     if problem is not None:
         raise IntegrityError(f"{path}: {problem}")

@@ -12,7 +12,7 @@ import pytest
 from seqtext import cli, engine, pipeline
 from seqtext.model import forward
 
-from helpers import all_rows_on, rewrite_artifact, rewrite_manifest
+from helpers import all_rows_on, no_rows, rewrite_artifact, rewrite_manifest
 
 
 def _stdin(text):
@@ -494,7 +494,8 @@ class TestMalformedArtifacts:
                         "--data", data, "--out-dir", tmp_path)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert f"row 2 holds token index {bad}" in proc.stderr
+        assert f"error: {data}: embedding index {bad} at position (2, 5) out of range" \
+            in proc.stderr
 
     # The workspace dataset has max_len 32, and row 2 is shorter than that.
     @pytest.mark.parametrize("edit,message", [
@@ -522,7 +523,7 @@ class TestMalformedArtifacts:
         proc = _run_cli("train", "--data", data, "--epochs", "1", "--out-dir", out)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "epoch 1/1" not in proc.stderr
-        assert f"error: {data}: the stored test split is empty" in proc.stderr
+        assert f"error: {data}: dataset: the test split is empty" in proc.stderr
         assert not (out / "model.sqt").exists() and not (out / "curve.csv").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
@@ -777,6 +778,11 @@ def _unsplit_dataset(ws, tmp):
     return tmp / "unsplit" / "dataset.sqt"
 
 
+def _zero_row_dataset(ws, tmp):
+    """The workspace corpus encoded without a split, cut to zero rows."""
+    return rewrite_artifact(_unsplit_dataset(ws, tmp), tmp / "zero-rows.sqt", edit_arrays=no_rows)
+
+
 def _softmax_over_2_checkpoint(ws, tmp):
     """The trained binary checkpoint as earlier versions could store a
     softmax head over its 2 classes: 2 head rows and task multiclass."""
@@ -831,6 +837,9 @@ _EXIT_CODE_CASES = [
         "evaluate", "--model", ws["run"] / "model.sqt", "--data", _unsplit_dataset(ws, tmp),
         "--split", "test", "--out-dir", tmp], 1,
      "the dataset has no train/test split, so no test split; use --split all"),
+    ("evaluate-zero-row-dataset", lambda ws, tmp: [
+        "evaluate", "--model", ws["run"] / "model.sqt", "--data", _zero_row_dataset(ws, tmp),
+        "--out-dir", tmp], 2, "zero-rows.sqt: dataset: a dataset needs at least one document"),
     ("softmax-over-2-checkpoint", lambda ws, tmp: [
         "predict", "--model", _softmax_over_2_checkpoint(ws, tmp)], 2,
      "the config records task 'multiclass', but 2 classes make it 'binary'; retrain the model"),

@@ -3,7 +3,8 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from seqtext.errors import (
     VocabularyMismatchError,
 )
 
-from helpers import (all_rows_on, make_synthetic_corpus, reseal, rewrite_artifact,
+from helpers import (all_rows_on, make_synthetic_corpus, no_rows, reseal, rewrite_artifact,
                      rewrite_manifest)
 
 
@@ -83,6 +84,24 @@ class TestConfigParsing:
     def test_bad_boolean_rejected(self):
         with pytest.raises(ConfigError, match="peepholes"):
             parse_config_text("peepholes = maybe\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("seed = 1.5", "seed must be an integer, got '1.5'"),
+        ("embedding_dim = 2.5", "embedding_dim must be an integer or 'auto', got '2.5'"),
+        ("learning_rate = fast", "learning_rate must be a number, got 'fast'"),
+        ("peepholes = maybe", "peepholes must be a boolean, got 'maybe'"),
+    ], ids=["int", "int-or-auto", "float", "bool"])
+    def test_bad_value_names_source_line_and_kind(self, line, message):
+        with pytest.raises(ConfigError, match=re.escape(f"run.cfg:2: {message}")):
+            parse_config_text(f"epochs = 3\n{line}\n", source="run.cfg")
+
+    def test_readme_example_lists_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```\n(# run\.cfg\n.*?)```", readme, re.S).group(1)
+        cfg = ExperimentConfig.from_dict(parse_config_text(block, source="README.md"))
+        # it spells out the rate that an unset learning_rate resolves to for 2 classes
+        assert cfg.learning_rate == ExperimentConfig().resolved_learning_rate(2)
+        assert replace(cfg, learning_rate=None) == ExperimentConfig()
 
 
 class TestExperimentConfig:
@@ -227,7 +246,7 @@ class TestSplit:
 
     def test_fraction_leaving_empty_test_rejected(self):
         ds, _, _ = make_synthetic_corpus(4, 2, seed=0)
-        with pytest.raises(ConfigError, match="empty test split"):
+        with pytest.raises(ConfigError, match="the test split is empty"):
             split(ds, train_fraction=0.9)
 
     def test_tiny_class_rejected(self):
@@ -555,21 +574,6 @@ class TestTrain:
         model = build_model(cfg, ds.n_classes, vocab)
         with pytest.raises(ConfigError, match="must be"):
             next(train_epochs(model, replace(cfg, **bad), ds))
-
-    def test_empty_dataset_rejected(self):
-        _, vocab, _, cfg = _toy_setup()
-        empty = Dataset(indices=np.zeros((0, 4), dtype=np.int32),
-                        labels=np.zeros(0, dtype=np.int64),
-                        lengths=np.zeros(0, dtype=np.int32), class_names=["neg", "pos"])
-        with pytest.raises(ConfigError, match="empty"):
-            train(cfg, empty, vocab)
-
-    def test_empty_training_split_rejected(self):
-        ds, vocab, _, cfg = _toy_setup()
-        starved = replace(ds, train_idx=np.array([], dtype=np.int64),
-                          test_idx=np.arange(len(ds)))
-        with pytest.raises(ConfigError, match="training split is empty"):
-            train(cfg, starved, vocab)
 
     def test_three_classes_train_a_softmax_head_at_the_multiclass_rate(self):
         ds, vocab, _, cfg = _toy_setup(n_docs=15, n_classes=3, epochs=1)
@@ -1080,6 +1084,11 @@ _BAD_BLOCKS = [
                  "inconsistent shapes", id="short-lengths"),
     pytest.param(lambda a: a.update(indices=a["indices"][0]), DataError,
                  "inconsistent shapes", id="1-d-indices"),
+    pytest.param(no_rows, DataError, "a dataset needs at least one document", id="no-rows"),
+    pytest.param(all_rows_on("test_idx"), ConfigError, "the train split is empty",
+                 id="empty-train-side"),
+    pytest.param(all_rows_on("train_idx"), ConfigError, "the test split is empty",
+                 id="empty-test-side"),
 ]
 
 
@@ -1104,15 +1113,9 @@ _BAD_ROWS = [
 ]
 
 
-# Each case stores blocks that preprocess never writes beside the header
-# of the same dataset. A Dataset accepts the empty sides
-# (TestEvaluate::test_empty_split_rejected builds one); only the file is
-# refused.
+# Each case stores blocks that the header of the same dataset does not
+# call for. A Dataset has no header, so only the file is refused.
 _BAD_FILES = [
-    pytest.param(None, all_rows_on("train_idx"), "the stored test split is empty",
-                 id="empty-test-side"),
-    pytest.param(None, all_rows_on("test_idx"), "the stored train split is empty",
-                 id="empty-train-side"),
     pytest.param(lambda h: h.update(has_split=False), None,
                  "unexpected blocks ['test_idx', 'train_idx'] in a dataset with has_split false",
                  id="split-blocks-without-split"),
@@ -1148,7 +1151,7 @@ class TestDatasetChecks:
     def test_file_is_integrity_error(self, saved, edit, error, match):
         _, path = saved
         rewrite_artifact(path, path, edit_arrays=edit)
-        with pytest.raises(IntegrityError, match=match):
+        with pytest.raises(IntegrityError, match=re.escape(f"{path}: dataset: ") + ".*" + match):
             load_dataset(path)
 
     @pytest.mark.parametrize("edit,match", _BAD_ROWS)
@@ -1183,6 +1186,12 @@ class TestDatasetChecks:
         unsplit = replace(ds, train_idx=None, test_idx=None)
         with pytest.raises(ConfigError, match="a split needs both train_idx and test_idx"):
             replace(unsplit, **{side: np.arange(4)})
+
+    def test_fields_cannot_be_reassigned(self, saved):
+        # so the checks hold for the object's lifetime; replace() runs them again
+        ds, _ = saved
+        with pytest.raises(FrozenInstanceError):
+            ds.test_idx = ds.test_idx[:0]
 
     def test_valid_arrays_are_accepted(self, saved):
         ds, _ = saved
@@ -1232,7 +1241,9 @@ class TestDatasetArtifact:
         save_dataset(path, ds, vocab, pcfg)
         rewrite_artifact(path, path,
                          edit_arrays=lambda a: a["indices"].__setitem__((5, 3), bad))
-        with pytest.raises(IntegrityError, match=f"row 5 holds token index {bad}"):
+        with pytest.raises(IntegrityError, match=re.escape(
+                f"{path}: embedding index {bad} at position (5, 3) out of range "
+                f"[0, {vocab.size})")):
             load_dataset(path)
 
     @pytest.mark.parametrize("field", ["class_names", "vocab_text", "vocab_sha",
@@ -1347,13 +1358,6 @@ class TestEvaluate:
         assert evaluate(model, ds, which="all").confusion.sum() == len(ds)
         with pytest.raises(ConfigError, match="split must be"):
             evaluate(model, ds, which="validation")
-
-    def test_empty_split_rejected(self):
-        ds, vocab, _, cfg = _toy_setup(epochs=0)
-        model, _ = train(cfg, ds, vocab)
-        ds = replace(ds, train_idx=np.arange(len(ds)), test_idx=np.arange(0))
-        with pytest.raises(ConfigError, match="test split is empty"):
-            evaluate(model, ds, which="test")
 
     @pytest.mark.parametrize("which", ["train", "test"])
     def test_no_stored_split_has_no_train_or_test_side(self, which):
