@@ -63,7 +63,7 @@ def _merged_config(args) -> ExperimentConfig:
         raw = getattr(args, name, None)
         if raw is not None:
             values[name] = parse_config_value(name, raw)
-    return ExperimentConfig.from_dict(values)
+    return ExperimentConfig(**values)
 
 
 def _print_resolved(lines: str) -> None:

@@ -116,7 +116,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines a training run besides the encoded
     corpus, whose ``PipelineConfig`` holds the vocabulary cap and length.
@@ -124,7 +124,9 @@ class ExperimentConfig:
     ``learning_rate`` defaults to None and resolves by class count (0.001
     for 2, 0.005 for more), and ``embedding_dim`` may be the literal
     string "auto" for the fourth-root heuristic. The class count picks the
-    head and the head fixes the loss, so neither is a setting.
+    head and the head fixes the loss, so neither is a setting. The
+    constructor refuses a bad setting with a ConfigError, and a config is
+    frozen, so ``dataclasses.replace`` makes a checked copy.
     """
 
     cell: str = "lstm"
@@ -141,13 +143,13 @@ class ExperimentConfig:
     literal_recurrence: bool = False
     peepholes: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             _check_value_type(f.name, getattr(self, f.name))
         if self.cell not in cells.GATES:
             raise ConfigError(f"cell must be one of {tuple(cells.GATES)}, got {self.cell!r}")
-        if self.optimizer not in optim.OPTIMIZER_KINDS:
-            raise ConfigError(f"optimizer must be one of {optim.OPTIMIZER_KINDS}, got {self.optimizer!r}")
+        if self.optimizer not in optim.OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {tuple(optim.OPTIMIZERS)}, got {self.optimizer!r}")
         for name, low in (("hidden_size", 1), ("dense_size", 1),
                           ("epochs", 0), ("batch_size", 1), ("seed", 0)):
             v = getattr(self, name)
@@ -175,15 +177,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = d.keys() - _FIELD_TYPES.keys()
-        if unknown:
-            raise ConfigError(f"unknown configuration keys {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
     def describe(self, vocab_size: int, n_classes: int) -> str:
         """Resolved 'key = value' lines, one per field, over a vocabulary
@@ -409,7 +402,6 @@ def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
     """Initialize a classifier for this config over ``vocab``, drawing
     from a generator seeded with ``cfg.seed``: the embedding table has
     one row per vocabulary entry."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     dim = cfg.resolve_embedding_dim(vocab.size)
     if cfg.pretrained_vectors:
@@ -455,13 +447,12 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
     come from a full pass at the end of the epoch, or NaN when the
     dataset has no test split.
     """
-    cfg.validate()
     if dataset.train_idx is None:
         tr_idx, te_idx = np.arange(len(dataset)), np.arange(0)
     else:
         tr_idx, te_idx = dataset.train_idx, dataset.test_idx
     rng_epochs = np.random.default_rng(cfg.seed + 1)
-    opt = optim.make_optimizer(cfg.optimizer, cfg.resolved_learning_rate(dataset.n_classes))
+    opt = optim.OPTIMIZERS[cfg.optimizer](cfg.resolved_learning_rate(dataset.n_classes))
     params = model.named_params()
     X, y = dataset.indices, dataset.labels
     Xtr, ytr = X[tr_idx], y[tr_idx]
@@ -754,11 +745,15 @@ def load_checkpoint(path) -> Checkpoint:
     are fewer than 2 class names and a recorded task that disagrees with
     the class names, which are checked before the blocks are read."""
     header, arrays, vocab, pipe = _read_artifact(path, "checkpoint", config=dict)
-    missing = sorted((_FIELD_TYPES.keys() | {"task"}) - header["config"].keys())
+    # a stored config holds exactly the settings and the task
+    stored, keys = header["config"], _FIELD_TYPES.keys() | {"task"}
+    missing, unknown = sorted(keys - stored.keys()), sorted(stored.keys() - keys)
     if missing:
         raise IntegrityError(f"{path}: config lacks {', '.join(missing)}")
-    task = header["config"].pop("task")
-    cfg = _from_header(path, "config", ExperimentConfig.from_dict, header["config"])
+    if unknown:
+        raise IntegrityError(f"{path}: config: unknown configuration keys {unknown}")
+    task = stored.pop("task")
+    cfg = _from_header(path, "config", lambda: ExperimentConfig(**stored))
     names = header["class_names"]
     if len(names) < 2:
         raise IntegrityError(f"{path}: the header names {len(names)} class(es), but a model "

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DivergenceError
 
-OPTIMIZER_KINDS = ("sgd", "rmsprop", "adam")
 RMSPROP_RHO = 0.9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -102,9 +101,9 @@ class Adam:
             p -= m_hat
 
 
-def make_optimizer(kind: str, learning_rate: float):
-    """A fresh optimizer; ``ExperimentConfig.validate`` checks the kind and the rate."""
-    return {"sgd": Sgd, "rmsprop": RmsProp, "adam": Adam}[kind](learning_rate)
+# Each optimizer under the name a config gives it; ``ExperimentConfig``
+# checks the name and the rate when it is built.
+OPTIMIZERS = {"sgd": Sgd, "rmsprop": RmsProp, "adam": Adam}
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
