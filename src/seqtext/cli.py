@@ -112,8 +112,8 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_train(args) -> int:
     ds, vocab, pipe = engine.load_dataset(args.data)
-    cfg = _merged_config(args)
-    _print_resolved(cfg.describe(vocab.size, ds.n_classes))
+    cfg = _merged_config(args).resolved(vocab.size, ds.n_classes)
+    _print_resolved(cfg.describe())
     if ds.train_idx is None:
         _log(f"splitting 0.5 train / 0.5 test with seed {cfg.seed}")
         ds = engine.split(ds, train_fraction=0.5, seed=cfg.seed)
@@ -137,7 +137,7 @@ def _cmd_evaluate(args) -> int:
     ckpt = engine.load_checkpoint(args.model)
     ds, _, _ = engine.load_dataset(args.data)
     names = ckpt.class_names
-    _print_resolved(ckpt.config.describe(ckpt.model.embedding.shape[0], len(names)))
+    _print_resolved(ckpt.config.describe())
     unknown = [n for n in ds.class_names if n not in names]
     if unknown:
         raise DataError(f"dataset classes {ds.class_names} do not match the checkpoint's "
@@ -171,7 +171,7 @@ def _stdin_lines():
 def _cmd_predict(args) -> int:
     ckpt = engine.load_checkpoint(args.model)
     model, names = ckpt.model, ckpt.class_names
-    _print_resolved(ckpt.config.describe(model.embedding.shape[0], len(names)))
+    _print_resolved(ckpt.config.describe())
     vocab, pipe = ckpt.vocab, ckpt.pipeline
     # One forward pass per chunk of lines. Answers keep input order and
     # are flushed per chunk, so a line's answer appears once its chunk

@@ -105,8 +105,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"{source}:{lineno}: unknown configuration key {key!r}")
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
@@ -123,10 +121,11 @@ class ExperimentConfig:
 
     ``learning_rate`` defaults to None and resolves by class count (0.001
     for 2, 0.005 for more), and ``embedding_dim`` may be the literal
-    string "auto" for the fourth-root heuristic. The class count picks the
-    head and the head fixes the loss, so neither is a setting. The
-    constructor refuses a bad setting with a ConfigError, and a config is
-    frozen, so ``dataclasses.replace`` makes a checked copy.
+    string "auto" for the fourth-root heuristic; ``resolved`` fills both
+    in. The class count picks the head and the head fixes the loss, so
+    neither is a setting. The constructor refuses a bad setting with a
+    ConfigError, and a config is frozen, so ``dataclasses.replace`` makes
+    a checked copy.
     """
 
     cell: str = "lstm"
@@ -165,37 +164,29 @@ class ExperimentConfig:
         if self.literal_recurrence and self.cell != "rnn":
             raise ConfigError("literal_recurrence only applies to the rnn cell")
 
-    def resolved_learning_rate(self, n_classes: int) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return 0.001 if n_classes == 2 else 0.005
-
-    def resolve_embedding_dim(self, vocab_size: int) -> int:
-        if self.embedding_dim == "auto":
-            return embedding_dim_heuristic(vocab_size)
-        return self.embedding_dim
+    def resolved(self, vocab_size: int, n_classes: int) -> ExperimentConfig:
+        """This config as a run over ``vocab_size`` vocabulary entries and
+        ``n_classes`` classes uses it, with no unset ``learning_rate`` and no
+        "auto" ``embedding_dim``. A resolved config resolves to itself."""
+        rate, dim = self.learning_rate, self.embedding_dim
+        return replace(
+            self, learning_rate=(0.001 if n_classes == 2 else 0.005) if rate is None else rate,
+            embedding_dim=embedding_dim_heuristic(vocab_size) if dim == "auto" else dim)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def describe(self, vocab_size: int, n_classes: int) -> str:
-        """Resolved 'key = value' lines, one per field, over a vocabulary
-        of ``vocab_size`` entries and ``n_classes`` classes.
-
-        The output is itself a valid configuration file reproducing this
-        run, so a log line is enough to rerun an experiment.
-        """
-        shown = self.to_dict()
-        shown["learning_rate"] = self.resolved_learning_rate(n_classes)
-        shown["embedding_dim"] = self.resolve_embedding_dim(vocab_size)
+    def describe(self) -> str:
+        """'key = value' lines, one per field. The output is itself a valid
+        configuration file, so the log of a resolved config is enough to
+        rerun an experiment."""
         lines = []
-        for f in fields(self):
-            v = shown[f.name]
+        for key, v in self.to_dict().items():
             if v is None:
                 v = "none"
             elif isinstance(v, bool):
                 v = "true" if v else "false"
-            lines.append(f"{f.name} = {v}")
+            lines.append(f"{key} = {v}")
         return "\n".join(lines)
 
 
@@ -403,7 +394,7 @@ def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
     from a generator seeded with ``cfg.seed``: the embedding table has
     one row per vocabulary entry."""
     rng = np.random.default_rng(cfg.seed)
-    dim = cfg.resolve_embedding_dim(vocab.size)
+    dim = cfg.resolved(vocab.size, n_classes).embedding_dim
     if cfg.pretrained_vectors:
         emb, matched = load_pretrained(cfg.pretrained_vectors, vocab, dim, rng)
         if log:
@@ -452,7 +443,8 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
     else:
         tr_idx, te_idx = dataset.train_idx, dataset.test_idx
     rng_epochs = np.random.default_rng(cfg.seed + 1)
-    opt = optim.OPTIMIZERS[cfg.optimizer](cfg.resolved_learning_rate(dataset.n_classes))
+    rate = cfg.resolved(model.embedding.shape[0], dataset.n_classes).learning_rate
+    opt = optim.OPTIMIZERS[cfg.optimizer](rate)
     params = model.named_params()
     X, y = dataset.indices, dataset.labels
     Xtr, ytr = X[tr_idx], y[tr_idx]
@@ -699,17 +691,21 @@ class Checkpoint:
     pipeline: PipelineConfig
 
 
-def _disagreement(model: ClassifierModel, cfg: ExperimentConfig, class_names) -> Optional[str]:
-    """How the model differs from what ``cfg`` builds over its embedding
-    table for ``class_names``, or None when they agree."""
-    cell, (vocab_size, dim) = model.cell, model.embedding.shape
+def _disagreement(model: ClassifierModel, cfg: ExperimentConfig, class_names,
+                  vocab: Vocabulary) -> Optional[str]:
+    """How the model differs from what the resolved ``cfg`` builds over
+    ``vocab`` for ``class_names``, or None when they agree."""
+    cell, (rows, dim) = model.cell, model.embedding.shape
+    if rows != vocab.size:
+        return (f"the embedding table has {rows} rows but the embedded vocabulary "
+                f"has {vocab.size} entries")
     if cell.nonlinearity != "tanh":
         return f"no configuration describes a {cell.nonlinearity} {cell.kind} cell"
     for key, want, found in (
             ("cell", cfg.cell, cell.kind),
             ("literal_recurrence", cfg.literal_recurrence, cell.literal_mode),
             ("hidden_size", cfg.hidden_size, cell.hidden_size),
-            ("embedding_dim", cfg.resolve_embedding_dim(vocab_size), dim),
+            ("embedding_dim", cfg.embedding_dim, dim),
             ("dense_size", cfg.dense_size, model.dense_W.shape[0]),
             ("peepholes", cfg.cell == "lstm" and cfg.peepholes, cell.V is not None)):
         if found != want:
@@ -727,9 +723,10 @@ def _recorded_task(n_classes: int) -> str:
 def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
                     class_names: list, vocab: Vocabulary,
                     pipeline_cfg: PipelineConfig) -> None:
-    """Store the model's blocks beside the settings that describe them;
-    a model that they do not describe is refused."""
-    problem = _disagreement(model, config, class_names)
+    """Store the model's blocks beside the resolved settings that describe
+    them; a model that they do not describe is refused."""
+    config = config.resolved(vocab.size, len(class_names))
+    problem = _disagreement(model, config, class_names, vocab)
     if model.vocab_sha not in (None, vocab.sha256()):
         problem = "the model was built over another vocabulary"
     if problem is not None:
@@ -743,7 +740,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Rebuild a stored model from its blocks, its config and its class
     names; blocks that disagree with them are an integrity error, and so
     are fewer than 2 class names and a recorded task that disagrees with
-    the class names, which are checked before the blocks are read."""
+    the class names, which are checked before the blocks are read. The
+    config comes back resolved, also from an older file that stored it as given."""
     header, arrays, vocab, pipe = _read_artifact(path, "checkpoint", config=dict)
     # a stored config holds exactly the settings and the task
     stored, keys = header["config"], _FIELD_TYPES.keys() | {"task"}
@@ -764,10 +762,8 @@ def load_checkpoint(path) -> Checkpoint:
                              f"classes make it {want!r}; retrain the model")
     model = _from_header(path, "model", ClassifierModel.from_blocks, arrays, cfg.cell,
                          cfg.literal_recurrence, header["vocab_sha"])
-    if vocab.size != model.embedding.shape[0]:
-        raise IntegrityError(f"{path}: the embedding table has {model.embedding.shape[0]} "
-                             f"rows but the embedded vocabulary has {vocab.size} entries")
-    problem = _disagreement(model, cfg, names)
+    cfg = cfg.resolved(vocab.size, len(names))
+    problem = _disagreement(model, cfg, names, vocab)
     if problem is not None:
         raise IntegrityError(f"{path}: {problem}")
     return Checkpoint(model=model, config=cfg, class_names=list(names),

@@ -258,6 +258,43 @@ class TestDeterminism:
         for name in ("model.sqt", "curve.csv", "metrics.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_replay_from_the_logged_configuration_writes_identical_bytes(
+            self, workspace, tmp_path, capsys):
+        # both data-dependent settings are left to the data: no rate, "auto" dim
+        data = str(workspace["pre"] / "dataset.sqt")
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert cli.entry(["train", "--data", data, "--cell", "gru", "--embedding-dim", "auto",
+                          "--hidden-size", "8", "--batch-size", "8", "--epochs", "2",
+                          "--seed", "3", "--quiet", "--out-dir", str(first)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        start = err.index("resolved configuration:") + 1
+        logged = [line[2:] for line in err[start:] if line.startswith("  ")]
+        assert "learning_rate = 0.001" in logged and "embedding_dim = auto" not in logged
+        cfg_file = tmp_path / "replay.cfg"
+        cfg_file.write_text("\n".join(logged) + "\n", encoding="utf-8")
+        assert cli.entry(["train", "--data", data, "--config", str(cfg_file), "--quiet",
+                          "--out-dir", str(replay)]) == 0
+        capsys.readouterr()
+        for name in ("model.sqt", "curve.csv", "metrics.txt"):
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
+    def test_checkpoint_with_an_unset_rate_loads_and_logs_it_resolved(
+            self, workspace, tmp_path, capsys):
+        # earlier writers stored learning_rate as given: null when unset
+        model = workspace["run"] / "model.sqt"
+        older = rewrite_artifact(model, tmp_path / "older.sqt",
+                                 lambda h: h["config"].update(learning_rate=None))
+        assert engine.load_checkpoint(older).config == engine.load_checkpoint(model).config
+        assert engine.load_checkpoint(older).config.learning_rate == 0.001
+        runs = []
+        for path, out in ((model, tmp_path / "now"), (older, tmp_path / "older")):
+            assert cli.entry(["evaluate", "--model", str(path), "--data",
+                              str(workspace["pre"] / "dataset.sqt"), "--out-dir", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert "  learning_rate = 0.001" in captured.err.splitlines()
+            runs.append((captured.out, (out / "eval_metrics.txt").read_bytes()))
+        assert runs[0] == runs[1]
+
 
 class TestConfigHandling:
     def test_flag_overrides_config_file(self, workspace, tmp_path, capsys):

@@ -100,24 +100,24 @@ class TestConfigParsing:
         block = re.search(r"```\n(# run\.cfg\n.*?)```", readme, re.S).group(1)
         cfg = ExperimentConfig(**parse_config_text(block, source="README.md"))
         # it spells out the rate that an unset learning_rate resolves to for 2 classes
-        assert cfg.learning_rate == ExperimentConfig().resolved_learning_rate(2)
+        assert cfg.learning_rate == ExperimentConfig().resolved(100, 2).learning_rate
         assert replace(cfg, learning_rate=None) == ExperimentConfig()
 
 
 class TestExperimentConfig:
     def test_learning_rate_resolution_by_task(self):
         # the class count is the task: binary for 2 classes, multiclass for more
-        assert ExperimentConfig().resolved_learning_rate(2) == 0.001
-        assert ExperimentConfig().resolved_learning_rate(3) == 0.005
-        assert ExperimentConfig(learning_rate=0.2).resolved_learning_rate(2) == 0.2
-        assert ExperimentConfig(learning_rate=0.2).resolved_learning_rate(5) == 0.2
+        assert ExperimentConfig().resolved(100, 2).learning_rate == 0.001
+        assert ExperimentConfig().resolved(100, 3).learning_rate == 0.005
+        assert ExperimentConfig(learning_rate=0.2).resolved(100, 2).learning_rate == 0.2
+        assert ExperimentConfig(learning_rate=0.2).resolved(100, 5).learning_rate == 0.2
 
     def test_task_is_not_a_setting(self):
         with pytest.raises(ConfigError, match="task"):
             parse_config_text("task = binary\n")
         with pytest.raises(TypeError, match="task"):
             ExperimentConfig(**{"task": "multiclass"})
-        assert "task" not in ExperimentConfig().describe(100, 3)
+        assert "task" not in ExperimentConfig().describe()
 
     def test_loss_resolution_by_head(self):
         # the class count picks the head, and the head fixes the loss
@@ -131,9 +131,25 @@ class TestExperimentConfig:
 
     def test_embedding_dim_auto_uses_vocab_size(self):
         cfg = ExperimentConfig(embedding_dim="auto")
-        assert cfg.resolve_embedding_dim(65536) == 16
-        assert cfg.resolve_embedding_dim(16) == 2
-        assert ExperimentConfig(embedding_dim=24).resolve_embedding_dim(500) == 24
+        assert cfg.resolved(65536, 2).embedding_dim == 16
+        assert cfg.resolved(16, 2).embedding_dim == 2
+        assert ExperimentConfig(embedding_dim=24).resolved(500, 2).embedding_dim == 24
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"embedding_dim": "auto"},
+        {"embedding_dim": "auto", "learning_rate": 0.2, "cell": "gru"},
+    ], ids=["defaults", "auto", "auto-with-rate"])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_resolved_config_resolves_to_itself(self, kwargs, n_classes):
+        cfg = ExperimentConfig(**kwargs).resolved(500, n_classes)
+        assert cfg.learning_rate is not None and cfg.embedding_dim != "auto"
+        # whatever the data, once resolved nothing is left to fill in
+        for vocab_size, classes in ((500, n_classes), (16, 2), (65536, 5)):
+            assert cfg.resolved(vocab_size, classes) == cfg
+        # only the two data-dependent settings change
+        assert replace(cfg, learning_rate=None, embedding_dim="auto") == \
+            replace(ExperimentConfig(**kwargs), learning_rate=None, embedding_dim="auto")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -174,12 +190,12 @@ class TestExperimentConfig:
 
     def test_describe_round_trips_as_config_text(self):
         cfg = ExperimentConfig(cell="gru", embedding_dim="auto", hidden_size=8, seed=5)
-        text = cfg.describe(500, 3)
+        text = cfg.resolved(500, 3).describe()
         back = ExperimentConfig(**parse_config_text(text))
         assert back.cell == "gru"
         assert back.hidden_size == 8
         assert back.seed == 5
-        # resolution is baked into the described form
+        # the described form is the resolved one
         assert back.learning_rate == 0.005
         assert back.embedding_dim == engine.embedding_dim_heuristic(500)
 
@@ -584,7 +600,8 @@ class TestTrain:
         ds, vocab, _, cfg = _toy_setup(n_docs=15, n_classes=3, epochs=1)
         model, curve = train(cfg, ds, vocab)
         assert (model.head, model.n_classes, model.head_W.shape[0]) == ("softmax", 3, 3)
-        assert "learning_rate = 0.005" in cfg.describe(vocab.size, ds.n_classes).splitlines()
+        resolved = cfg.resolved(vocab.size, ds.n_classes)
+        assert "learning_rate = 0.005" in resolved.describe().splitlines()
         assert len(curve) == 1
 
 
@@ -759,7 +776,7 @@ class TestCheckpoint:
         for (n1, a1), (n2, a2) in zip(model.state_blocks(), ck.model.state_blocks()):
             assert n1 == n2
             assert np.array_equal(a1, a2)
-        assert ck.config == cfg
+        assert ck.config == cfg.resolved(vocab.size, ds.n_classes)
         assert ck.class_names == ds.class_names
         assert ck.vocab.serialize() == vocab.serialize()
         assert ck.pipeline.to_dict() == pcfg.to_dict()
@@ -810,11 +827,30 @@ class TestCheckpoint:
             (model, replace(cfg, hidden_size=7), ds.class_names, vocab, "hidden_size 7"),
             (model, cfg, ds.class_names + ["other"], vocab, "3 are named"),
             (model, cfg, ds.class_names, other_vocab, "another vocabulary"),
+            # without a vocabulary hash, the rows are checked as load checks them
+            (replace(build_model(cfg, 2, other_vocab), vocab_sha=None), cfg, ds.class_names,
+             vocab, re.escape(f"the embedding table has {other_vocab.size} rows but the "
+                              f"embedded vocabulary has {vocab.size} entries")),
         ]
         for m, c, names, v, match in cases:
             with pytest.raises(ConfigError, match=match):
                 save_checkpoint(tmp_path / "model.sqt", m, c, names, v, pcfg)
         assert not (tmp_path / "model.sqt").exists()
+
+    def test_header_records_the_resolved_settings(self, tmp_path):
+        ds, vocab, pcfg, cfg = _toy_setup(epochs=0, embedding_dim="auto")
+        assert cfg.learning_rate is None
+        model, _ = train(cfg, ds, vocab)
+        path = tmp_path / "model.sqt"
+        save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
+        stored = read_container(path)[0]["config"]
+        dim = engine.embedding_dim_heuristic(vocab.size)
+        assert (stored["learning_rate"], stored["embedding_dim"]) == (0.001, dim)
+        # the same run, its settings given resolved, writes the same bytes
+        again = tmp_path / "again.sqt"
+        save_checkpoint(again, model, replace(cfg, learning_rate=0.001, embedding_dim=dim),
+                        ds.class_names, vocab, pcfg)
+        assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("bad,message", [
         (dict(learning_rate=-1.0), "learning_rate must be positive and finite, got -1.0"),
@@ -866,7 +902,7 @@ class TestCheckpointHeader:
         path = tmp_path / "model.sqt"
         save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
         assert read_container(path)[0]["config"]["task"] == task
-        assert load_checkpoint(path).config == cfg
+        assert load_checkpoint(path).config == cfg.resolved(vocab.size, ds.n_classes)
 
     # The cell kind comes from config.cell and the class count, which
     # picks the head, from class_names; config.task is recorded for
@@ -929,6 +965,22 @@ class TestCheckpointHeader:
         rewrite_artifact(ckpt, ckpt, edit)
         with pytest.raises(IntegrityError):
             load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("n_classes,rate", [(2, 0.001), (3, 0.005)])
+    def test_unresolved_settings_of_earlier_writers_load_resolved(self, tmp_path, n_classes,
+                                                                   rate):
+        # earlier writers stored the settings as given: null and "auto"
+        ds, vocab, pcfg, cfg = _toy_setup(n_docs=15, n_classes=n_classes, epochs=0,
+                                          embedding_dim="auto")
+        model, _ = train(cfg, ds, vocab)
+        path = tmp_path / "model.sqt"
+        save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
+        rewrite_artifact(path, path, lambda h: h["config"].update(
+            learning_rate=None, embedding_dim="auto"))
+        got = load_checkpoint(path).config
+        assert got == cfg.resolved(vocab.size, n_classes)
+        assert (got.learning_rate, got.embedding_dim) == \
+            (rate, engine.embedding_dim_heuristic(vocab.size))
 
     def test_unknown_config_key_is_integrity_error(self, ckpt):
         rewrite_artifact(ckpt, ckpt, lambda h: h["config"].update(gates=4, momentum=0.9))
