@@ -25,7 +25,7 @@ from . import cells, metrics, optim
 from .embedding import check_indices, embedding_dim_heuristic, init_table, load_pretrained
 from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      VocabularyMismatchError)
-from .model import ClassifierModel, backward, cost, forward, loss_values, predict_classes
+from .model import ClassifierModel, backward, forward, loss_values, predict_classes
 from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
                        build_vocabulary, clean, decoded, pad_rows, text_sha256)
 
@@ -427,6 +427,20 @@ def _eval_loss_acc(model: ClassifierModel, X: np.ndarray,
     return loss_sum / len(X), correct / len(X) * 100.0
 
 
+def _check_fit(model: ClassifierModel, dataset: Dataset) -> None:
+    """Refuse a dataset the model cannot read: both carry a vocabulary
+    hash and they differ, so its index sequences mean nothing to the
+    model, or it names another number of classes."""
+    if model.vocab_sha and dataset.vocab_sha and model.vocab_sha != dataset.vocab_sha:
+        raise VocabularyMismatchError(
+            f"model was trained with vocabulary {model.vocab_sha[:12]}... but the "
+            f"dataset was encoded with {dataset.vocab_sha[:12]}...; re-encode the "
+            "data with the model's vocabulary")
+    if dataset.n_classes != model.n_classes:
+        raise ConfigError(
+            f"model has {model.n_classes} classes, dataset names {dataset.n_classes}")
+
+
 def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset):
     """Train ``model``, built by ``build_model`` for ``cfg``, in place for
     ``cfg.epochs`` epochs, yielding one curve point as each ends. The
@@ -438,6 +452,7 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
     come from a full pass at the end of the epoch, or NaN when the
     dataset has no test split.
     """
+    _check_fit(model, dataset)
     if dataset.train_idx is None:
         tr_idx, te_idx = np.arange(len(dataset)), np.arange(0)
     else:
@@ -460,9 +475,6 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
             xb, yb = Xtr[rows], ytr[rows]
             try:
                 probs, trace = forward(model, xb)
-                losses = loss_values(model, probs, yb)
-                if not math.isfinite(cost(losses)):
-                    raise DivergenceError("training loss is not finite")
                 grads = backward(model, trace, yb)
                 if cfg.gradient_clip is not None:
                     optim.clip_gradients(grads, cfg.gradient_clip)
@@ -473,7 +485,7 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
                 raise DivergenceError(
                     f"diverged at epoch {ep + 1}, batch {bi + 1}: {e}; "
                     "try a lower learning_rate or a gradient_clip") from e
-            loss_sum += float(losses.sum())
+            loss_sum += float(loss_values(model, probs, yb).sum())
             correct += int((predict_classes(model, probs) == yb).sum())
         test_loss, test_acc = _eval_loss_acc(model, Xte, yte)
         yield CurvePoint(ep + 1, loss_sum / tr_idx.size, correct / tr_idx.size * 100.0,
@@ -498,20 +510,8 @@ def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary,
 
 def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test") -> metrics.EvalReport:
     """Score one split of the dataset: ``train`` and ``test`` need a
-    stored split, ``all`` scores every document.
-
-    Refuses to run when both sides carry a vocabulary hash and they
-    differ, since index sequences would then be meaningless to the
-    model.
-    """
-    if model.vocab_sha and dataset.vocab_sha and model.vocab_sha != dataset.vocab_sha:
-        raise VocabularyMismatchError(
-            f"model was trained with vocabulary {model.vocab_sha[:12]}... but the "
-            f"dataset was encoded with {dataset.vocab_sha[:12]}...; re-encode the "
-            "data with the model's vocabulary")
-    if dataset.n_classes != model.n_classes:
-        raise ConfigError(
-            f"model has {model.n_classes} classes, dataset names {dataset.n_classes}")
+    stored split, ``all`` scores every document."""
+    _check_fit(model, dataset)
     if which == "all":
         idx = np.arange(len(dataset))
     elif which not in ("train", "test"):

@@ -74,27 +74,13 @@ def scores(cm: np.ndarray) -> EvalReport:
     if total == 0:
         raise ConfigError("confusion matrix is empty")
     C = cm.shape[0]
-    precision, recall, f1, support = [], [], [], []
-    zero_division = False
-    for j in range(C):
-        tp = int(cm[j, j])
-        col = int(cm[:, j].sum())
-        row = int(cm[j, :].sum())
-        if col == 0:
-            p = 0.0
-            zero_division = True
-        else:
-            p = tp / col * 100.0
-        if row == 0:
-            r = 0.0
-            zero_division = True
-        else:
-            r = tp / row * 100.0
-        precision.append(p)
-        recall.append(r)
-        f1.append(f1_score(p, r))
-        support.append(row)
-    acc = int(np.trace(cm)) / total * 100.0
+    tp = np.diag(cm).tolist()
+    predicted = cm.sum(axis=0).tolist()
+    support = cm.sum(axis=1).tolist()
+    precision = [t / n * 100.0 if n else 0.0 for t, n in zip(tp, predicted)]
+    recall = [t / n * 100.0 if n else 0.0 for t, n in zip(tp, support)]
+    f1 = [f1_score(p, r) for p, r in zip(precision, recall)]
+    acc = sum(tp) / total * 100.0
     wp = sum(p * n for p, n in zip(precision, support)) / total
     wr = sum(r * n for r, n in zip(recall, support)) / total
     wf = sum(f * n for f, n in zip(f1, support)) / total
@@ -106,7 +92,7 @@ def scores(cm: np.ndarray) -> EvalReport:
         macro_f1=sum(f1) / C,
         weighted_precision=wp, weighted_recall=wr, weighted_f1=wf,
         confusion=cm,
-        zero_division=zero_division,
+        zero_division=0 in predicted or 0 in support,
     )
 
 

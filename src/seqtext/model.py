@@ -21,7 +21,7 @@ import numpy as np
 from . import cells
 from .cells import sigmoid
 from .embedding import check_indices, lookup_grad
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError
 
 PROB_FLOOR = 1e-12
 # Time steps per input projection when forward runs without a trace. It
@@ -170,7 +170,8 @@ def forward(model: ClassifierModel, indices,
 
     ``indices`` is (batch, T) or a single (T,) row. Sigmoid heads return
     (batch,) positive-class probabilities; softmax heads (batch, C) rows
-    summing to 1. An index outside the embedding table raises IndexError.
+    summing to 1. An index outside the embedding table raises IndexError,
+    and a probability that is not a number raises DivergenceError.
     With ``trace`` the second value is the :class:`ModelTrace` for
     :func:`backward`. Without, it is None: the recurrence keeps no
     history and walks the document in chunks of ``INFERENCE_CHUNK``
@@ -198,6 +199,8 @@ def forward(model: ClassifierModel, indices,
         probs = sigmoid(logits[:, 0])
     else:
         probs = softmax(logits)
+    if not np.isfinite(probs).all():
+        raise DivergenceError("the model yields a probability that is not a number")
     tr = ModelTrace(indices=idx, cell_cache=cache, h_final=h, dense_pre=dense_pre,
                     dense_out=dense_out, probs=probs) if trace else None
     return (probs[0] if single else probs), tr

@@ -27,7 +27,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # spans read zero. Each is gone from the program on purpose, and the
 # tracer loses them when the benchmark is next changed.
 MISSING = ["seqtext.cli.make_document", "seqtext.engine._stack_indices",
-           "seqtext.engine.make_document"]
+           "seqtext.engine.cost", "seqtext.engine.make_document"]
 
 # The spans that the per-layer metrics of bench/run.py read from each
 # command that the score workload (preprocess, predict) and the train

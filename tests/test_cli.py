@@ -435,6 +435,26 @@ class TestExitCodes:
         assert rc == 3
         assert "diverged at epoch" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_predict_with_diverged_weights_exits_3(self, tmp_path):
+        # one sgd step at rate 1e308 leaves weights of both signs near the
+        # float64 limit: the test split still scores, but these two tokens
+        # overflow to inf - inf, a probability that is not a number
+        csv = tmp_path / "corpus.csv"
+        engine.make_synthetic_csv(csv, 60, 2, seed=0)
+        assert cli.entry(["preprocess", "--data", str(csv), "--vocab-size", "300",
+                          "--max-len", "40", "--train-fraction", "0.5",
+                          "--out-dir", str(tmp_path)]) == 0
+        assert cli.entry(["train", "--data", str(tmp_path / "dataset.sqt"), "--optimizer",
+                          "sgd", "--learning-rate", "1e308", "--epochs", "1", "--quiet",
+                          "--out-dir", str(tmp_path)]) == 0
+        proc = _run_cli("predict", "--model", tmp_path / "model.sqt",
+                        stdin="sig1w00 fill0001\n")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "error: the model yields a probability that is not a number" in proc.stderr
+        assert "nan" not in proc.stdout
+
     def test_evaluate_rejects_mismatched_classes(self, workspace, tmp_path, capsys):
         csv = tmp_path / "tri.csv"
         engine.make_synthetic_csv(csv, 15, 3, seed=1, filler_tokens=20,
