@@ -957,7 +957,13 @@ class TestCheckpointHeader:
         (lambda h: h.update(class_names=["neg", 2]), "class_names"),
         (lambda h: h.update(class_names=["neg", True]), "class_names"),
         (lambda h: h["config"].update(task=1), "task"),
-    ], ids=["config-lstm", "n_classes-2", "n_classes-True", "head-1"])
+        (lambda h: h.update(class_names="neg,pos"), "class_names"),
+        (lambda h: h.update(pipeline=3), "pipeline"),
+        (lambda h: h.update(vocab_sha=None), "vocab_sha"),
+        (lambda h: h.update(vocab_text=None), "vocab_text"),
+        (lambda h: h.update(pipeline=None), "pipeline"),
+    ], ids=["config-lstm", "n_classes-2", "n_classes-True", "head-1", "class_names-neg,pos",
+            "pipeline-3", "vocab_sha-None", "vocab_text-None", "pipeline-None"])
     def test_wrong_field_type_is_integrity_error(self, ckpt, edit, match):
         rewrite_artifact(ckpt, ckpt, edit)
         with pytest.raises(IntegrityError, match=match):
