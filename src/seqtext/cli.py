@@ -22,19 +22,17 @@ import argparse
 import io
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 
 from . import engine, metrics
-from .engine import ExperimentConfig, parse_config_text, parse_config_value
+from .config import SETTINGS, ExperimentConfig, parse_config_text, parse_config_value
 from .errors import ConfigError, DataError, DivergenceError
 from .model import forward, predict_classes
 from .pipeline import (PipelineConfig, Vocabulary, clean, decoded, encode,
                        load_stopwords, read_lines)
-
-_CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,7 +57,7 @@ def _merged_config(args) -> ExperimentConfig:
     if args.config:
         text = "".join(read_lines(args.config, ConfigError))
         values.update(parse_config_text(text, source=args.config))
-    for name in _CONFIG_KEYS:
+    for name in SETTINGS:
         raw = getattr(args, name, None)
         if raw is not None:
             values[name] = parse_config_value(name, raw)
@@ -220,7 +218,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("--model", required=True)
 
     tr.add_argument("--config", help="key = value option file")
-    for name in _CONFIG_KEYS:
+    for name in SETTINGS:
         _add_flag(tr, name)
     for p in (pre, tr, ev):
         p.add_argument("--out-dir", default=".", help="where artifacts are written")

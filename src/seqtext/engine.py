@@ -1,5 +1,6 @@
 """Experiment orchestration: CSV ingestion, stratified splitting, training
-as a stream of epochs, learning curves, and binary artifact files.
+as a stream of epochs, learning curves, and the checkpoint and dataset
+files, whose container ``artifacts`` writes.
 
 Determinism contract: (config, dataset, seed) fix every parameter to the
 bit. A generator seeded with ``seed`` draws, in order, the embedding
@@ -11,23 +12,22 @@ timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import csv
-import json
 import math
-import struct
-import zlib
 from array import array
-from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Optional, Union, get_args, get_type_hints
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import cells, metrics, optim
-from .embedding import check_indices, embedding_dim_heuristic, init_table, load_pretrained
+from .artifacts import read_container, write_container
+from .config import SETTINGS, ExperimentConfig
+from .embedding import check_indices, init_table, load_pretrained
 from .errors import (ConfigError, DataError, DivergenceError, IntegrityError,
                      VocabularyMismatchError)
 from .model import ClassifierModel, backward, forward, loss_values, predict_classes
 from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
-                       build_vocabulary, clean, decoded, pad_rows, text_sha256)
+                       build_vocabulary, clean, decoded, pad_rows, row_fault, text_sha256)
 
 # Documents per forward pass when only scoring: evaluate, predict, the
 # per-epoch test pass and train's final evaluate. At hidden size 16 a
@@ -35,163 +35,6 @@ from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
 # over many documents; past about 256 the gain stops. Scoring keeps no
 # history, so the working set grows with the batch but not with T.
 INFERENCE_BATCH_SIZE = 256
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {raw!r}")
-
-
-def _value_types(key: str) -> tuple:
-    """The types a setting's value may have, from its annotation in
-    ``ExperimentConfig``: the first one is the setting's own type, and
-    ``NoneType`` is among them only where the setting may be None."""
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown configuration key {key!r}")
-    hint = _FIELD_TYPES[key]
-    return get_args(hint) or (hint,)
-
-
-def _check_value_type(key: str, value) -> None:
-    """An int is also a float, but a bool is no number, and None only fits
-    a nullable setting."""
-    types = _value_types(key)
-    allowed = types + (int,) if float in types else types
-    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in types):
-        names = " or ".join("None" if t is type(None) else t.__name__ for t in types)
-        raise ConfigError(f"{key} must be of type {names}, got {value!r}")
-
-
-def parse_config_value(key: str, raw: str):
-    """One typed config value from its text form."""
-    types = _value_types(key)
-    raw = raw.strip()
-    if type(None) in types and raw.lower() in ("", "none"):
-        return None
-    if key == "embedding_dim" and raw.lower() == "auto":
-        return "auto"
-    kind = types[0]
-    if kind is bool:
-        return _parse_bool(key, raw)
-    if kind is str:
-        return raw
-    try:
-        return kind(raw)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        auto = " or 'auto'" if key == "embedding_dim" else ""
-        raise ConfigError(f"{key} must be {what}{auto}, got {raw!r}") from None
-
-
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Flat ``key = value`` lines to a typed option dict.
-
-    Blank lines and '#' comment lines are ignored (a later '#' is part of
-    the value); unknown keys, repeated keys and bad values name the line.
-    """
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key in out:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        try:
-            out[key] = parse_config_value(key, raw)
-        except ConfigError as e:
-            raise ConfigError(f"{source}:{lineno}: {e}") from None
-    return out
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything that determines a training run besides the encoded
-    corpus, whose ``PipelineConfig`` holds the vocabulary cap and length.
-
-    ``learning_rate`` defaults to None and resolves by class count (0.001
-    for 2, 0.005 for more), and ``embedding_dim`` may be the literal
-    string "auto" for the fourth-root heuristic; ``resolved`` fills both
-    in. The class count picks the head and the head fixes the loss, so
-    neither is a setting. The constructor refuses a bad setting with a
-    ConfigError, and a config is frozen, so ``dataclasses.replace`` makes
-    a checked copy.
-    """
-
-    cell: str = "lstm"
-    embedding_dim: Union[int, str] = 16
-    hidden_size: int = 16
-    dense_size: int = 8
-    learning_rate: Optional[float] = None
-    optimizer: str = "adam"
-    epochs: int = 30
-    batch_size: int = 32
-    seed: int = 0
-    gradient_clip: Optional[float] = None
-    pretrained_vectors: Optional[str] = None
-    literal_recurrence: bool = False
-    peepholes: bool = True
-
-    def __post_init__(self):
-        for f in fields(self):
-            _check_value_type(f.name, getattr(self, f.name))
-        if self.cell not in cells.GATES:
-            raise ConfigError(f"cell must be one of {tuple(cells.GATES)}, got {self.cell!r}")
-        if self.optimizer not in optim.OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {tuple(optim.OPTIMIZERS)}, got {self.optimizer!r}")
-        for name, low in (("hidden_size", 1), ("dense_size", 1),
-                          ("epochs", 0), ("batch_size", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if v < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {v!r}")
-        if self.embedding_dim != "auto" and (
-                isinstance(self.embedding_dim, str) or self.embedding_dim < 1):
-            raise ConfigError(f"embedding_dim must be a positive integer or 'auto', got {self.embedding_dim!r}")
-        for name in ("learning_rate", "gradient_clip"):
-            v = getattr(self, name)
-            if v is not None and not (v > 0 and math.isfinite(v)):
-                raise ConfigError(f"{name} must be positive and finite, got {v}")
-        if self.literal_recurrence and self.cell != "rnn":
-            raise ConfigError("literal_recurrence only applies to the rnn cell")
-
-    def resolved(self, vocab_size: int, n_classes: int) -> ExperimentConfig:
-        """This config as a run over ``vocab_size`` vocabulary entries and
-        ``n_classes`` classes uses it, with no unset ``learning_rate`` and no
-        "auto" ``embedding_dim``. A resolved config resolves to itself."""
-        rate, dim = self.learning_rate, self.embedding_dim
-        return replace(
-            self, learning_rate=(0.001 if n_classes == 2 else 0.005) if rate is None else rate,
-            embedding_dim=embedding_dim_heuristic(vocab_size) if dim == "auto" else dim)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def describe(self) -> str:
-        """'key = value' lines, one per field. The output is itself a valid
-        configuration file, so the log of a resolved config is enough to
-        rerun an experiment."""
-        lines = []
-        for key, v in self.to_dict().items():
-            if v is None:
-                v = "none"
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            lines.append(f"{key} = {v}")
-        return "\n".join(lines)
-
-
-# The settings' names and types, from the fields' annotations.
-_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +284,11 @@ def _check_fit(model: ClassifierModel, dataset: Dataset) -> None:
             f"model has {model.n_classes} classes, dataset names {dataset.n_classes}")
 
 
+def _diverged(ep: int, where: str, e: DivergenceError) -> DivergenceError:
+    return DivergenceError(f"diverged at epoch {ep + 1}, {where}: {e}; "
+                           "try a lower learning_rate or a gradient_clip")
+
+
 def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset):
     """Train ``model``, built by ``build_model`` for ``cfg``, in place for
     ``cfg.epochs`` epochs, yielding one curve point as each ends. The
@@ -482,12 +330,13 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
                 # both are spent; freed now, the next batch reuses their memory
                 del trace, grads
             except DivergenceError as e:
-                raise DivergenceError(
-                    f"diverged at epoch {ep + 1}, batch {bi + 1}: {e}; "
-                    "try a lower learning_rate or a gradient_clip") from e
+                raise _diverged(ep, f"batch {bi + 1}", e) from e
             loss_sum += float(loss_values(model, probs, yb).sum())
             correct += int((predict_classes(model, probs) == yb).sum())
-        test_loss, test_acc = _eval_loss_acc(model, Xte, yte)
+        try:
+            test_loss, test_acc = _eval_loss_acc(model, Xte, yte)
+        except DivergenceError as e:
+            raise _diverged(ep, "test pass", e) from e
         yield CurvePoint(ep + 1, loss_sum / tr_idx.size, correct / tr_idx.size * 100.0,
                          test_loss, test_acc)
 
@@ -535,99 +384,7 @@ def emit_learning_curve(curve: list[CurvePoint], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary containers
-
-_MAGIC = b"SQTX1\n"
-_DTYPES = {"f8": np.float64, "i4": np.int32}
-
-
-def write_container(path, header: dict, arrays: list) -> None:
-    """Deterministic single-file artifact: magic, length-prefixed JSON
-    header, raw C-order blocks, then a length + CRC32 trailer.
-
-    ``arrays`` is an ordered list of (name, ndarray); only float64 and
-    int32 blocks are stored. Each block is written from its own memory
-    as the length and CRC run on, so no copy of the file is held. No
-    timestamps enter the file, so identical inputs give identical bytes.
-    """
-    manifest = []
-    blocks = []
-    for name, arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype == np.float64:
-            code = "f8"
-        elif arr.dtype == np.int32:
-            code = "i4"
-        else:
-            raise ConfigError(f"block {name!r} has unsupported dtype {arr.dtype}")
-        manifest.append({"name": name, "dtype": code, "shape": list(arr.shape)})
-        # a byte view; memoryview.cast refuses a block with a zero dim
-        blocks.append(arr.reshape(-1).view(np.uint8))
-    head = dict(header)
-    head["blocks"] = manifest
-    hb = json.dumps(head, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    size = crc = 0
-    with open(path, "wb") as fh:
-        for part in [_MAGIC + struct.pack("<Q", len(hb)) + hb] + blocks:
-            fh.write(part)
-            size += len(part)
-            crc = zlib.crc32(part, crc)
-        fh.write(struct.pack("<QI", size, crc))
-
-
-def read_container(path) -> tuple[dict, dict]:
-    """Validated read of write_container output.
-
-    Any truncation, padding, or corruption fails the length or CRC check
-    and raises IntegrityError before any array is returned. So does a
-    block manifest that is not a list of distinct names, each with a
-    known dtype and a list of non-negative int dims.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(_MAGIC) + 8 + 12:
-        raise IntegrityError(f"{path}: file is too short to be a container")
-    if not data.startswith(_MAGIC):
-        raise IntegrityError(f"{path}: bad magic; not a recognized artifact file")
-    body, trailer = data[:-12], data[-12:]
-    stated_len, crc = struct.unpack("<QI", trailer)
-    if stated_len != len(body):
-        raise IntegrityError(
-            f"{path}: length mismatch (expected {stated_len} bytes, found {len(body)}); "
-            "the file is truncated or padded")
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise IntegrityError(f"{path}: checksum mismatch; the file is corrupt")
-    (hlen,) = struct.unpack("<Q", body[6:14])
-    hstart = 14
-    if hstart + hlen > len(body):
-        raise IntegrityError(f"{path}: header overruns the file")
-    try:
-        head = json.loads(body[hstart:hstart + hlen].decode("utf-8"))
-    except ValueError as e:
-        raise IntegrityError(f"{path}: unreadable header: {e}") from None
-    manifest = head.get("blocks") if isinstance(head, dict) else None
-    if not isinstance(manifest, list):
-        raise IntegrityError(f"{path}: the header has no block manifest")
-    arrays = {}
-    offset = hstart + hlen
-    for block in manifest:
-        entry = block if isinstance(block, dict) else {}
-        name, code, shape = entry.get("name"), entry.get("dtype"), entry.get("shape")
-        if not (isinstance(name, str) and isinstance(code, str) and code in _DTYPES
-                and isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-            raise IntegrityError(f"{path}: malformed block manifest entry {block!r}")
-        if name in arrays:
-            raise IntegrityError(f"{path}: block {name!r} is listed twice")
-        count, dt = math.prod(shape), _DTYPES[code]
-        nbytes = count * np.dtype(dt).itemsize
-        if offset + nbytes > len(body):
-            raise IntegrityError(f"{path}: block {name!r} overruns the file")
-        arrays[name] = np.frombuffer(body, dt, count, offset).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(body):
-        raise IntegrityError(f"{path}: {len(body) - offset} unexpected trailing bytes")
-    return head, arrays
-
+# the shared artifact header
 
 # Each artifact kind: its format number and how an error names it.
 _KINDS = {"checkpoint": (4, "a checkpoint"), "dataset": (1, "an encoded dataset")}
@@ -744,7 +501,7 @@ def load_checkpoint(path) -> Checkpoint:
     config comes back resolved, also from an older file that stored it as given."""
     header, arrays, vocab, pipe = _read_artifact(path, "checkpoint", config=dict)
     # a stored config holds exactly the settings and the task
-    stored, keys = header["config"], _FIELD_TYPES.keys() | {"task"}
+    stored, keys = header["config"], SETTINGS.keys() | {"task"}
     missing, unknown = sorted(keys - stored.keys()), sorted(stored.keys() - keys)
     if missing:
         raise IntegrityError(f"{path}: config lacks {', '.join(missing)}")
@@ -785,32 +542,6 @@ def save_dataset(path, dataset: Dataset, vocab: Vocabulary,
                     has_split=has_split)
 
 
-def _row_fault(indices: np.ndarray, lengths: np.ndarray, max_len: int) -> Optional[str]:
-    """How stored rows break the row rule (``pipeline.pad_rows``) for
-    their recorded lengths, or None when they keep it. No cleaned token
-    maps to the pad, so a row holds min(length, max_len) tokens after its
-    pad."""
-    if indices.shape[1] != max_len:
-        return f"rows hold {indices.shape[1]} ids, but the pipeline records max_len {max_len}"
-    rows = np.flatnonzero(lengths < 0)
-    if rows.size:
-        return f"row {rows[0]} records length {lengths[rows[0]]}"
-    tokens = indices != PAD_INDEX
-    counts = np.count_nonzero(tokens, axis=1)
-    # from a row's first token to its end, every id is a token
-    span = np.where(counts > 0, max_len - tokens.argmax(axis=1), 0)
-    rows = np.flatnonzero(span != counts)
-    if rows.size:
-        return f"row {rows[0]} has a pad after a token"
-    want = np.minimum(lengths, max_len)
-    rows = np.flatnonzero(counts != want)
-    if rows.size:
-        r = rows[0]
-        return (f"row {r} holds {counts[r]} tokens, but its recorded length {lengths[r]} "
-                f"keeps {want[r]}")
-    return None
-
-
 def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
     """The dataset, vocabulary and pipeline settings a dataset file holds.
     Besides the checks of every artifact and of a Dataset, a block the
@@ -837,7 +568,7 @@ def load_dataset(path) -> tuple[Dataset, Vocabulary, PipelineConfig]:
         check_indices(ds.indices, vocab.size)
     except IndexError as e:
         raise IntegrityError(f"{path}: {e}") from None
-    problem = _row_fault(ds.indices, ds.lengths, pipe.max_len)
+    problem = row_fault(ds.indices, ds.lengths, pipe.max_len)
     if problem is not None:
         raise IntegrityError(f"{path}: {problem}")
     return ds, vocab, pipe

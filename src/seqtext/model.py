@@ -66,14 +66,6 @@ def cce_loss(probs: np.ndarray, y) -> np.ndarray:
     return -np.log(np.maximum(picked, PROB_FLOOR))
 
 
-def cost(losses) -> float:
-    """Mean per-example loss over a batch."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.size == 0:
-        raise ConfigError("cost over an empty batch is undefined")
-    return float(np.mean(losses))
-
-
 class ModelTrace(NamedTuple):
     indices: np.ndarray        # (batch, T) int
     cell_cache: cells.SequenceCache

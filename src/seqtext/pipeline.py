@@ -6,7 +6,8 @@ is always the pad, index 1 the OOV token; real tokens start at 2 and are
 ordered by descending corpus frequency with lexicographic tie-break, so
 construction is fully deterministic. One row rule, ``pad_rows``, encodes
 for ``preprocess`` and ``predict`` alike: a document's row keeps its
-first ``max_len`` tokens and is padded in front.
+first ``max_len`` tokens and is padded in front. ``row_fault`` checks
+stored rows against that rule.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import Optional
 
 import numpy as np
 
@@ -203,6 +205,32 @@ def pad_rows(ids: np.ndarray, lengths, max_len: int) -> np.ndarray:
     # a row's last kept[r] positions take its ids, filled in row-major order
     out[np.arange(max_len) >= max_len - kept[:, None]] = ids
     return out
+
+
+def row_fault(indices: np.ndarray, lengths: np.ndarray, max_len: int) -> Optional[str]:
+    """How stored rows break the row rule (``pad_rows``) for their
+    recorded lengths, or None when they keep it. No cleaned token maps
+    to the pad, so a row holds min(length, max_len) tokens after its
+    pad."""
+    if indices.shape[1] != max_len:
+        return f"rows hold {indices.shape[1]} ids, but the pipeline records max_len {max_len}"
+    rows = np.flatnonzero(lengths < 0)
+    if rows.size:
+        return f"row {rows[0]} records length {lengths[rows[0]]}"
+    tokens = indices != PAD_INDEX
+    counts = np.count_nonzero(tokens, axis=1)
+    # from a row's first token to its end, every id is a token
+    span = np.where(counts > 0, max_len - tokens.argmax(axis=1), 0)
+    rows = np.flatnonzero(span != counts)
+    if rows.size:
+        return f"row {rows[0]} has a pad after a token"
+    want = np.minimum(lengths, max_len)
+    rows = np.flatnonzero(counts != want)
+    if rows.size:
+        r = rows[0]
+        return (f"row {r} holds {counts[r]} tokens, but its recorded length {lengths[r]} "
+                f"keeps {want[r]}")
+    return None
 
 
 def encode(documents, vocab: Vocabulary, cfg: PipelineConfig) -> np.ndarray:

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from seqtext.artifacts import read_container, write_container
 from seqtext.cells import GATES, Cell, CellState, backward_sequence, run_sequence
-from seqtext.engine import (build_model, load_csv_dataset, make_synthetic_csv, read_container,
-                            train_epochs, write_container)
+from seqtext.engine import build_model, load_csv_dataset, make_synthetic_csv, train_epochs
 from seqtext.errors import ConfigError, ShapeError
 from seqtext.metrics import EvalReport
 from seqtext.optim import ADAM_BETA1, ADAM_BETA2, EPS, RMSPROP_RHO
@@ -32,6 +32,15 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.linalg.norm(a.ravel()), np.linalg.norm(b.ravel()), 1e-12)
     return float(np.linalg.norm((a - b).ravel()) / denom)
+
+
+def cost(losses) -> float:
+    """Mean per-example loss over a batch: the scalar that the gradient
+    checks differentiate."""
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.size == 0:
+        raise ConfigError("cost over an empty batch is undefined")
+    return float(np.mean(losses))
 
 
 def fd_gradient(loss_fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -15,8 +15,8 @@ from seqtext import cells, cli, engine, metrics
 from seqtext import model as M
 from seqtext.cells import Cell, CellState, make_cell
 from seqtext.embedding import init_table
+from seqtext.config import ExperimentConfig
 from seqtext.engine import (
-    ExperimentConfig,
     load_csv_dataset,
     make_synthetic_csv,
     split,
@@ -24,9 +24,9 @@ from seqtext.engine import (
 )
 from seqtext.pipeline import PipelineConfig, build_vocabulary, encode
 
-from helpers import (backward_document, brute_force_scores_oracle, fd_gradient, gate_errors,
-                     make_synthetic_corpus, one_step, rel_error, run_document, train_until,
-                     zero_cell)
+from helpers import (backward_document, brute_force_scores_oracle, cost, fd_gradient,
+                     gate_errors, make_synthetic_corpus, one_step, rel_error, run_document,
+                     train_until, zero_cell)
 
 
 def _verdict(capsys, ok: bool, name: str, detail: str) -> None:
@@ -126,7 +126,7 @@ def test_2_gradient_checks(capsys):
 
                 def loss():
                     probs, _ = M.forward(m, idx)
-                    return M.cost(M.loss_values(m, probs, target))
+                    return cost(M.loss_values(m, probs, target))
 
                 _, trace = M.forward(m, idx)
                 grads = M.backward(m, trace, target)

@@ -11,9 +11,11 @@ import pytest
 
 from seqtext import engine, pipeline
 from seqtext import model as M
+from seqtext.artifacts import read_container, write_container
+from seqtext.config import ExperimentConfig, parse_config_text
+from seqtext.embedding import embedding_dim_heuristic
 from seqtext.engine import (
     Dataset,
-    ExperimentConfig,
     build_model,
     corpus_stats,
     emit_learning_curve,
@@ -22,14 +24,11 @@ from seqtext.engine import (
     load_csv_dataset,
     load_dataset,
     make_synthetic_csv,
-    parse_config_text,
-    read_container,
     save_checkpoint,
     save_dataset,
     split,
     train,
     train_epochs,
-    write_container,
 )
 from seqtext.errors import (
     ConfigError,
@@ -197,7 +196,7 @@ class TestExperimentConfig:
         assert back.seed == 5
         # the described form is the resolved one
         assert back.learning_rate == 0.005
-        assert back.embedding_dim == engine.embedding_dim_heuristic(500)
+        assert back.embedding_dim == embedding_dim_heuristic(500)
 
     def test_from_dict_rejects_unknown_keys(self):
         # parse_config_text names the line; the constructor refuses a bare keyword
@@ -559,6 +558,21 @@ class TestTrain:
                                                   "yields a probability that is not a number"):
             next(train_epochs(model, cfg, ds))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_divergence_in_the_test_pass_names_its_epoch(self):
+        ds, vocab, _ = make_synthetic_corpus(60, 2, seed=0, filler_tokens=200, zipf_filler=True)
+        ds = split(ds, train_fraction=0.5, seed=0)
+        cfg = ExperimentConfig(cell="gru", epochs=2, seed=0)
+        model = build_model(cfg, ds.n_classes, vocab)
+        # a token that no training document holds: no training batch reads its row
+        only_test = np.setdiff1d(ds.indices[ds.test_idx], ds.indices[ds.train_idx])
+        assert only_test.size
+        model.embedding[only_test[0]] = np.nan
+        with pytest.raises(DivergenceError, match="diverged at epoch 1, test pass: the model "
+                                                  "yields a probability that is not a number; "
+                                                  "try a lower learning_rate"):
+            next(train_epochs(model, cfg, ds))
+
     def test_a_model_over_another_vocabulary_is_refused(self):
         ds, vocab, _, cfg = _toy_setup()
         model = build_model(cfg, ds.n_classes, vocab)
@@ -870,7 +884,7 @@ class TestCheckpoint:
         path = tmp_path / "model.sqt"
         save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
         stored = read_container(path)[0]["config"]
-        dim = engine.embedding_dim_heuristic(vocab.size)
+        dim = embedding_dim_heuristic(vocab.size)
         assert (stored["learning_rate"], stored["embedding_dim"]) == (0.001, dim)
         # the same run, its settings given resolved, writes the same bytes
         again = tmp_path / "again.sqt"
@@ -1006,7 +1020,7 @@ class TestCheckpointHeader:
         got = load_checkpoint(path).config
         assert got == cfg.resolved(vocab.size, n_classes)
         assert (got.learning_rate, got.embedding_dim) == \
-            (rate, engine.embedding_dim_heuristic(vocab.size))
+            (rate, embedding_dim_heuristic(vocab.size))
 
     def test_unknown_config_key_is_integrity_error(self, ckpt):
         rewrite_artifact(ckpt, ckpt, lambda h: h["config"].update(gates=4, momentum=0.9))

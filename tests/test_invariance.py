@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from seqtext.engine import ExperimentConfig, build_model
+from seqtext.config import ExperimentConfig
+from seqtext.engine import build_model
 from seqtext.model import backward, forward
 
 from helpers import make_synthetic_corpus

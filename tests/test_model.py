@@ -12,11 +12,11 @@ from seqtext import model as M
 from seqtext import optim
 from seqtext.cells import make_cell, sigmoid
 from seqtext.embedding import init_table
-from seqtext.engine import ExperimentConfig
+from seqtext.config import ExperimentConfig
 from seqtext.errors import ConfigError, DivergenceError, ShapeError
 
-from helpers import (ReferenceAdam, ReferenceRmsProp, ReferenceSgd, fd_gradient, gate_errors,
-                     rel_error)
+from helpers import (ReferenceAdam, ReferenceRmsProp, ReferenceSgd, cost, fd_gradient,
+                     gate_errors, rel_error)
 
 
 class TestSoftmax:
@@ -68,11 +68,11 @@ class TestLosses:
             M.cce_loss(np.array([[0.5, 0.5]]), np.array([2]))
 
     def test_cost(self):
-        assert M.cost([1.0, 3.0]) == 2.0
-        assert M.cost([0.0]) == 0.0
-        assert M.cost([0.5, 0.5, 0.5]) == 0.5
+        assert cost([1.0, 3.0]) == 2.0
+        assert cost([0.0]) == 0.0
+        assert cost([0.5, 0.5, 0.5]) == 0.5
         with pytest.raises(ConfigError):
-            M.cost([])
+            cost([])
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -407,7 +407,7 @@ class TestBackward:
 
             def loss():
                 probs, _ = M.forward(m, idx)
-                return M.cost(M.loss_values(m, probs, target))
+                return cost(M.loss_values(m, probs, target))
 
             _, trace = M.forward(m, idx)
             grads = M.backward(m, trace, target)
@@ -429,11 +429,11 @@ class TestBackward:
             idx = rng.integers(1, 7, size=(1, 4))
             y = np.array([int(rng.integers(0, 3))])
             probs, trace = M.forward(m, idx)
-            before = M.cost(M.loss_values(m, probs, y))
+            before = cost(M.loss_values(m, probs, y))
             grads = M.backward(m, trace, y)
             optim.Sgd(1e-4).step(m.named_params(), grads)
             probs2, _ = M.forward(m, idx)
-            after = M.cost(M.loss_values(m, probs2, y))
+            after = cost(M.loss_values(m, probs2, y))
             assert after < before
 
 
