@@ -250,24 +250,46 @@ def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
                                  vocab_sha=vocab.sha256())
 
 
-def _scored_batches(model: ClassifierModel, X: np.ndarray):
-    """Each slice of ``INFERENCE_BATCH_SIZE`` rows of ``X`` with the
-    model's probabilities for it, from a forward pass without history."""
-    for b0 in range(0, X.shape[0], INFERENCE_BATCH_SIZE):
-        rows = slice(b0, b0 + INFERENCE_BATCH_SIZE)
-        yield rows, forward(model, X[rows], trace=False)[0]
+def _scored_rows(model: ClassifierModel, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The model's probabilities for the rows ``rows`` of ``X``, in that
+    order, from forward passes without history.
+
+    The batches of ``INFERENCE_BATCH_SIZE`` rows are formed in order of
+    leading pad, so that the pad a batch's rows share, which ``forward``
+    runs once, is as long as the set allows. Each batch is gathered from
+    ``X`` by index. A row scores as it would in an input-order batch
+    wherever the BLAS rounds a row of a product alike at every batch
+    height, as OpenBLAS does at the paper's sizes.
+    """
+    N, T = rows.size, X.shape[1]
+    B = INFERENCE_BATCH_SIZE
+    lead = np.empty(N, dtype=np.intp)
+    for b0 in range(0, N, B):  # a block at a time, so no (N, T) array is built
+        tokens = X[rows[b0:b0 + B]] != PAD_INDEX
+        lead[b0:b0 + B] = np.where(tokens.any(axis=1), tokens.argmax(axis=1), T)
+    order = np.argsort(lead, kind="stable")
+    probs = np.empty((N,) if model.head == "sigmoid" else (N, model.n_classes))
+    for b0 in range(0, N, B):
+        batch = order[b0:b0 + B]
+        probs[batch] = forward(model, X[rows[batch]], trace=False)[0]
+    return probs
 
 
-def _eval_loss_acc(model: ClassifierModel, X: np.ndarray,
-                   y: np.ndarray) -> tuple[float, float]:
-    if X.shape[0] == 0:
+def _eval_loss_acc(model: ClassifierModel, X: np.ndarray, y: np.ndarray,
+                   rows: np.ndarray) -> tuple[float, float]:
+    """Mean loss and accuracy (percent) over the rows ``rows`` of ``X``
+    and ``y``; NaN for no rows."""
+    if rows.size == 0:
         return float("nan"), float("nan")
-    loss_sum = 0.0
-    correct = 0
-    for rows, probs in _scored_batches(model, X):
-        loss_sum += float(loss_values(model, probs, y[rows]).sum())
-        correct += int((predict_classes(model, probs) == y[rows]).sum())
-    return loss_sum / len(X), correct / len(X) * 100.0
+    probs = _scored_rows(model, X, rows)
+    y = y[rows]
+    correct = int((predict_classes(model, probs) == y).sum())
+    # the losses add up a slice of INFERENCE_BATCH_SIZE rows at a time, in
+    # the order of ``rows``, as the curve's figures always have
+    B = INFERENCE_BATCH_SIZE
+    loss_sum = sum(float(loss_values(model, probs[b0:b0 + B], y[b0:b0 + B]).sum())
+                   for b0 in range(0, rows.size, B))
+    return loss_sum / rows.size, correct / rows.size * 100.0
 
 
 def _check_fit(model: ClassifierModel, dataset: Dataset) -> None:
@@ -311,7 +333,6 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
     params = model.named_params()
     X, y = dataset.indices, dataset.labels
     Xtr, ytr = X[tr_idx], y[tr_idx]
-    Xte, yte = X[te_idx], y[te_idx]
 
     B = cfg.batch_size
     for ep in range(cfg.epochs):
@@ -334,7 +355,7 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
             loss_sum += float(loss_values(model, probs, yb).sum())
             correct += int((predict_classes(model, probs) == yb).sum())
         try:
-            test_loss, test_acc = _eval_loss_acc(model, Xte, yte)
+            test_loss, test_acc = _eval_loss_acc(model, X, y, te_idx)
         except DivergenceError as e:
             raise _diverged(ep, "test pass", e) from e
         yield CurvePoint(ep + 1, loss_sum / tr_idx.size, correct / tr_idx.size * 100.0,
@@ -369,8 +390,7 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test") -> m
         raise ConfigError(f"the dataset has no train/test split, so no {which} split; use --split all")
     else:
         idx = dataset.train_idx if which == "train" else dataset.test_idx
-    preds = np.concatenate([predict_classes(model, probs)
-                            for _, probs in _scored_batches(model, dataset.indices[idx])])
+    preds = predict_classes(model, _scored_rows(model, dataset.indices, idx))
     return metrics.scores(metrics.confusion(preds, dataset.labels[idx], model.n_classes))
 
 

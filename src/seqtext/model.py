@@ -22,6 +22,7 @@ from . import cells
 from .cells import sigmoid
 from .embedding import check_indices, lookup_grad
 from .errors import ConfigError, DivergenceError, ShapeError
+from .pipeline import PAD_INDEX
 
 PROB_FLOOR = 1e-12
 # Time steps per input projection when forward runs without a trace. It
@@ -165,14 +166,22 @@ def forward(model: ClassifierModel, indices,
     summing to 1. An index outside the embedding table raises IndexError,
     and a probability that is not a number raises DivergenceError.
     With ``trace`` the second value is the :class:`ModelTrace` for
-    :func:`backward`. Without, it is None: the recurrence keeps no
-    history and walks the document in chunks of ``INFERENCE_CHUNK``
-    steps, and the probabilities are bitwise those of the traced pass.
+    :func:`backward`. Without, it is None and the recurrence keeps no
+    history. Its first s steps, the pad that every row of the batch
+    starts with, reach the same state in every row, so they run once,
+    at two rows (one for a lone row), and that state is repeated to the
+    batch; the rest walks the document in chunks of ``INFERENCE_CHUNK``
+    steps. The probabilities are bitwise those of the traced pass where
+    the BLAS rounds each row of a two-row product as it does in a wider
+    one, as OpenBLAS does at the paper's sizes: a one-row product takes
+    the vector kernel, which rounds otherwise, so a batch of one keeps
+    its own width.
     """
     idx = np.asarray(indices)
     single = idx.ndim == 1
     idx = np.atleast_2d(idx)
-    if idx.shape[1] == 0:
+    B, T = idx.shape
+    if T == 0:
         raise ShapeError("cannot classify an empty index sequence")
     check_indices(idx, model.embedding.shape[0])
     if trace:
@@ -180,7 +189,14 @@ def forward(model: ClassifierModel, indices,
         h, cache = cells.run_sequence(xs, model.cell)
     else:
         state = None
-        for t0 in range(0, idx.shape[1], INFERENCE_CHUNK):
+        token_steps = np.flatnonzero((idx != PAD_INDEX).any(axis=0))
+        s = token_steps[0] if token_steps.size else T
+        if s:
+            xs = model.embedding[np.full((s, min(B, 2)), PAD_INDEX)]
+            pad = cells.run_sequence(xs, model.cell, history=False)
+            state = cells.CellState(h=np.repeat(pad.h[:1], B, axis=0),
+                                    c=None if pad.c is None else np.repeat(pad.c[:1], B, axis=0))
+        for t0 in range(s, T, INFERENCE_CHUNK):
             xs = np.swapaxes(model.embedding[idx[:, t0:t0 + INFERENCE_CHUNK]], 0, 1)
             state = cells.run_sequence(xs, model.cell, state, history=False)
         h = state.h

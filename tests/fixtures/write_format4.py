@@ -10,7 +10,9 @@ one checkpoint per cell trained on it (embedding, hidden and dense size
 4), ``gru-auto.sqt``, whose stored config holds ``learning_rate`` null and
 ``embedding_dim`` "auto" as files written before checkpoints stored the
 resolved settings, and ``expected.json`` with each model's predicted
-classes and probabilities for every row of the dataset.
+classes and probabilities for every row of the dataset it was trained
+on. ``tri.sqt`` is a 45-document 3-class dataset written the same way,
+and ``gru-tri.sqt`` a checkpoint trained on it, whose head is a softmax.
 """
 
 import io
@@ -32,7 +34,11 @@ MODELS = {
     "gru": ["--cell", "gru", *SIZES, "--learning-rate", "0.05", "--seed", "2"],
     "gru-auto": ["--cell", "gru", "--embedding-dim", "auto", "--hidden-size", "4",
                  "--dense-size", "4", "--seed", "2"],
+    "gru-tri": ["--cell", "gru", *SIZES, "--learning-rate", "0.05", "--seed", "3"],
 }
+# The dataset file each model is trained on and scored against.
+DATASETS = {"dataset.sqt": (2, 40), "tri.sqt": (3, 45)}
+TRAINED_ON = {name: "tri.sqt" if name.endswith("-tri") else "dataset.sqt" for name in MODELS}
 
 
 def _run(*args) -> None:
@@ -55,29 +61,34 @@ def _as_given(path: Path) -> None:
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = Path(tmp) / "corpus.csv"
-        make_synthetic_csv(corpus, 40, 2, seed=3, filler_tokens=30, min_len=8, max_len=24)
-        _run("preprocess", "--data", corpus, "--vocab-size", 50, "--max-len", 16,
-             "--train-fraction", 0.5, "--seed", 3, "--out-dir", OUT)
-        (OUT / "vocab.tsv").unlink()
+        for data, (n_classes, n_docs) in DATASETS.items():
+            corpus = Path(tmp) / "corpus.csv"
+            make_synthetic_csv(corpus, n_docs, n_classes, seed=3, filler_tokens=30,
+                               min_len=8, max_len=24)
+            _run("preprocess", "--data", corpus, "--vocab-size", 50, "--max-len", 16,
+                 "--train-fraction", 0.5, "--seed", 3, "--out-dir", tmp)
+            (Path(tmp) / "dataset.sqt").replace(OUT / data)
         for name, flags in MODELS.items():
             run = Path(tmp) / name
-            _run("train", "--data", OUT / "dataset.sqt", *flags, "--epochs", 10, "--batch-size", 4,
-                 "--out-dir", run)
+            _run("train", "--data", OUT / TRAINED_ON[name], *flags, "--epochs", 10,
+                 "--batch-size", 4, "--out-dir", run)
             (run / "model.sqt").replace(OUT / f"{name}.sqt")
     _as_given(OUT / "gru-auto.sqt")
 
-    ds, vocab, pipe = load_dataset(OUT / "dataset.sqt")
-    expected = {"dataset": {"class_names": ds.class_names, "vocab_sha": vocab.sha256(),
-                            "max_len": pipe.max_len, "labels": ds.labels.tolist(),
-                            "lengths": ds.lengths.tolist(), "train_idx": ds.train_idx.tolist(),
-                            "test_idx": ds.test_idx.tolist()},
-                "models": {}}
+    expected = {"datasets": {}, "models": {}}
+    for data in DATASETS:
+        ds, vocab, pipe = load_dataset(OUT / data)
+        expected["datasets"][data] = {
+            "class_names": ds.class_names, "vocab_sha": vocab.sha256(),
+            "max_len": pipe.max_len, "labels": ds.labels.tolist(),
+            "lengths": ds.lengths.tolist(), "train_idx": ds.train_idx.tolist(),
+            "test_idx": ds.test_idx.tolist()}
     for name in MODELS:
         ckpt = load_checkpoint(OUT / f"{name}.sqt")
+        ds = load_dataset(OUT / TRAINED_ON[name])[0]
         probs = forward(ckpt.model, ds.indices, trace=False)[0]
         expected["models"][name] = {
-            "config": ckpt.config.to_dict(),
+            "config": ckpt.config.to_dict(), "dataset": TRAINED_ON[name],
             "classes": predict_classes(ckpt.model, probs).tolist(),
             "probabilities": probs.tolist()}
     with open(OUT / "expected.json", "w", encoding="utf-8", newline="\n") as fh:

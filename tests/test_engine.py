@@ -37,6 +37,7 @@ from seqtext.errors import (
     IntegrityError,
     VocabularyMismatchError,
 )
+from seqtext.metrics import metrics_lines
 
 from helpers import (all_rows_on, make_synthetic_corpus, no_rows, reseal, rewrite_artifact,
                      rewrite_manifest)
@@ -1455,6 +1456,45 @@ class TestByteSweep:
 
 
 class TestEvaluate:
+    @staticmethod
+    def _padded_setup(n_classes):
+        """600 documents of 5 to 60 tokens cut to 50, and a paper-size gru
+        trained for one epoch on half of them: scoring makes three batches
+        of 256 rows or fewer, and the rows' leading pads differ."""
+        ds, vocab, _ = make_synthetic_corpus(600, n_classes, seed=2, min_len=5, max_len=60,
+                                             pad_len=50)
+        ds = split(ds, train_fraction=0.5, seed=0)
+        model, _ = train(ExperimentConfig(cell="gru", epochs=1, seed=1), ds, vocab)
+        return ds, model
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_scored_rows_follow_their_rows(self, n_classes):
+        ds, model = self._padded_setup(n_classes)
+        X = ds.indices
+        probs = engine._scored_rows(model, X, np.arange(len(X)))
+        perm = np.random.default_rng(0).permutation(len(X))
+        assert engine._scored_rows(model, X, perm).tobytes() == probs[perm].tobytes()
+        shuffled = engine._scored_rows(model, X[perm], np.arange(len(X)))
+        assert shuffled.tobytes() == probs[perm].tobytes()
+        # batched by leading pad, each row scores as in its input-order batch
+        B = engine.INFERENCE_BATCH_SIZE
+        traced = np.concatenate([M.forward(model, X[b0:b0 + B])[0] for b0 in range(0, len(X), B)])
+        assert probs.tobytes() == traced.tobytes()
+
+    def test_report_is_unchanged_by_a_row_permutation(self):
+        ds, model = self._padded_setup(3)
+        perm = np.random.default_rng(1).permutation(len(ds))
+        moved = np.argsort(perm)  # row i of ds is row moved[i] of the permuted set
+        permuted = replace(ds, indices=ds.indices[perm], labels=ds.labels[perm],
+                           lengths=ds.lengths[perm], train_idx=np.sort(moved[ds.train_idx]),
+                           test_idx=np.sort(moved[ds.test_idx]))
+        for which in ("train", "test", "all"):
+            report = evaluate(model, ds, which)
+            assert np.count_nonzero(report.confusion.sum(axis=0)) > 1  # not a single class
+            again = evaluate(model, permuted, which)
+            assert again.confusion.tobytes() == report.confusion.tobytes(), which
+            assert metrics_lines(again, ds.class_names) == metrics_lines(report, ds.class_names)
+
     def test_split_selection_and_errors(self):
         ds, vocab, _, cfg = _toy_setup(epochs=1)
         ds = split(ds, train_fraction=0.5, seed=0)

@@ -1,7 +1,8 @@
 """Committed format-4 files still read as they did when they were written.
 
-``tests/fixtures/format4`` holds a dataset file, one checkpoint per cell
-and one checkpoint whose config an older writer stored as given; see
+``tests/fixtures/format4`` holds a binary dataset file, one checkpoint per
+cell trained on it, one checkpoint whose config an older writer stored
+as given, and a 3-class dataset with a softmax-head checkpoint; see
 ``tests/fixtures/write_format4.py``. The expected predictions are checked
 exactly as classes and at 1e-9 as probabilities, so they do not depend
 on the BLAS kernel that scores them.
@@ -22,33 +23,35 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "format4"
 EXPECTED = json.loads((FIXTURES / "expected.json").read_text(encoding="utf-8"))
 
 
-@pytest.fixture(scope="module")
-def dataset():
-    return load_dataset(FIXTURES / "dataset.sqt")
-
-
-def test_the_dataset_file_reads_as_written(dataset):
-    ds, vocab, pipe = dataset
-    want = EXPECTED["dataset"]
-    assert ds.class_names == want["class_names"]
-    assert vocab.sha256() == ds.vocab_sha == want["vocab_sha"]
-    assert pipe.max_len == ds.indices.shape[1] == want["max_len"]
-    assert ds.labels.tolist() == want["labels"]
-    assert ds.lengths.tolist() == want["lengths"]
-    assert ds.train_idx.tolist() == want["train_idx"]
-    assert ds.test_idx.tolist() == want["test_idx"]
+def test_the_dataset_file_reads_as_written():
+    for name, want in EXPECTED["datasets"].items():
+        ds, vocab, pipe = load_dataset(FIXTURES / name)
+        assert ds.class_names == want["class_names"]
+        assert vocab.sha256() == ds.vocab_sha == want["vocab_sha"]
+        assert pipe.max_len == ds.indices.shape[1] == want["max_len"]
+        assert ds.labels.tolist() == want["labels"]
+        assert ds.lengths.tolist() == want["lengths"]
+        assert ds.train_idx.tolist() == want["train_idx"]
+        assert ds.test_idx.tolist() == want["test_idx"]
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED["models"]))
-def test_each_checkpoint_predicts_as_it_did(dataset, name):
-    ds, vocab, _ = dataset
+def test_each_checkpoint_predicts_as_it_did(name):
     want = EXPECTED["models"][name]
+    ds, vocab, _ = load_dataset(FIXTURES / want["dataset"])
     ckpt = load_checkpoint(FIXTURES / f"{name}.sqt")
     assert ckpt.config.to_dict() == want["config"]
     assert ckpt.vocab.sha256() == vocab.sha256()
     probs = forward(ckpt.model, ds.indices, trace=False)[0]
     assert predict_classes(ckpt.model, probs).tolist() == want["classes"]
     np.testing.assert_allclose(probs, want["probabilities"], rtol=0, atol=1e-9)
+
+
+def test_the_softmax_fixture_has_a_softmax_head():
+    ckpt = load_checkpoint(FIXTURES / "gru-tri.sqt")
+    assert ckpt.model.head == "softmax"
+    assert ckpt.class_names == EXPECTED["datasets"]["tri.sqt"]["class_names"]
+    assert sorted(set(EXPECTED["models"]["gru-tri"]["classes"])) == [0, 1, 2]
 
 
 def test_a_config_stored_as_given_loads_resolved():

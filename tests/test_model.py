@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from seqtext import cells, optim
 from seqtext import model as M
-from seqtext import optim
 from seqtext.cells import make_cell, sigmoid
 from seqtext.embedding import init_table
 from seqtext.config import ExperimentConfig
@@ -312,6 +312,44 @@ class TestUntracedForward:
                 assert untraced.tobytes() == traced.tobytes(), (B, T)
         one = idx[0]
         assert M.forward(m, one, trace=False)[0].tobytes() == M.forward(m, one)[0].tobytes()
+
+    @staticmethod
+    def _shared_pad(rng, B, T, s):
+        """(B, T) front-padded rows whose shortest pad is ``s``."""
+        idx = rng.integers(1, 60, size=(B, T))
+        pads = rng.integers(s, T + 1, size=B)
+        pads[0] = s
+        idx[np.arange(T) < pads[:, None]] = 0
+        return idx
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("variant", CELL_VARIANTS)
+    def test_shared_pad_bitwise_equal_to_traced(self, variant, n_classes):
+        # A shared pad of 31, 32 and 33 steps ends before, at and after a
+        # chunk boundary; at 250 every row is all pad.
+        m = build_paper_size(variant, n_classes=n_classes)
+        rng = np.random.default_rng(2)
+        for B in (1, 5, 256):
+            for s in (1, 31, 32, 33, 249, 250):
+                idx = self._shared_pad(rng, B, 250, s)
+                traced = M.forward(m, idx)[0]
+                assert M.forward(m, idx, trace=False)[0].tobytes() == traced.tobytes(), (B, s)
+
+    @pytest.mark.parametrize("B,s", [(1, 100), (5, 100), (5, 250), (256, 0), (256, 33)])
+    def test_shared_pad_runs_once(self, monkeypatch, B, s):
+        m = build_paper_size("lstm-peepholes")
+        idx = self._shared_pad(np.random.default_rng(3), B, 250, s)
+        widths = []
+        run_sequence = cells.run_sequence
+
+        def counted(xs, *args, **kwargs):
+            widths.extend([xs.shape[1]] * len(xs))
+            return run_sequence(xs, *args, **kwargs)
+
+        monkeypatch.setattr(cells, "run_sequence", counted)
+        M.forward(m, idx, trace=False)
+        # the shared pad runs at two rows (a lone row at one), then T - s token steps
+        assert widths == [min(B, 2)] * s + [B] * (250 - s)
 
     @pytest.mark.parametrize("position", [(0, 40), (3, 249), (2, 0)])
     def test_index_error_past_the_first_chunk(self, position):
