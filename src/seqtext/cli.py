@@ -122,7 +122,8 @@ def _cmd_train(args) -> int:
     metrics_path = _out_path(args, "metrics.txt")
     engine.save_checkpoint(model_path, model, cfg, ds.class_names, vocab, pipe)
     engine.emit_learning_curve(curve, curve_path)
-    report = engine.evaluate(model, ds, "test")
+    # the last epoch's test pass scored this model; with no epoch, score it here
+    report = curve[-1].report if curve else engine.evaluate(model, ds, "test")
     metrics.write_metrics(report, metrics_path, ds.class_names)
     print(metrics.format_report(report, ds.class_names), end="")
     _log(f"wrote {model_path}")

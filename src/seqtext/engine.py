@@ -29,11 +29,11 @@ from .model import ClassifierModel, backward, forward, loss_values, predict_clas
 from .pipeline import (OOV_INDEX, PAD_INDEX, PipelineConfig, Vocabulary,
                        build_vocabulary, clean, decoded, pad_rows, row_fault, text_sha256)
 
-# Documents per forward pass when only scoring: evaluate, predict, the
-# per-epoch test pass and train's final evaluate. At hidden size 16 a
-# time step costs mostly per-call overhead, which a wide batch spreads
-# over many documents; past about 256 the gain stops. Scoring keeps no
-# history, so the working set grows with the batch but not with T.
+# Documents per forward pass when only scoring: evaluate, predict and
+# the per-epoch test pass. At hidden size 16 a time step costs mostly
+# per-call overhead, which a wide batch spreads over many documents;
+# past about 256 the gain stops. Scoring keeps no history, so the
+# working set grows with the batch but not with T.
 INFERENCE_BATCH_SIZE = 256
 
 
@@ -223,12 +223,15 @@ def corpus_stats(dataset: Dataset) -> dict:
 # training
 
 class CurvePoint(NamedTuple):
-    """One epoch of a learning curve; accuracies are percentages."""
+    """One epoch of a learning curve; accuracies are percentages.
+    ``report`` is the epoch's test pass scored in full, whose accuracy is
+    ``test_acc``, or None when the dataset has no test split."""
     epoch: int
     train_loss: float
     train_acc: float
     test_loss: float
     test_acc: float
+    report: Optional[metrics.EvalReport] = None
 
 
 def build_model(cfg: ExperimentConfig, n_classes: int, vocab: Vocabulary,
@@ -275,21 +278,26 @@ def _scored_rows(model: ClassifierModel, X: np.ndarray, rows: np.ndarray) -> np.
     return probs
 
 
+def _report(model: ClassifierModel, probs: np.ndarray, labels: np.ndarray) -> metrics.EvalReport:
+    """The report of the classes that ``probs`` picks against ``labels``."""
+    preds = predict_classes(model, probs)
+    return metrics.scores(metrics.confusion(preds, labels, model.n_classes))
+
+
 def _eval_loss_acc(model: ClassifierModel, X: np.ndarray, y: np.ndarray,
-                   rows: np.ndarray) -> tuple[float, float]:
-    """Mean loss and accuracy (percent) over the rows ``rows`` of ``X``
-    and ``y``; NaN for no rows."""
+                   rows: np.ndarray) -> tuple[float, Optional[metrics.EvalReport]]:
+    """Mean loss and report over the rows ``rows`` of ``X`` and ``y``;
+    NaN and None for no rows."""
     if rows.size == 0:
-        return float("nan"), float("nan")
+        return float("nan"), None
     probs = _scored_rows(model, X, rows)
     y = y[rows]
-    correct = int((predict_classes(model, probs) == y).sum())
     # the losses add up a slice of INFERENCE_BATCH_SIZE rows at a time, in
     # the order of ``rows``, as the curve's figures always have
     B = INFERENCE_BATCH_SIZE
     loss_sum = sum(float(loss_values(model, probs[b0:b0 + B], y[b0:b0 + B]).sum())
                    for b0 in range(0, rows.size, B))
-    return loss_sum / rows.size, correct / rows.size * 100.0
+    return loss_sum / rows.size, _report(model, probs, y)
 
 
 def _check_fit(model: ClassifierModel, dataset: Dataset) -> None:
@@ -319,8 +327,8 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
 
     Train-side curve values are the running means over the epoch's
     batches (each measured before that batch's update); test-side values
-    come from a full pass at the end of the epoch, or NaN when the
-    dataset has no test split.
+    and the report come from a full pass at the end of the epoch, or are
+    NaN and None when the dataset has no test split.
     """
     _check_fit(model, dataset)
     if dataset.train_idx is None:
@@ -355,11 +363,12 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
             loss_sum += float(loss_values(model, probs, yb).sum())
             correct += int((predict_classes(model, probs) == yb).sum())
         try:
-            test_loss, test_acc = _eval_loss_acc(model, X, y, te_idx)
+            test_loss, report = _eval_loss_acc(model, X, y, te_idx)
         except DivergenceError as e:
             raise _diverged(ep, "test pass", e) from e
         yield CurvePoint(ep + 1, loss_sum / tr_idx.size, correct / tr_idx.size * 100.0,
-                         test_loss, test_acc)
+                         test_loss, float("nan") if report is None else report.accuracy,
+                         report)
 
 
 def train(cfg: ExperimentConfig, dataset: Dataset, vocab: Vocabulary,
@@ -390,8 +399,7 @@ def evaluate(model: ClassifierModel, dataset: Dataset, which: str = "test") -> m
         raise ConfigError(f"the dataset has no train/test split, so no {which} split; use --split all")
     else:
         idx = dataset.train_idx if which == "train" else dataset.test_idx
-    preds = predict_classes(model, _scored_rows(model, dataset.indices, idx))
-    return metrics.scores(metrics.confusion(preds, dataset.labels[idx], model.n_classes))
+    return _report(model, _scored_rows(model, dataset.indices, idx), dataset.labels[idx])
 
 
 def emit_learning_curve(curve: list[CurvePoint], path) -> None:

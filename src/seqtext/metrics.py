@@ -33,6 +33,13 @@ class EvalReport:
     confusion: np.ndarray
     zero_division: bool = False
 
+    def __eq__(self, other):
+        """Reports are equal when their confusion matrices are: ``scores``
+        derives every other field from the matrix."""
+        if not isinstance(other, EvalReport):
+            return NotImplemented
+        return np.array_equal(self.confusion, other.confusion)
+
     def headline(self) -> tuple:
         """(precision, recall, f1) for table output: the positive class
         for binary reports, otherwise the macro aggregate."""

@@ -58,7 +58,13 @@ class PipelineConfig:
             if found != value or type(found) is not type(value):
                 raise ValueError(f"{key} must be {value!r}, got {found!r}: this version "
                                  "cleans text only one way")
-        d["stopwords"] = frozenset(d.get("stopwords") or ())
+        for key in ("vocab_size", "max_len"):
+            if key in d and type(d[key]) is not int:
+                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+        stopwords = d.get("stopwords", [])
+        if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
+            raise ValueError(f"stopwords must be a list of strings, got {stopwords!r}")
+        d["stopwords"] = frozenset(stopwords)
         return cls(**d)
 
 

@@ -30,9 +30,13 @@ MISSING = ["seqtext.cli.make_document", "seqtext.engine._stack_indices",
            "seqtext.engine.cost", "seqtext.engine.make_document"]
 
 # The spans that the per-layer metrics of bench/run.py read from each
-# command that the score workload (preprocess, predict) and the train
-# workload trace. Only call counts are checked; times vary by machine.
+# command that the score workload (preprocess, evaluate, predict) and the
+# train workload trace. Only call counts are checked; times vary by machine.
 SPANS = {
+    "evaluate": ["cli.evaluate", "engine.load_checkpoint", "engine.load_dataset",
+                 "engine.evaluate", "model.forward.evaluate", "cells.run_sequence.gru",
+                 "linalg.sigmoid", "metrics.confusion", "metrics.scores",
+                 "metrics.format_report", "metrics.write_metrics"],
     "preprocess": ["cli.preprocess", "engine.load_csv_dataset", "pipeline.clean",
                    "pipeline.build_vocabulary", "engine.split", "engine.corpus_stats",
                    "engine.save_dataset", "engine.write_container"],
@@ -42,9 +46,8 @@ SPANS = {
               "model.forward.step.gru", "model.loss_values", "model.backward.gru",
               "cells.run_sequence.gru", "cells.backward_sequence.gru", "linalg.sigmoid",
               "optim.step.gru", "engine.eval_pass", "model.forward.eval_pass.gru",
-              "engine.save_checkpoint", "engine.write_container", "engine.evaluate",
-              "model.forward.evaluate", "metrics.confusion", "metrics.scores",
-              "metrics.format_report", "metrics.write_metrics"],
+              "engine.save_checkpoint", "engine.write_container", "metrics.confusion",
+              "metrics.scores", "metrics.format_report", "metrics.write_metrics"],
 }
 
 
@@ -121,6 +124,7 @@ def test_tracer_finds_every_name_but_the_dropped_ones():
 @pytest.mark.parametrize("command", sorted(SPANS))
 def test_traced_command_calls_every_span_it_reports(tiny, tmp_path, command):
     args = {
+        "evaluate": ["--model", tiny["model"], "--data", tiny["dataset"], "--out-dir", tmp_path],
         "preprocess": ["--data", tiny["corpus"], "--vocab-size", 300, "--max-len", 40,
                        "--train-fraction", 0.5, "--seed", 1, "--out-dir", tmp_path],
         "predict": ["--model", tiny["model"]],

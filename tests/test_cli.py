@@ -98,6 +98,29 @@ class TestHappyPath:
         got = _read_metrics(tmp_path / "eval_metrics.txt")
         assert float(got["accuracy"]) == 100.0
 
+    @pytest.mark.parametrize("epochs", [2, 0])
+    def test_train_scores_its_test_split_once_per_epoch(self, workspace, tmp_path, capsys,
+                                                        monkeypatch, epochs):
+        # metrics.txt is the last epoch's test pass; with no epoch, train
+        # scores the initial model itself
+        scored, calls = engine._scored_rows, []
+
+        def counted(model, X, rows):
+            calls.append(rows.size)
+            return scored(model, X, rows)
+
+        monkeypatch.setattr(engine, "_scored_rows", counted)
+        data, out = str(workspace["pre"] / "dataset.sqt"), tmp_path / "run"
+        assert cli.entry(["train", "--data", data, "--cell", "gru", "--hidden-size", "8",
+                          "--batch-size", "8", "--epochs", str(epochs), "--seed", "3",
+                          "--quiet", "--out-dir", str(out)]) == 0
+        assert calls == [12] * max(epochs, 1)
+        monkeypatch.undo()
+        assert cli.entry(["evaluate", "--model", str(out / "model.sqt"), "--data", data,
+                          "--split", "test", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "metrics.txt").read_bytes() == (out / "eval_metrics.txt").read_bytes()
+
     def test_evaluate_prints_report_table(self, workspace, tmp_path, capsys):
         rc = cli.entry([
             "evaluate", "--model", str(workspace["run"] / "model.sqt"),
@@ -638,6 +661,17 @@ class TestMalformedArtifacts:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert f"error: {bad}: pipeline: lowercase must be True, got False" in proc.stderr
+
+    @pytest.mark.parametrize("key,value", [("max_len", True), ("max_len", 70.0),
+                                           ("stopwords", "the")],
+                             ids=["max_len-bool", "max_len-float", "stopwords-string"])
+    def test_pipeline_setting_of_the_wrong_type(self, workspace, tmp_path, key, value):
+        model = rewrite_artifact(workspace["run"] / "model.sqt", tmp_path / "bad.sqt",
+                                 lambda h: h["pipeline"].update({key: value}))
+        proc = _run_cli("predict", "--model", model, stdin="sig1w00\n")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"error: {model}: pipeline: {key} must be" in proc.stderr
 
     @pytest.mark.parametrize("edit,message", [
         (lambda h: h["blocks"][0].pop("shape"), "malformed block manifest entry"),

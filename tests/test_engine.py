@@ -523,10 +523,20 @@ class TestTrain:
         for (n1, a1), (n2, a2) in zip(m1.state_blocks(), m2.state_blocks()):
             assert n1 == n2
             assert np.array_equal(a1, a2)
-        # the test columns are NaN here (no split), so compare NaN-aware
-        t1 = np.array(c1)
-        t2 = np.array(c2)
+        # the test columns are NaN here (no split), so compare NaN-aware,
+        # and each point's five figures bit for bit
+        t1 = np.array([p[:5] for p in c1])
+        t2 = np.array([p[:5] for p in c2])
         assert np.array_equal(t1, t2, equal_nan=True)
+        assert t1.tobytes() == t2.tobytes()
+        assert [p.report for p in c1] == [p.report for p in c2]
+
+    def test_last_point_holds_the_test_report(self):
+        ds, vocab, _, cfg = _toy_setup(epochs=2)
+        ds = split(ds, train_fraction=0.5, seed=0)
+        model, curve = train(cfg, ds, vocab)
+        assert curve[-1].report == evaluate(model, ds, "test")
+        assert [p.test_acc for p in curve] == [p.report.accuracy for p in curve]
 
     def test_seed_changes_the_run(self):
         ds, vocab, _, cfg = _toy_setup(epochs=1)
@@ -1147,6 +1157,16 @@ _SHARED_HEADER_FAULTS = [
                  "pipeline: max_len must be >= 1", id="pipeline-max_len"),
     pytest.param(lambda h: h["pipeline"].update(vocab_size="many"), IntegrityError,
                  "pipeline: ", id="pipeline-vocab_size"),
+    *[pytest.param(lambda h, k=key, v=value: h["pipeline"].update({k: v}), IntegrityError,
+                   f"pipeline: {key} must be an integer, got {value!r}", id=f"pipeline-{key}-{tag}")
+      for key in ("vocab_size", "max_len")
+      for value, tag in ((True, "bool"), (70.0, "float"))],
+    pytest.param(lambda h: h["pipeline"].update(stopwords="the"), IntegrityError,
+                 "pipeline: stopwords must be a list of strings, got 'the'",
+                 id="pipeline-stopwords-string"),
+    pytest.param(lambda h: h["pipeline"].update(stopwords=["the", 3]), IntegrityError,
+                 r"pipeline: stopwords must be a list of strings, got \['the', 3\]",
+                 id="pipeline-stopwords-int"),
     pytest.param(lambda h: h["pipeline"].update(lowercase=False), IntegrityError,
                  "pipeline: lowercase must be True", id="pipeline-lowercase"),
     pytest.param(lambda h: h["pipeline"].update(stemming=True), IntegrityError,
