@@ -418,6 +418,7 @@ def emit_learning_curve(curve: list[CurvePoint], path) -> None:
 _KINDS = {"checkpoint": (4, "a checkpoint"), "dataset": (1, "an encoded dataset")}
 # The header fields every artifact holds, with their JSON types.
 _SHARED_FIELDS = {"class_names": list, "vocab_sha": str, "vocab_text": str, "pipeline": dict}
+_PIPELINE_KEYS = PipelineConfig().to_dict().keys()
 
 
 def _write_artifact(path, kind: str, class_names, vocab: Vocabulary,
@@ -452,8 +453,18 @@ def _read_artifact(path, kind: str, **own) -> tuple[dict, dict, Vocabulary, Pipe
     if text_sha256(header["vocab_text"]) != header["vocab_sha"]:
         raise IntegrityError(f"{path}: embedded vocabulary does not match the recorded hash")
     vocab = _from_header(path, "vocabulary", Vocabulary.from_text, header["vocab_text"])
+    _check_keys(path, "pipeline", header["pipeline"], _PIPELINE_KEYS)
     pipe = _from_header(path, "pipeline", PipelineConfig.from_dict, header["pipeline"])
     return header, arrays, vocab, pipe
+
+
+def _check_keys(path, what: str, stored: dict, keys) -> None:
+    """A stored settings dict holds exactly the keys its writer stores."""
+    missing, unknown = sorted(keys - stored.keys()), sorted(stored.keys() - keys)
+    if missing:
+        raise IntegrityError(f"{path}: {what} lacks {', '.join(missing)}")
+    if unknown:
+        raise IntegrityError(f"{path}: {what}: unknown configuration keys {unknown}")
 
 
 def _from_header(path, what: str, build, *args):
@@ -500,6 +511,13 @@ def _disagreement(model: ClassifierModel, cfg: ExperimentConfig, class_names,
     return None
 
 
+def _nonfinite_block(model: ClassifierModel) -> Optional[str]:
+    """The name of the model's first block that holds a value that is not
+    finite, or None."""
+    return next((name for name, block in model.state_blocks()
+                 if not np.isfinite(block).all()), None)
+
+
 def _recorded_task(n_classes: int) -> str:
     # Earlier readers of format 4 require config.task; the class count fixes it.
     return "binary" if n_classes == 2 else "multiclass"
@@ -509,13 +527,17 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
                     class_names: list, vocab: Vocabulary,
                     pipeline_cfg: PipelineConfig) -> None:
     """Store the model's blocks beside the resolved settings that describe
-    them; a model that they do not describe is refused."""
+    them; a model that they do not describe is refused, and a block that is
+    not finite is a DivergenceError."""
     config = config.resolved(vocab.size, len(class_names))
     problem = _disagreement(model, config, class_names, vocab)
     if model.vocab_sha not in (None, vocab.sha256()):
         problem = "the model was built over another vocabulary"
     if problem is not None:
         raise ConfigError(f"cannot store this model: {problem}")
+    block = _nonfinite_block(model)
+    if block is not None:
+        raise DivergenceError(f"cannot store this model: block {block!r} is not finite")
     _write_artifact(path, "checkpoint", class_names, vocab, pipeline_cfg,
                     model.state_blocks(),
                     config={**config.to_dict(), "task": _recorded_task(len(class_names))})
@@ -523,18 +545,14 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
 
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild a stored model from its blocks, its config and its class
-    names; blocks that disagree with them are an integrity error, and so
-    are fewer than 2 class names and a recorded task that disagrees with
-    the class names, which are checked before the blocks are read. The
+    names; blocks that disagree with them or are not finite are an
+    integrity error, and so are fewer than 2 class names and a recorded
+    task that disagrees with the class names, which are checked before the
+    blocks are read. The
     config comes back resolved, also from an older file that stored it as given."""
     header, arrays, vocab, pipe = _read_artifact(path, "checkpoint", config=dict)
-    # a stored config holds exactly the settings and the task
-    stored, keys = header["config"], SETTINGS.keys() | {"task"}
-    missing, unknown = sorted(keys - stored.keys()), sorted(stored.keys() - keys)
-    if missing:
-        raise IntegrityError(f"{path}: config lacks {', '.join(missing)}")
-    if unknown:
-        raise IntegrityError(f"{path}: config: unknown configuration keys {unknown}")
+    stored = header["config"]
+    _check_keys(path, "config", stored, SETTINGS.keys() | {"task"})
     task = stored.pop("task")
     cfg = _from_header(path, "config", lambda: ExperimentConfig(**stored))
     names = header["class_names"]
@@ -547,6 +565,9 @@ def load_checkpoint(path) -> Checkpoint:
                              f"classes make it {want!r}; retrain the model")
     model = _from_header(path, "model", ClassifierModel.from_blocks, arrays, cfg.cell,
                          cfg.literal_recurrence, header["vocab_sha"])
+    block = _nonfinite_block(model)
+    if block is not None:
+        raise IntegrityError(f"{path}: block {block!r} is not finite")
     cfg = cfg.resolved(vocab.size, len(names))
     problem = _disagreement(model, cfg, names, vocab)
     if problem is not None:

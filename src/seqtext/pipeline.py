@@ -36,15 +36,29 @@ _NON_ALNUM = re.compile(r"[^0-9A-Za-z]+")
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The encoding settings. The constructor checks every value, types
+    included, so a ``replace`` copy and stored settings are checked alike:
+    ``vocab_size`` and ``max_len`` are ints (a bool or a float is refused),
+    and ``stopwords``, a list, tuple or set of strings, is stored as a
+    frozenset."""
     vocab_size: int = 10000
     max_len: int = 250
     stopwords: frozenset = frozenset()
 
     def __post_init__(self):
+        for key in ("vocab_size", "max_len"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.vocab_size < 3:
             raise ConfigError(f"vocab_size must be >= 3 (pad + OOV + one token), got {self.vocab_size}")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
+        words = self.stopwords
+        if not isinstance(words, (list, tuple, set, frozenset)) or not all(
+                isinstance(w, str) for w in words):
+            raise ConfigError(f"stopwords must be a list of strings, got {words!r}")
+        object.__setattr__(self, "stopwords", frozenset(words))
 
     def to_dict(self) -> dict:
         return {"vocab_size": self.vocab_size, "max_len": self.max_len,
@@ -52,19 +66,14 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        """The inverse of ``to_dict``: the fixed cleaning values must be this
+        version's, and the constructor checks the settings."""
         d = dict(d)
         for key, value in _FIXED.items():
-            found = d.pop(key, value)
+            found = d.pop(key, None)
             if found != value or type(found) is not type(value):
                 raise ValueError(f"{key} must be {value!r}, got {found!r}: this version "
                                  "cleans text only one way")
-        for key in ("vocab_size", "max_len"):
-            if key in d and type(d[key]) is not int:
-                raise ValueError(f"{key} must be an integer, got {d[key]!r}")
-        stopwords = d.get("stopwords", [])
-        if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
-            raise ValueError(f"stopwords must be a list of strings, got {stopwords!r}")
-        d["stopwords"] = frozenset(stopwords)
         return cls(**d)
 
 

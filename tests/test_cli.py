@@ -673,6 +673,28 @@ class TestMalformedArtifacts:
         assert "Traceback" not in proc.stderr
         assert f"error: {model}: pipeline: {key} must be" in proc.stderr
 
+    @pytest.mark.parametrize("key", ["max_len", "stopwords", "lowercase"])
+    def test_pipeline_setting_missing(self, workspace, tmp_path, key):
+        # no default stands in: the model scores only under its own encoding
+        model = rewrite_artifact(workspace["run"] / "model.sqt", tmp_path / "bad.sqt",
+                                 lambda h: h["pipeline"].pop(key))
+        proc = _run_cli("predict", "--model", model, stdin="sig1w00\n")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"error: {model}: pipeline lacks {key}\n" in proc.stderr
+
+    @pytest.mark.parametrize("block,where,value", [
+        ("cell.b", 0, np.inf), ("embedding.weights", -1, np.nan),
+        ("cell.U", (0, 0), np.nan), ("embedding.weights", 0, np.nan),
+    ], ids=["cell.b-inf", "last-embedding-row-nan", "cell.U-nan", "pad-row-nan"])
+    def test_block_that_is_not_finite(self, workspace, tmp_path, block, where, value):
+        model = rewrite_artifact(workspace["run"] / "model.sqt", tmp_path / "bad.sqt",
+                                 edit_arrays=lambda a: a[block].__setitem__(where, value))
+        proc = _run_cli("predict", "--model", model, stdin="sig1w00 sig1w01\n")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"error: {model}: block {block!r} is not finite\n" in proc.stderr
+
     @pytest.mark.parametrize("edit,message", [
         (lambda h: h["blocks"][0].pop("shape"), "malformed block manifest entry"),
         (lambda h: h["blocks"][0].update(shape="xy"), "malformed block manifest entry"),

@@ -919,6 +919,21 @@ class TestCheckpoint:
             save_checkpoint(path, model, replace(cfg, **bad), ds.class_names, vocab, pcfg)
         assert not path.exists()
 
+    @pytest.mark.parametrize("field,name,value", [("head_b", "head.b", np.inf),
+                                                  ("embedding", "embedding.weights", np.nan)],
+                             ids=["head.b-inf", "embedding.weights-nan"])
+    def test_save_refuses_a_block_that_is_not_finite(self, tmp_path, field, name, value):
+        # load refuses such a block, so no writer stores one
+        ds, vocab, pcfg, cfg = _toy_setup(epochs=0)
+        model, _ = train(cfg, ds, vocab)
+        bad = getattr(model, field).copy()
+        bad[-1] = value
+        path = tmp_path / "model.sqt"
+        with pytest.raises(DivergenceError, match=f"block '{name}' is not finite"):
+            save_checkpoint(path, replace(model, **{field: bad}), cfg, ds.class_names,
+                            vocab, pcfg)
+        assert not path.exists()
+
 
 # Edits to a stored vocabulary text that leave the recorded hash as it was:
 # another token, and the same entries in a non-canonical form.
@@ -1171,6 +1186,11 @@ _SHARED_HEADER_FAULTS = [
                  "pipeline: lowercase must be True", id="pipeline-lowercase"),
     pytest.param(lambda h: h["pipeline"].update(stemming=True), IntegrityError,
                  "pipeline: .*stemming", id="pipeline-unknown-key"),
+    # every writer stores all seven keys, so none falls back to a default
+    *[pytest.param(lambda h, k=key: h["pipeline"].pop(k), IntegrityError,
+                   f"pipeline lacks {key}$", id=f"pipeline-{key}-missing")
+      for key in ("vocab_size", "max_len", "stopwords", "lowercase", "strip_nonalpha",
+                  "oov_token", "pad_token")],
 ]
 
 

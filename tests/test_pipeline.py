@@ -1,7 +1,8 @@
 """Text cleaning, vocabulary construction, and encoding contracts."""
 
+import re
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -240,6 +241,27 @@ def test_config_validation():
         PipelineConfig(vocab_size=2)
     with pytest.raises(ConfigError):
         PipelineConfig(max_len=0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_len", 70.0), ("max_len", True), ("vocab_size", 50.0), ("vocab_size", True),
+    ("stopwords", "the"), ("stopwords", ["the", 3]),
+], ids=["max_len-float", "max_len-bool", "vocab_size-float", "vocab_size-bool",
+        "stopwords-string", "stopwords-int"])
+def test_config_refuses_a_value_of_the_wrong_type(key, value):
+    what = "an integer" if key != "stopwords" else "a list of strings"
+    message = re.escape(f"{key} must be {what}, got {value!r}")
+    with pytest.raises(ConfigError, match=message):
+        PipelineConfig(**{key: value})
+    # a copy is checked as it is made
+    with pytest.raises(ConfigError, match=message):
+        replace(small_cfg(), **{key: value})
+
+
+def test_config_stores_stopwords_as_a_frozenset():
+    cfg = small_cfg(stopwords=["the", "a", "the"])
+    assert cfg.stopwords == frozenset({"the", "a"}) and type(cfg.stopwords) is frozenset
+    assert cfg == small_cfg(stopwords=("a", "the"))
 
 
 def test_config_dict_round_trip():
