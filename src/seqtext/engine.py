@@ -314,8 +314,8 @@ def _check_fit(model: ClassifierModel, dataset: Dataset) -> None:
             f"model has {model.n_classes} classes, dataset names {dataset.n_classes}")
 
 
-def _diverged(ep: int, where: str, e: DivergenceError) -> DivergenceError:
-    return DivergenceError(f"diverged at epoch {ep + 1}, {where}: {e}; "
+def _diverged(where: str, problem) -> DivergenceError:
+    return DivergenceError(f"diverged at {where}: {problem}; "
                            "try a lower learning_rate or a gradient_clip")
 
 
@@ -328,7 +328,9 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
     Train-side curve values are the running means over the epoch's
     batches (each measured before that batch's update); test-side values
     and the report come from a full pass at the end of the epoch, or are
-    NaN and None when the dataset has no test split.
+    NaN and None when the dataset has no test split. After that pass,
+    weights that could overflow the forward pass end the run with a
+    DivergenceError.
     """
     _check_fit(model, dataset)
     if dataset.train_idx is None:
@@ -359,13 +361,16 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
                 # both are spent; freed now, the next batch reuses their memory
                 del trace, grads
             except DivergenceError as e:
-                raise _diverged(ep, f"batch {bi + 1}", e) from e
+                raise _diverged(f"epoch {ep + 1}, batch {bi + 1}", e) from e
             loss_sum += float(loss_values(model, probs, yb).sum())
             correct += int((predict_classes(model, probs) == yb).sum())
         try:
             test_loss, report = _eval_loss_acc(model, X, y, te_idx)
         except DivergenceError as e:
-            raise _diverged(ep, "test pass", e) from e
+            raise _diverged(f"epoch {ep + 1}, test pass", e) from e
+        fault = _weight_fault(model, X.shape[1])
+        if fault is not None:
+            raise _diverged(f"epoch {ep + 1}", fault)
         yield CurvePoint(ep + 1, loss_sum / tr_idx.size, correct / tr_idx.size * 100.0,
                          test_loss, float("nan") if report is None else report.accuracy,
                          report)
@@ -511,11 +516,43 @@ def _disagreement(model: ClassifierModel, cfg: ExperimentConfig, class_names,
     return None
 
 
-def _nonfinite_block(model: ClassifierModel) -> Optional[str]:
-    """The name of the model's first block that holds a value that is not
-    finite, or None."""
-    return next((name for name, block in model.state_blocks()
-                 if not np.isfinite(block).all()), None)
+def _weight_fault(model: ClassifierModel, max_len: int) -> Optional[str]:
+    """Why some input of ``max_len`` steps could overflow the model's
+    forward pass, or None.
+
+    tanh and the sigmoid keep h in [-1, 1] and the lstm's |c| within
+    ``max_len``, so each pre-activation is bounded by a sum of one term per
+    block: cell row j by sum_k |W_jk| max |E| (the term of cell.W) +
+    sum_k |U_jk| + |b_j|, plus ``max_len`` sum_k |V_jk| on peephole rows;
+    dense row j by sum_k |dense_W_jk| + |dense_b_j|; logit j by sum_k
+    |head_W_jk| times dense row k's bound + |head_b_j|. A block that is not
+    finite makes a bound so too and is named first; otherwise a bound that
+    overflows names the block with the largest term.
+    """
+    cell, E = model.cell, model.embedding
+    # an overflow here is the finding itself, not a fault of the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.maximum(E.max(), -E.min())
+        terms = {"cell.W": np.abs(cell.W).sum(axis=1) * x, "cell.U": np.abs(cell.U).sum(axis=1),
+                 "cell.b": np.abs(cell.b)}
+        pre = terms["cell.W"] + terms["cell.U"] + terms["cell.b"]
+        if cell.V is not None:
+            terms["cell.V"] = max_len * np.abs(cell.V).sum(axis=1)
+            pre[:terms["cell.V"].size] += terms["cell.V"]
+        terms["dense.W"] = np.abs(model.dense_W).sum(axis=1)
+        terms["dense.b"] = np.abs(model.dense_b)
+        dense = terms["dense.W"] + terms["dense.b"]
+        terms["head.W"] = (np.abs(model.head_W) * dense).sum(axis=1)
+        terms["head.b"] = np.abs(model.head_b)
+        logits = terms["head.W"] + terms["head.b"]
+    if all(np.isfinite(b).all() for b in (pre, dense, logits)):
+        return None
+    block = next((name for name, block in model.state_blocks()
+                  if not np.isfinite(block).all()), None)
+    if block is not None:
+        return f"block {block!r} is not finite"
+    block = max(terms, key=lambda name: terms[name].max())
+    return f"block {block!r} can overflow the forward pass"
 
 
 def _recorded_task(n_classes: int) -> str:
@@ -527,17 +564,18 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
                     class_names: list, vocab: Vocabulary,
                     pipeline_cfg: PipelineConfig) -> None:
     """Store the model's blocks beside the resolved settings that describe
-    them; a model that they do not describe is refused, and a block that is
-    not finite is a DivergenceError."""
+    them; a model that they do not describe is refused, and weights that
+    are not finite or could overflow the forward pass are a
+    DivergenceError."""
     config = config.resolved(vocab.size, len(class_names))
     problem = _disagreement(model, config, class_names, vocab)
     if model.vocab_sha not in (None, vocab.sha256()):
         problem = "the model was built over another vocabulary"
     if problem is not None:
         raise ConfigError(f"cannot store this model: {problem}")
-    block = _nonfinite_block(model)
-    if block is not None:
-        raise DivergenceError(f"cannot store this model: block {block!r} is not finite")
+    fault = _weight_fault(model, pipeline_cfg.max_len)
+    if fault is not None:
+        raise DivergenceError(f"cannot store this model: {fault}")
     _write_artifact(path, "checkpoint", class_names, vocab, pipeline_cfg,
                     model.state_blocks(),
                     config={**config.to_dict(), "task": _recorded_task(len(class_names))})
@@ -545,11 +583,11 @@ def save_checkpoint(path, model: ClassifierModel, config: ExperimentConfig,
 
 def load_checkpoint(path) -> Checkpoint:
     """Rebuild a stored model from its blocks, its config and its class
-    names; blocks that disagree with them or are not finite are an
-    integrity error, and so are fewer than 2 class names and a recorded
-    task that disagrees with the class names, which are checked before the
-    blocks are read. The
-    config comes back resolved, also from an older file that stored it as given."""
+    names; blocks that disagree with them, are not finite or could
+    overflow the forward pass are an integrity error, and so are fewer
+    than 2 class names and a recorded task that disagrees with the class
+    names, which are checked before the blocks are read. The config comes
+    back resolved, also from an older file that stored it as given."""
     header, arrays, vocab, pipe = _read_artifact(path, "checkpoint", config=dict)
     stored = header["config"]
     _check_keys(path, "config", stored, SETTINGS.keys() | {"task"})
@@ -565,9 +603,9 @@ def load_checkpoint(path) -> Checkpoint:
                              f"classes make it {want!r}; retrain the model")
     model = _from_header(path, "model", ClassifierModel.from_blocks, arrays, cfg.cell,
                          cfg.literal_recurrence, header["vocab_sha"])
-    block = _nonfinite_block(model)
-    if block is not None:
-        raise IntegrityError(f"{path}: block {block!r} is not finite")
+    fault = _weight_fault(model, pipe.max_len)
+    if fault is not None:
+        raise IntegrityError(f"{path}: {fault}")
     cfg = cfg.resolved(vocab.size, len(names))
     problem = _disagreement(model, cfg, names, vocab)
     if problem is not None:

@@ -4,9 +4,9 @@ All three update in place and keep per-parameter accumulator slots
 shaped exactly like the parameters. A step consumes its gradients: each
 block's gradient array is overwritten as scratch, so that an update
 allocates at most one temporary the size of its block, and the caller
-must not read the gradients after the step. A non-finite gradient
-aborts with a diagnostic naming the offending block, before that block
-is modified.
+must not read the gradients after the step. A step is all-or-nothing: a
+non-finite gradient aborts with a diagnostic naming the first offending
+block before any block, slot or step count is modified.
 """
 
 from __future__ import annotations
@@ -21,84 +21,75 @@ ADAM_BETA2 = 0.999
 EPS = 1e-8
 
 
-def _check_finite(name: str, g: np.ndarray) -> None:
-    if not np.isfinite(g).all():
-        raise DivergenceError(f"non-finite gradient in parameter block {name!r}")
+class _Optimizer:
+    """The step every rule shares; a rule gives its slot count and its
+    in-place ``_update(p, g, *slots)``."""
 
-
-class Sgd:
-    """theta <- theta - lr * g."""
+    n_slots = 0
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
+        self.t = 0
+        self.slots: dict[str, tuple[np.ndarray, ...]] = {}
 
     def step(self, params: dict, grads: dict) -> None:
+        for name in params:
+            if not np.isfinite(grads[name]).all():
+                raise DivergenceError(f"non-finite gradient in parameter block {name!r}")
+        self.t += 1
         for name, p in params.items():
-            g = grads[name]
-            _check_finite(name, g)
-            g *= self.learning_rate
-            p -= g
+            slots = self.slots.get(name)
+            if slots is None:
+                slots = self.slots[name] = tuple(np.zeros_like(p) for _ in range(self.n_slots))
+            self._update(p, grads[name], *slots)
 
 
-class RmsProp:
+class Sgd(_Optimizer):
+    """theta <- theta - lr * g."""
+
+    def _update(self, p, g) -> None:
+        g *= self.learning_rate
+        p -= g
+
+
+class RmsProp(_Optimizer):
     """Running mean-square scaling: s <- rho*s + (1-rho)*g^2,
     theta <- theta - lr * g / (sqrt(s) + eps)."""
 
-    def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
-        self.s: dict[str, np.ndarray] = {}
+    n_slots = 1
 
-    def step(self, params: dict, grads: dict) -> None:
-        for name, p in params.items():
-            g = grads[name]
-            _check_finite(name, g)
-            s = self.s.get(name)
-            if s is None:
-                s = self.s[name] = np.zeros_like(p)
-            tmp = np.multiply(g, 1.0 - RMSPROP_RHO)
-            tmp *= g
-            s *= RMSPROP_RHO
-            s += tmp
-            g *= self.learning_rate
-            np.sqrt(s, out=tmp)
-            tmp += EPS
-            g /= tmp
-            p -= g
+    def _update(self, p, g, s) -> None:
+        tmp = np.multiply(g, 1.0 - RMSPROP_RHO)
+        tmp *= g
+        s *= RMSPROP_RHO
+        s += tmp
+        g *= self.learning_rate
+        np.sqrt(s, out=tmp)
+        tmp += EPS
+        g /= tmp
+        p -= g
 
 
-class Adam:
+class Adam(_Optimizer):
     """Bias-corrected first/second moment updates."""
 
-    def __init__(self, learning_rate: float):
-        self.learning_rate = learning_rate
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.t = 0
+    n_slots = 2
 
-    def step(self, params: dict, grads: dict) -> None:
-        self.t += 1
-        for name, p in params.items():
-            g = grads[name]
-            _check_finite(name, g)
-            m = self.m.get(name)
-            if m is None:
-                m = self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            v = self.v[name]
-            tmp = np.multiply(g, 1.0 - ADAM_BETA1)
-            m *= ADAM_BETA1
-            m += tmp
-            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-            tmp *= g
-            v *= ADAM_BETA2
-            v += tmp
-            m_hat = np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=g)
-            m_hat *= self.learning_rate
-            v_hat = np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=tmp)
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += EPS
-            m_hat /= v_hat
-            p -= m_hat
+    def _update(self, p, g, m, v) -> None:
+        tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v *= ADAM_BETA2
+        v += tmp
+        m_hat = np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=g)
+        m_hat *= self.learning_rate
+        v_hat = np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=tmp)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += EPS
+        m_hat /= v_hat
+        p -= m_hat
 
 
 # Each optimizer under the name a config gives it; ``ExperimentConfig``

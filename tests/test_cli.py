@@ -459,24 +459,30 @@ class TestExitCodes:
         assert "diverged at epoch" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_predict_with_diverged_weights_exits_3(self, tmp_path):
+    def test_predict_with_diverged_weights_exits_3(self, workspace, tmp_path, capsys):
         # one sgd step at rate 1e308 leaves weights of both signs near the
-        # float64 limit: the test split still scores, but these two tokens
-        # overflow to inf - inf, a probability that is not a number
+        # float64 limit: the test split still scores, but some inputs would
+        # overflow to inf - inf, so train stops and stores no model
         csv = tmp_path / "corpus.csv"
         engine.make_synthetic_csv(csv, 60, 2, seed=0)
         assert cli.entry(["preprocess", "--data", str(csv), "--vocab-size", "300",
                           "--max-len", "40", "--train-fraction", "0.5",
                           "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
         assert cli.entry(["train", "--data", str(tmp_path / "dataset.sqt"), "--optimizer",
                           "sgd", "--learning-rate", "1e308", "--epochs", "1", "--quiet",
-                          "--out-dir", str(tmp_path)]) == 0
-        proc = _run_cli("predict", "--model", tmp_path / "model.sqt",
-                        stdin="sig1w00 fill0001\n")
-        assert proc.returncode == 3
+                          "--out-dir", str(tmp_path)]) == 3
+        assert "error: diverged at epoch 1: block 'cell.W' can overflow the forward pass" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "model.sqt").exists()
+        # a stored model with such weights is refused before it scores a line
+        model = rewrite_artifact(workspace["run"] / "model.sqt", tmp_path / "bad.sqt",
+                                 edit_arrays=lambda a: a["cell.U"].__setitem__(0, 1e308))
+        proc = _run_cli("predict", "--model", model, stdin="sig1w00 fill0001\n")
+        assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert "error: the model yields a probability that is not a number" in proc.stderr
-        assert "nan" not in proc.stdout
+        assert f"error: {model}: block 'cell.U' can overflow the forward pass\n" in proc.stderr
+        assert proc.stdout == ""
 
     def test_evaluate_rejects_mismatched_classes(self, workspace, tmp_path, capsys):
         csv = tmp_path / "tri.csv"

@@ -584,6 +584,21 @@ class TestTrain:
                                                   "try a lower learning_rate"):
             next(train_epochs(model, cfg, ds))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cell", ["rnn", "lstm", "gru"])
+    def test_weights_that_can_overflow_end_the_run(self, cell):
+        # one batch at these rates leaves finite weights near the float64
+        # limit, which the test pass still scores; 1e50 leaves a usable model
+        for rate in (1e308, 1e200):
+            ds, vocab, _, cfg = _toy_setup(epochs=1, optimizer="sgd", learning_rate=rate,
+                                           cell=cell, batch_size=16)
+            with pytest.raises(DivergenceError, match="diverged at epoch 1: block 'cell.W' "
+                                                      "can overflow the forward pass; try a lower"):
+                train(cfg, ds, vocab)
+        ds, vocab, _, cfg = _toy_setup(epochs=1, optimizer="sgd", learning_rate=1e50,
+                                       cell=cell, batch_size=16)
+        train(cfg, ds, vocab)
+
     def test_a_model_over_another_vocabulary_is_refused(self):
         ds, vocab, _, cfg = _toy_setup()
         model = build_model(cfg, ds.n_classes, vocab)
@@ -933,6 +948,30 @@ class TestCheckpoint:
             save_checkpoint(path, replace(model, **{field: bad}), cfg, ds.class_names,
                             vocab, pcfg)
         assert not path.exists()
+
+    @pytest.mark.parametrize("blocks,name", [
+        (dict(V=1e307), "cell.V"),
+        (dict(dense_W=1e200, head_W=1e200), "head.W"),
+        (dict(U=1e308, b=1.5e308), "cell.b"),
+    ], ids=["peepholes-times-max_len", "head-times-dense", "largest-term"])
+    def test_save_and_load_refuse_weights_that_can_overflow(self, tmp_path, blocks, name):
+        # every block is finite, but a bound on a pre-activation is not
+        ds, vocab, pcfg, cfg = _toy_setup(epochs=0, cell="lstm")
+        model, _ = train(cfg, ds, vocab)
+        path = tmp_path / "model.sqt"
+        save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
+        for block, value in blocks.items():
+            owner = model.cell if block in ("U", "V", "b") else model
+            getattr(owner, block).flat[0] = value
+        with pytest.raises(DivergenceError, match=re.escape(
+                f"cannot store this model: block '{name}' can overflow the forward pass")):
+            save_checkpoint(tmp_path / "bad.sqt", model, cfg, ds.class_names, vocab, pcfg)
+        assert not (tmp_path / "bad.sqt").exists()
+        stored = dict(model.state_blocks())
+        rewrite_artifact(path, tmp_path / "bad.sqt", edit_arrays=lambda a: a.update(stored))
+        with pytest.raises(IntegrityError, match=re.escape(
+                f"bad.sqt: block '{name}' can overflow the forward pass")):
+            load_checkpoint(tmp_path / "bad.sqt")
 
 
 # Edits to a stored vocabulary text that leave the recorded hash as it was:

@@ -196,6 +196,30 @@ class TestOptimizers:
                 opt.step(params, {"a": np.ones(3), "b": np.array([1.0, bad, 1.0, 1.0])})
             np.testing.assert_array_equal(params["b"], before)
 
+    @pytest.mark.parametrize("kind,reference", [("sgd", ReferenceSgd), ("rmsprop", ReferenceRmsProp),
+                                                ("adam", ReferenceAdam)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_failed_step_changes_nothing(self, kind, reference, bad):
+        rng = np.random.default_rng(9)
+        params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "c": rng.normal(size=5)}
+        grads = {n: rng.normal(size=p.shape) for n, p in params.items()}
+        ref_params = {n: p.copy() for n, p in params.items()}
+        ref_grads = {n: g.copy() for n, g in grads.items()}
+        opt = optim.OPTIMIZERS[kind](0.01)
+        failing = {n: g.copy() for n, g in grads.items()}
+        failing["c"][3] = bad
+        kept = {n: g.tobytes() for n, g in failing.items()}
+        with pytest.raises(DivergenceError, match="non-finite gradient in parameter block 'c'"):
+            opt.step(params, failing)
+        for name in params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), name
+            assert failing[name].tobytes() == kept[name], name
+        # no slot and no step count moved: the next step is a first step
+        opt.step(params, grads)
+        reference(0.01).step(ref_params, ref_grads)
+        for name in params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), name
+
     def test_non_finite_gradient_aborts_with_block_name(self):
         p = {"dense.W": np.zeros(2)}
         with pytest.raises(DivergenceError, match="dense.W"):
