@@ -67,7 +67,8 @@ def read_container(path) -> tuple[dict, dict]:
         raise IntegrityError(f"{path}: file is too short to be a container")
     if not data.startswith(_MAGIC):
         raise IntegrityError(f"{path}: bad magic; not a recognized artifact file")
-    body, trailer = data[:-12], data[-12:]
+    # a view: slicing bytes would hold a second copy of the file
+    body, trailer = memoryview(data)[:-12], data[-12:]
     stated_len, crc = struct.unpack("<QI", trailer)
     if stated_len != len(body):
         raise IntegrityError(
@@ -80,7 +81,7 @@ def read_container(path) -> tuple[dict, dict]:
     if hstart + hlen > len(body):
         raise IntegrityError(f"{path}: header overruns the file")
     try:
-        head = json.loads(body[hstart:hstart + hlen].decode("utf-8"))
+        head = json.loads(bytes(body[hstart:hstart + hlen]).decode("utf-8"))
     except ValueError as e:
         raise IntegrityError(f"{path}: unreadable header: {e}") from None
     manifest = head.get("blocks") if isinstance(head, dict) else None

@@ -55,16 +55,18 @@ def lookup_grad(indices: np.ndarray, grad_rows: np.ndarray, vocab_size: int) -> 
 
     ``grad_rows`` is shaped like ``table[indices]``. Row i of the
     result sums the gradients of every occurrence of index i, in the
-    row-major order of ``indices``; the pad row gets none. One weighted
-    ``bincount`` over the flat table positions ``index * dim + column``
-    adds in the order of ``np.add.at`` into a zero table, so the sums are
-    bitwise equal, and it runs faster.
+    row-major order of ``indices``; the pad row gets none. Each column
+    is one weighted ``bincount`` over the flat indices, which adds a
+    bin's weights in that same order, as ``np.add.at`` into a zero table
+    does, so the sums are bitwise equal. Working a column at a time, it
+    makes no scratch array of the batch's (..., dim) size.
     """
     dim = grad_rows.shape[-1]
-    flat_idx = np.asarray(indices, dtype=np.intp).reshape(-1, 1)
-    positions = (flat_idx * dim + np.arange(dim)).reshape(-1)
-    out = np.bincount(positions, weights=grad_rows.reshape(-1), minlength=vocab_size * dim)
-    out = out.reshape(vocab_size, dim)
+    flat_idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+    out = np.empty((vocab_size, dim))
+    for d in range(dim):
+        out[:, d] = np.bincount(flat_idx, weights=grad_rows[..., d].reshape(-1),
+                                minlength=vocab_size)
     out[PAD_INDEX] = 0.0
     return out
 

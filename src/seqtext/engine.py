@@ -342,32 +342,35 @@ def train_epochs(model: ClassifierModel, cfg: ExperimentConfig, dataset: Dataset
     opt = optim.OPTIMIZERS[cfg.optimizer](rate)
     params = model.named_params()
     X, y = dataset.indices, dataset.labels
-    Xtr, ytr = X[tr_idx], y[tr_idx]
 
     B = cfg.batch_size
     for ep in range(cfg.epochs):
         order = rng_epochs.permutation(tr_idx.size)
         loss_sum = 0.0
         correct = 0
-        for bi, b0 in enumerate(range(0, tr_idx.size, B)):
-            rows = order[b0:b0 + B]
-            xb, yb = Xtr[rows], ytr[rows]
+        # weights on their way to divergence overflow before a check names
+        # them; the checks report those values, so numpy's warnings stay off
+        with np.errstate(over="ignore", invalid="ignore"):
+            for bi, b0 in enumerate(range(0, tr_idx.size, B)):
+                rows = tr_idx[order[b0:b0 + B]]
+                xb, yb = X[rows], y[rows]
+                try:
+                    probs, trace = forward(model, xb)
+                    grads = backward(model, trace, yb)
+                    # the history is spent: freed here, its memory serves the step
+                    del trace
+                    if cfg.gradient_clip is not None:
+                        optim.clip_gradients(grads, cfg.gradient_clip)
+                    opt.step(params, grads)
+                    del grads
+                except DivergenceError as e:
+                    raise _diverged(f"epoch {ep + 1}, batch {bi + 1}", e) from e
+                loss_sum += float(loss_values(model, probs, yb).sum())
+                correct += int((predict_classes(model, probs) == yb).sum())
             try:
-                probs, trace = forward(model, xb)
-                grads = backward(model, trace, yb)
-                if cfg.gradient_clip is not None:
-                    optim.clip_gradients(grads, cfg.gradient_clip)
-                opt.step(params, grads)
-                # both are spent; freed now, the next batch reuses their memory
-                del trace, grads
+                test_loss, report = _eval_loss_acc(model, X, y, te_idx)
             except DivergenceError as e:
-                raise _diverged(f"epoch {ep + 1}, batch {bi + 1}", e) from e
-            loss_sum += float(loss_values(model, probs, yb).sum())
-            correct += int((predict_classes(model, probs) == yb).sum())
-        try:
-            test_loss, report = _eval_loss_acc(model, X, y, te_idx)
-        except DivergenceError as e:
-            raise _diverged(f"epoch {ep + 1}, test pass", e) from e
+                raise _diverged(f"epoch {ep + 1}, test pass", e) from e
         fault = _weight_fault(model, X.shape[1])
         if fault is not None:
             raise _diverged(f"epoch {ep + 1}", fault)

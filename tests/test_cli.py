@@ -448,7 +448,6 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert f"error: {bad}: {message}" in proc.stderr
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, workspace, tmp_path, capsys):
         rc = cli.entry([
             "train", "--data", str(workspace["pre"] / "dataset.sqt"),
@@ -458,7 +457,6 @@ class TestExitCodes:
         assert rc == 3
         assert "diverged at epoch" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_predict_with_diverged_weights_exits_3(self, workspace, tmp_path, capsys):
         # one sgd step at rate 1e308 leaves weights of both signs near the
         # float64 limit: the test split still scores, but some inputs would
@@ -483,6 +481,23 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert f"error: {model}: block 'cell.U' can overflow the forward pass\n" in proc.stderr
         assert proc.stdout == ""
+
+    def test_diverged_train_prints_no_numpy_warning(self, tmp_path):
+        # the run overflows on its way to the bound check; stderr ends with
+        # the error line, and no raw RuntimeWarning comes before it
+        csv = tmp_path / "corpus.csv"
+        engine.make_synthetic_csv(csv, 60, 2, seed=0)
+        proc = _run_cli("preprocess", "--data", csv, "--vocab-size", "300", "--max-len", "40",
+                        "--train-fraction", "0.5", "--out-dir", tmp_path)
+        assert proc.returncode == 0
+        proc = _run_cli("train", "--data", tmp_path / "dataset.sqt", "--optimizer", "sgd",
+                        "--learning-rate", "1e308", "--epochs", "1", "--quiet",
+                        "--out-dir", tmp_path)
+        assert proc.returncode == 3
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.endswith("\nerror: diverged at epoch 1: block 'cell.W' can overflow "
+                                    "the forward pass; try a lower learning_rate or a "
+                                    "gradient_clip\n")
 
     def test_evaluate_rejects_mismatched_classes(self, workspace, tmp_path, capsys):
         csv = tmp_path / "tri.csv"

@@ -1,6 +1,7 @@
 """Embedding table initialization, index checks, row gradients and
 pretrained-vector loading."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -81,6 +82,22 @@ def test_lookup_grad_equals_add_at_bitwise():
     assert not out[0].any()
     flat = lookup_grad(idx.reshape(-1), np.ascontiguousarray(g).reshape(-1, D), V)
     assert flat.tobytes() == ref.tobytes()
+
+
+def test_lookup_grad_allocates_little_beyond_its_table():
+    # a paper-shape batch: no scratch of the batch's (32, 250, 16) size
+    # (1 MB at float64), only a column at a time
+    rng = np.random.default_rng(7)
+    V, D = 10_000, 16
+    idx = rng.integers(0, V, size=(32, 250))
+    g = np.swapaxes(rng.normal(size=(250, 32, D)), 0, 1)
+    tracemalloc.start()
+    try:
+        lookup_grad(idx, g, V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= V * D * 8 + 512 * 1024
 
 
 def test_dim_heuristic():
