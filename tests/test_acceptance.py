@@ -299,7 +299,8 @@ def test_8_bitwise_reproducibility(capsys, tmp_path):
                      == (tmp_path / "r2" / name).read_bytes()))
     ok = ok and all(s for _, s in same)
     _verdict(capsys, ok, "8. bitwise reproducibility",
-             "rerun artifacts identical: "
+             f"rerun artifacts identical on one numpy build ({np.__version__}), BLAS kernel "
+             "and CPU dispatch: "
              + ", ".join(f"{n} {'yes' if s else 'NO'}" for n, s in same))
 
 

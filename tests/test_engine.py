@@ -906,19 +906,6 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="not an encoded dataset"):
             load_dataset(mpath)
 
-    def test_missing_parameter_block_detected(self, tmp_path):
-        ds, vocab, pcfg, cfg = _toy_setup(epochs=0)
-        model, _ = train(cfg, ds, vocab)
-        path = tmp_path / "model.sqt"
-        save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
-        header, arrays = read_container(path)
-        header["blocks"] = [b for b in header["blocks"] if b["name"] != "head.W"]
-        del arrays["head.W"]
-        write_container(path, {k: v for k, v in header.items() if k != "blocks"},
-                        list(arrays.items()))
-        with pytest.raises(IntegrityError, match="head.W"):
-            load_checkpoint(path)
-
     def test_save_refuses_a_model_the_header_cannot_describe(self, tmp_path):
         ds, vocab, pcfg, cfg = _toy_setup(epochs=0)
         model, _ = train(cfg, ds, vocab)
@@ -1011,12 +998,6 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "bad.sqt")
 
 
-# Edits to a stored vocabulary text that leave the recorded hash as it was:
-# another token, and the same entries in a non-canonical form.
-_VOCAB_TEXT_EDITS = [lambda t: t.replace("<UNK>", "<OOV>"), lambda t: t + "\n"]
-_VOCAB_TEXT_EDIT_IDS = ["token", "blank-line"]
-
-
 class TestCheckpointHeader:
     @pytest.fixture
     def ckpt(self, tmp_path):
@@ -1050,19 +1031,13 @@ class TestCheckpointHeader:
     # picks the head, from class_names; config.task is recorded for
     # earlier readers and must agree; that is checked before the blocks are
     # read. So the cases named after the fields that format 3 stored take
-    # those away instead.
+    # those away instead. The fields both kinds share are TestSharedHeader's.
     @pytest.mark.parametrize("edit,match", [
         (lambda h: h.pop("config"), "config"),
         (lambda h: h["config"].pop("cell"), "config lacks cell"),
         (lambda h: h["config"].pop("task"), "config lacks task"),
         (lambda h: h["class_names"].pop(), "names 1 class\\(es\\), but a model scores at least 2"),
-        (lambda h: h.pop("class_names"), "class_names"),
-        (lambda h: h.pop("vocab_sha"), "vocab_sha"),
-        (lambda h: h.pop("vocab_text"), "vocab_text"),
-        (lambda h: h.pop("pipeline"), "pipeline"),
-        (lambda h: h.pop("format"), "format"),
-    ], ids=["config", "cell", "head", "n_classes", "class_names", "vocab_sha", "vocab_text",
-            "pipeline", "format"])
+    ], ids=["config", "cell", "head", "n_classes"])
     def test_missing_field_is_integrity_error(self, ckpt, edit, match):
         rewrite_artifact(ckpt, ckpt, edit)
         with pytest.raises(IntegrityError, match=match):
@@ -1070,24 +1045,14 @@ class TestCheckpointHeader:
 
     @pytest.mark.parametrize("edit,match", [
         (lambda h: h.update(config="lstm"), "config"),
-        (lambda h: h.update(class_names=["neg", 2]), "class_names"),
-        (lambda h: h.update(class_names=["neg", True]), "class_names"),
         (lambda h: h["config"].update(task=1), "task"),
-        (lambda h: h.update(class_names="neg,pos"), "class_names"),
-        (lambda h: h.update(pipeline=3), "pipeline"),
-        (lambda h: h.update(vocab_sha=None), "vocab_sha"),
-        (lambda h: h.update(vocab_text=None), "vocab_text"),
-        (lambda h: h.update(pipeline=None), "pipeline"),
-    ], ids=["config-lstm", "n_classes-2", "n_classes-True", "head-1", "class_names-neg,pos",
-            "pipeline-3", "vocab_sha-None", "vocab_text-None", "pipeline-None"])
+    ], ids=["config-lstm", "head-1"])
     def test_wrong_field_type_is_integrity_error(self, ckpt, edit, match):
         rewrite_artifact(ckpt, ckpt, edit)
         with pytest.raises(IntegrityError, match=match):
             load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("edit", [
-        lambda h: h.update(format=1),
-        lambda h: h.update(format=3),
         lambda h: h["config"].update(hidden_size="six"),
         lambda h: h["config"].update(learning_rate="fast"),
         lambda h: h["config"].update(cell="transformer"),
@@ -1095,13 +1060,12 @@ class TestCheckpointHeader:
         lambda h: h["config"].update(gates=4),
         lambda h: h["config"].update(task="argmax"),
         lambda h: h["class_names"].append("other"),
-        lambda h: h["pipeline"].update(max_len=0),
         lambda h: h["config"].update(seed="x"),
         lambda h: h["config"].update(learning_rate=True),
         lambda h: h["config"].update(gradient_clip=True),
         lambda h: h["config"].update(pretrained_vectors=5),
-    ], ids=["format1", "format3", "config-int", "config-float", "cell-kind", "cell-literal",
-            "cell-unknown-key", "head", "n_classes", "pipeline", "seed-str",
+    ], ids=["config-int", "config-float", "cell-kind", "cell-literal",
+            "cell-unknown-key", "head", "n_classes", "seed-str",
             "learning_rate-bool", "gradient_clip-bool", "pretrained_vectors-int"])
     def test_bad_field_contents_are_integrity_errors(self, ckpt, edit):
         rewrite_artifact(ckpt, ckpt, edit)
@@ -1201,7 +1165,8 @@ def _unparsable_vocabulary(h):
     h["vocab_sha"] = pipeline.text_sha256(h["vocab_text"])
 
 
-# Faults of the header fields that every artifact kind shares.
+# Faults of the header fields that every artifact kind shares, tested
+# here only. A kind's own format is 4 for a checkpoint and 1 for a dataset.
 _SHARED_HEADER_FAULTS = [
     pytest.param(lambda h: h.update(kind="model"), DataError,
                  "this is a 'model' artifact, not a", id="kind-other"),
@@ -1214,6 +1179,11 @@ _SHARED_HEADER_FAULTS = [
                  r"format [14]\.0 is not supported", id="format-float"),
     pytest.param(lambda h: h.pop("format"), IntegrityError, "format None is not supported",
                  id="format-missing"),
+    pytest.param(lambda h: h.update(format={"checkpoint": 1, "dataset": 4}[h["kind"]]),
+                 IntegrityError, "(checkpoint format 1|dataset format 4) is not supported",
+                 id="format-of-the-other-kind"),
+    pytest.param(lambda h: h.update(format=h["format"] - 1), IntegrityError,
+                 "(checkpoint format 3|dataset format 0) is not supported", id="format-earlier"),
     *[pytest.param(lambda h, f=field: h.pop(f), IntegrityError,
                    f"header field '{field}' is missing", id=f"{field}-missing")
       for field in ("class_names", "vocab_sha", "vocab_text", "pipeline")],
@@ -1238,9 +1208,13 @@ _SHARED_HEADER_FAULTS = [
                  "class_names: class names must be distinct strings", id="class_names-bool"),
     pytest.param(lambda h: h.update(class_names=["neg", "neg"]), IntegrityError,
                  "class_names: class names must be distinct strings", id="class_names-repeat"),
-    *[pytest.param(lambda h, e=edit: h.update(vocab_text=e(h["vocab_text"])), IntegrityError,
-                   "embedded vocabulary does not match the recorded hash", id=f"vocab_text-{i}")
-      for edit, i in zip(_VOCAB_TEXT_EDITS, _VOCAB_TEXT_EDIT_IDS)],
+    # another token, and the same entries in a non-canonical form, under the old hash
+    pytest.param(lambda h: h.update(vocab_text=h["vocab_text"].replace("<UNK>", "<OOV>")),
+                 IntegrityError, "embedded vocabulary does not match the recorded hash",
+                 id="vocab_text-token"),
+    pytest.param(lambda h: h.update(vocab_text=h["vocab_text"] + "\n"),
+                 IntegrityError, "embedded vocabulary does not match the recorded hash",
+                 id="vocab_text-blank-line"),
     pytest.param(_unparsable_vocabulary, IntegrityError,
                  "vocabulary: vocabulary must hold pad, OOV and at least one token",
                  id="vocab_text-unparsable"),
@@ -1470,33 +1444,13 @@ class TestDatasetArtifact:
                 f"[0, {vocab.size})")):
             load_dataset(path)
 
-    @pytest.mark.parametrize("field", ["class_names", "vocab_text", "vocab_sha",
-                                       "pipeline", "has_split"])
+    @pytest.mark.parametrize("field", ["has_split"])
     def test_missing_header_field_is_integrity_error(self, tmp_path, field):
         ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
         path = tmp_path / "data.sqt"
         save_dataset(path, ds, vocab, pcfg)
         rewrite_artifact(path, path, lambda h: h.pop(field))
         with pytest.raises(IntegrityError, match=field):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("names", [["neg", 7], ["neg", "neg"]],
-                             ids=["non-string", "duplicate"])
-    def test_class_names_must_be_distinct_strings(self, tmp_path, names):
-        ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
-        path = tmp_path / "data.sqt"
-        save_dataset(path, ds, vocab, pcfg)
-        rewrite_artifact(path, path, lambda h: h.update(class_names=names))
-        with pytest.raises(IntegrityError, match="distinct strings"):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("edit", _VOCAB_TEXT_EDITS, ids=_VOCAB_TEXT_EDIT_IDS)
-    def test_vocab_text_must_match_recorded_hash(self, tmp_path, edit):
-        ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
-        path = tmp_path / "data.sqt"
-        save_dataset(path, ds, vocab, pcfg)
-        rewrite_artifact(path, path, lambda h: h.update(vocab_text=edit(h["vocab_text"])))
-        with pytest.raises(IntegrityError, match="recorded hash"):
             load_dataset(path)
 
     @pytest.mark.parametrize("with_split", [True, False])
