@@ -906,6 +906,19 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="not an encoded dataset"):
             load_dataset(mpath)
 
+    def test_missing_parameter_block_detected(self, tmp_path):
+        ds, vocab, pcfg, cfg = _toy_setup(epochs=0)
+        model, _ = train(cfg, ds, vocab)
+        path = tmp_path / "model.sqt"
+        save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
+        header, arrays = read_container(path)
+        header["blocks"] = [b for b in header["blocks"] if b["name"] != "head.W"]
+        del arrays["head.W"]
+        write_container(path, {k: v for k, v in header.items() if k != "blocks"},
+                        list(arrays.items()))
+        with pytest.raises(IntegrityError, match="head.W"):
+            load_checkpoint(path)
+
     def test_save_refuses_a_model_the_header_cannot_describe(self, tmp_path):
         ds, vocab, pcfg, cfg = _toy_setup(epochs=0)
         model, _ = train(cfg, ds, vocab)
@@ -998,6 +1011,101 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "bad.sqt")
 
 
+def _unparsable_vocabulary(h):
+    h["vocab_text"] = "0\t<PAD>\t0\n"
+    h["vocab_sha"] = pipeline.text_sha256(h["vocab_text"])
+
+
+# Faults of the header fields that every artifact kind shares, written
+# here only. TestSharedHeader runs each on both kinds; the checkpoint- and
+# dataset-only cases that name one take it through _shared_fault. A
+# kind's own format is 4 for a checkpoint and 1 for a dataset.
+_SHARED_HEADER_FAULTS = [
+    pytest.param(lambda h: h.update(kind="model"), DataError,
+                 "this is a 'model' artifact, not a", id="kind-other"),
+    pytest.param(lambda h: h.pop("kind"), DataError, "this is a None artifact", id="kind-missing"),
+    pytest.param(lambda h: h.update(format=99), IntegrityError, "format 99 is not supported",
+                 id="format-other"),
+    pytest.param(lambda h: h.update(format=str(h["format"])), IntegrityError,
+                 "format '[14]' is not supported", id="format-string"),
+    pytest.param(lambda h: h.update(format=float(h["format"])), IntegrityError,
+                 r"format [14]\.0 is not supported", id="format-float"),
+    pytest.param(lambda h: h.pop("format"), IntegrityError, "format None is not supported",
+                 id="format-missing"),
+    pytest.param(lambda h: h.update(format={"checkpoint": 1, "dataset": 4}[h["kind"]]),
+                 IntegrityError, "(checkpoint format 1|dataset format 4) is not supported",
+                 id="format-of-the-other-kind"),
+    pytest.param(lambda h: h.update(format=h["format"] - 1), IntegrityError,
+                 "(checkpoint format 3|dataset format 0) is not supported", id="format-earlier"),
+    *[pytest.param(lambda h, f=field: h.pop(f), IntegrityError,
+                   f"header field '{field}' is missing", id=f"{field}-missing")
+      for field in ("class_names", "vocab_sha", "vocab_text", "pipeline")],
+    pytest.param(lambda h: h.update(class_names="neg,pos"), IntegrityError,
+                 "header field 'class_names' is missing or has the wrong type",
+                 id="class_names-string"),
+    pytest.param(lambda h: h.update(vocab_sha=None), IntegrityError,
+                 "header field 'vocab_sha'", id="vocab_sha-None"),
+    pytest.param(lambda h: h.update(vocab_text=3), IntegrityError,
+                 "header field 'vocab_text'", id="vocab_text-int"),
+    pytest.param(lambda h: h.update(vocab_text=None), IntegrityError,
+                 "header field 'vocab_text'", id="vocab_text-None"),
+    pytest.param(lambda h: h.update(pipeline=[]), IntegrityError,
+                 "header field 'pipeline'", id="pipeline-list"),
+    pytest.param(lambda h: h.update(pipeline=3), IntegrityError,
+                 "header field 'pipeline'", id="pipeline-int"),
+    pytest.param(lambda h: h.update(pipeline=None), IntegrityError,
+                 "header field 'pipeline'", id="pipeline-None"),
+    pytest.param(lambda h: h.update(class_names=["neg", 7]), IntegrityError,
+                 "class_names: class names must be distinct strings", id="class_names-int"),
+    pytest.param(lambda h: h.update(class_names=["neg", True]), IntegrityError,
+                 "class_names: class names must be distinct strings", id="class_names-bool"),
+    pytest.param(lambda h: h.update(class_names=["neg", "neg"]), IntegrityError,
+                 "class_names: class names must be distinct strings", id="class_names-repeat"),
+    # another token, and the same entries in a non-canonical form, under the old hash
+    pytest.param(lambda h: h.update(vocab_text=h["vocab_text"].replace("<UNK>", "<OOV>")),
+                 IntegrityError, "embedded vocabulary does not match the recorded hash",
+                 id="vocab_text-token"),
+    pytest.param(lambda h: h.update(vocab_text=h["vocab_text"] + "\n"),
+                 IntegrityError, "embedded vocabulary does not match the recorded hash",
+                 id="vocab_text-blank-line"),
+    pytest.param(_unparsable_vocabulary, IntegrityError,
+                 "vocabulary: vocabulary must hold pad, OOV and at least one token",
+                 id="vocab_text-unparsable"),
+    pytest.param(lambda h: h["pipeline"].update(max_len=0), IntegrityError,
+                 "pipeline: max_len must be >= 1", id="pipeline-max_len"),
+    pytest.param(lambda h: h["pipeline"].update(vocab_size="many"), IntegrityError,
+                 "pipeline: ", id="pipeline-vocab_size"),
+    *[pytest.param(lambda h, k=key, v=value: h["pipeline"].update({k: v}), IntegrityError,
+                   f"pipeline: {key} must be an integer, got {value!r}", id=f"pipeline-{key}-{tag}")
+      for key in ("vocab_size", "max_len")
+      for value, tag in ((True, "bool"), (70.0, "float"))],
+    pytest.param(lambda h: h["pipeline"].update(stopwords="the"), IntegrityError,
+                 "pipeline: stopwords must be a list of strings, got 'the'",
+                 id="pipeline-stopwords-string"),
+    pytest.param(lambda h: h["pipeline"].update(stopwords=["the", 3]), IntegrityError,
+                 r"pipeline: stopwords must be a list of strings, got \['the', 3\]",
+                 id="pipeline-stopwords-int"),
+    pytest.param(lambda h: h["pipeline"].update(lowercase=False), IntegrityError,
+                 "pipeline: lowercase must be True", id="pipeline-lowercase"),
+    pytest.param(lambda h: h["pipeline"].update(stemming=True), IntegrityError,
+                 "pipeline: .*stemming", id="pipeline-unknown-key"),
+    # every writer stores all seven keys, so none falls back to a default
+    *[pytest.param(lambda h, k=key: h["pipeline"].pop(k), IntegrityError,
+                   f"pipeline lacks {key}$", id=f"pipeline-{key}-missing")
+      for key in ("vocab_size", "max_len", "stopwords", "lowercase", "strip_nonalpha",
+                  "oov_token", "pad_token")],
+]
+
+
+def _shared_fault(fault_id, test_id):
+    """The IntegrityError fault `fault_id` of _SHARED_HEADER_FAULTS as an
+    (edit, match) case named `test_id`, for a test of one artifact kind."""
+    (fault,) = [p for p in _SHARED_HEADER_FAULTS if p.id == fault_id]
+    edit, error, match = fault.values
+    assert error is IntegrityError
+    return pytest.param(edit, match, id=test_id)
+
+
 class TestCheckpointHeader:
     @pytest.fixture
     def ckpt(self, tmp_path):
@@ -1031,22 +1139,32 @@ class TestCheckpointHeader:
     # picks the head, from class_names; config.task is recorded for
     # earlier readers and must agree; that is checked before the blocks are
     # read. So the cases named after the fields that format 3 stored take
-    # those away instead. The fields both kinds share are TestSharedHeader's.
+    # those away instead.
     @pytest.mark.parametrize("edit,match", [
-        (lambda h: h.pop("config"), "config"),
-        (lambda h: h["config"].pop("cell"), "config lacks cell"),
-        (lambda h: h["config"].pop("task"), "config lacks task"),
-        (lambda h: h["class_names"].pop(), "names 1 class\\(es\\), but a model scores at least 2"),
-    ], ids=["config", "cell", "head", "n_classes"])
+        pytest.param(lambda h: h.pop("config"), "config", id="config"),
+        pytest.param(lambda h: h["config"].pop("cell"), "config lacks cell", id="cell"),
+        pytest.param(lambda h: h["config"].pop("task"), "config lacks task", id="head"),
+        pytest.param(lambda h: h["class_names"].pop(),
+                     "names 1 class\\(es\\), but a model scores at least 2", id="n_classes"),
+        *[_shared_fault(f"{field}-missing", field)
+          for field in ("class_names", "vocab_sha", "vocab_text", "pipeline", "format")],
+    ])
     def test_missing_field_is_integrity_error(self, ckpt, edit, match):
         rewrite_artifact(ckpt, ckpt, edit)
         with pytest.raises(IntegrityError, match=match):
             load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("edit,match", [
-        (lambda h: h.update(config="lstm"), "config"),
-        (lambda h: h["config"].update(task=1), "task"),
-    ], ids=["config-lstm", "head-1"])
+        pytest.param(lambda h: h.update(config="lstm"), "config", id="config-lstm"),
+        _shared_fault("class_names-int", "n_classes-2"),
+        _shared_fault("class_names-bool", "n_classes-True"),
+        pytest.param(lambda h: h["config"].update(task=1), "task", id="head-1"),
+        _shared_fault("class_names-string", "class_names-neg,pos"),
+        _shared_fault("pipeline-int", "pipeline-3"),
+        _shared_fault("vocab_sha-None", "vocab_sha-None"),
+        _shared_fault("vocab_text-None", "vocab_text-None"),
+        _shared_fault("pipeline-None", "pipeline-None"),
+    ])
     def test_wrong_field_type_is_integrity_error(self, ckpt, edit, match):
         rewrite_artifact(ckpt, ckpt, edit)
         with pytest.raises(IntegrityError, match=match):
@@ -1060,12 +1178,13 @@ class TestCheckpointHeader:
         lambda h: h["config"].update(gates=4),
         lambda h: h["config"].update(task="argmax"),
         lambda h: h["class_names"].append("other"),
+        _shared_fault("pipeline-max_len", "pipeline").values[0],
         lambda h: h["config"].update(seed="x"),
         lambda h: h["config"].update(learning_rate=True),
         lambda h: h["config"].update(gradient_clip=True),
         lambda h: h["config"].update(pretrained_vectors=5),
     ], ids=["config-int", "config-float", "cell-kind", "cell-literal",
-            "cell-unknown-key", "head", "n_classes", "seed-str",
+            "cell-unknown-key", "head", "n_classes", "pipeline", "seed-str",
             "learning_rate-bool", "gradient_clip-bool", "pretrained_vectors-int"])
     def test_bad_field_contents_are_integrity_errors(self, ckpt, edit):
         rewrite_artifact(ckpt, ckpt, edit)
@@ -1158,90 +1277,6 @@ def artifact(request, tmp_path):
     model, _ = train(cfg, ds, vocab)
     save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
     return path, load_checkpoint
-
-
-def _unparsable_vocabulary(h):
-    h["vocab_text"] = "0\t<PAD>\t0\n"
-    h["vocab_sha"] = pipeline.text_sha256(h["vocab_text"])
-
-
-# Faults of the header fields that every artifact kind shares, tested
-# here only. A kind's own format is 4 for a checkpoint and 1 for a dataset.
-_SHARED_HEADER_FAULTS = [
-    pytest.param(lambda h: h.update(kind="model"), DataError,
-                 "this is a 'model' artifact, not a", id="kind-other"),
-    pytest.param(lambda h: h.pop("kind"), DataError, "this is a None artifact", id="kind-missing"),
-    pytest.param(lambda h: h.update(format=99), IntegrityError, "format 99 is not supported",
-                 id="format-other"),
-    pytest.param(lambda h: h.update(format=str(h["format"])), IntegrityError,
-                 "format '[14]' is not supported", id="format-string"),
-    pytest.param(lambda h: h.update(format=float(h["format"])), IntegrityError,
-                 r"format [14]\.0 is not supported", id="format-float"),
-    pytest.param(lambda h: h.pop("format"), IntegrityError, "format None is not supported",
-                 id="format-missing"),
-    pytest.param(lambda h: h.update(format={"checkpoint": 1, "dataset": 4}[h["kind"]]),
-                 IntegrityError, "(checkpoint format 1|dataset format 4) is not supported",
-                 id="format-of-the-other-kind"),
-    pytest.param(lambda h: h.update(format=h["format"] - 1), IntegrityError,
-                 "(checkpoint format 3|dataset format 0) is not supported", id="format-earlier"),
-    *[pytest.param(lambda h, f=field: h.pop(f), IntegrityError,
-                   f"header field '{field}' is missing", id=f"{field}-missing")
-      for field in ("class_names", "vocab_sha", "vocab_text", "pipeline")],
-    pytest.param(lambda h: h.update(class_names="neg,pos"), IntegrityError,
-                 "header field 'class_names' is missing or has the wrong type",
-                 id="class_names-string"),
-    pytest.param(lambda h: h.update(vocab_sha=None), IntegrityError,
-                 "header field 'vocab_sha'", id="vocab_sha-None"),
-    pytest.param(lambda h: h.update(vocab_text=3), IntegrityError,
-                 "header field 'vocab_text'", id="vocab_text-int"),
-    pytest.param(lambda h: h.update(vocab_text=None), IntegrityError,
-                 "header field 'vocab_text'", id="vocab_text-None"),
-    pytest.param(lambda h: h.update(pipeline=[]), IntegrityError,
-                 "header field 'pipeline'", id="pipeline-list"),
-    pytest.param(lambda h: h.update(pipeline=3), IntegrityError,
-                 "header field 'pipeline'", id="pipeline-int"),
-    pytest.param(lambda h: h.update(pipeline=None), IntegrityError,
-                 "header field 'pipeline'", id="pipeline-None"),
-    pytest.param(lambda h: h.update(class_names=["neg", 7]), IntegrityError,
-                 "class_names: class names must be distinct strings", id="class_names-int"),
-    pytest.param(lambda h: h.update(class_names=["neg", True]), IntegrityError,
-                 "class_names: class names must be distinct strings", id="class_names-bool"),
-    pytest.param(lambda h: h.update(class_names=["neg", "neg"]), IntegrityError,
-                 "class_names: class names must be distinct strings", id="class_names-repeat"),
-    # another token, and the same entries in a non-canonical form, under the old hash
-    pytest.param(lambda h: h.update(vocab_text=h["vocab_text"].replace("<UNK>", "<OOV>")),
-                 IntegrityError, "embedded vocabulary does not match the recorded hash",
-                 id="vocab_text-token"),
-    pytest.param(lambda h: h.update(vocab_text=h["vocab_text"] + "\n"),
-                 IntegrityError, "embedded vocabulary does not match the recorded hash",
-                 id="vocab_text-blank-line"),
-    pytest.param(_unparsable_vocabulary, IntegrityError,
-                 "vocabulary: vocabulary must hold pad, OOV and at least one token",
-                 id="vocab_text-unparsable"),
-    pytest.param(lambda h: h["pipeline"].update(max_len=0), IntegrityError,
-                 "pipeline: max_len must be >= 1", id="pipeline-max_len"),
-    pytest.param(lambda h: h["pipeline"].update(vocab_size="many"), IntegrityError,
-                 "pipeline: ", id="pipeline-vocab_size"),
-    *[pytest.param(lambda h, k=key, v=value: h["pipeline"].update({k: v}), IntegrityError,
-                   f"pipeline: {key} must be an integer, got {value!r}", id=f"pipeline-{key}-{tag}")
-      for key in ("vocab_size", "max_len")
-      for value, tag in ((True, "bool"), (70.0, "float"))],
-    pytest.param(lambda h: h["pipeline"].update(stopwords="the"), IntegrityError,
-                 "pipeline: stopwords must be a list of strings, got 'the'",
-                 id="pipeline-stopwords-string"),
-    pytest.param(lambda h: h["pipeline"].update(stopwords=["the", 3]), IntegrityError,
-                 r"pipeline: stopwords must be a list of strings, got \['the', 3\]",
-                 id="pipeline-stopwords-int"),
-    pytest.param(lambda h: h["pipeline"].update(lowercase=False), IntegrityError,
-                 "pipeline: lowercase must be True", id="pipeline-lowercase"),
-    pytest.param(lambda h: h["pipeline"].update(stemming=True), IntegrityError,
-                 "pipeline: .*stemming", id="pipeline-unknown-key"),
-    # every writer stores all seven keys, so none falls back to a default
-    *[pytest.param(lambda h, k=key: h["pipeline"].pop(k), IntegrityError,
-                   f"pipeline lacks {key}$", id=f"pipeline-{key}-missing")
-      for key in ("vocab_size", "max_len", "stopwords", "lowercase", "strip_nonalpha",
-                  "oov_token", "pad_token")],
-]
 
 
 class TestSharedHeader:
@@ -1444,14 +1479,36 @@ class TestDatasetArtifact:
                 f"[0, {vocab.size})")):
             load_dataset(path)
 
-    @pytest.mark.parametrize("field", ["has_split"])
-    def test_missing_header_field_is_integrity_error(self, tmp_path, field):
+    @staticmethod
+    def _refuses(tmp_path, edit, match):
         ds, vocab, pcfg = make_synthetic_corpus(8, 2, seed=5)
         path = tmp_path / "data.sqt"
         save_dataset(path, ds, vocab, pcfg)
-        rewrite_artifact(path, path, lambda h: h.pop(field))
-        with pytest.raises(IntegrityError, match=field):
+        rewrite_artifact(path, path, edit)
+        with pytest.raises(IntegrityError, match=match):
             load_dataset(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        *[_shared_fault(f"{field}-missing", field)
+          for field in ("class_names", "vocab_text", "vocab_sha", "pipeline")],
+        pytest.param(lambda h: h.pop("has_split"), "has_split", id="has_split"),
+    ])
+    def test_missing_header_field_is_integrity_error(self, tmp_path, edit, match):
+        self._refuses(tmp_path, edit, match)
+
+    @pytest.mark.parametrize("edit,match", [
+        _shared_fault("class_names-int", "non-string"),
+        _shared_fault("class_names-repeat", "duplicate"),
+    ])
+    def test_class_names_must_be_distinct_strings(self, tmp_path, edit, match):
+        self._refuses(tmp_path, edit, match)
+
+    @pytest.mark.parametrize("edit,match", [
+        _shared_fault("vocab_text-token", "token"),
+        _shared_fault("vocab_text-blank-line", "blank-line"),
+    ])
+    def test_vocab_text_must_match_recorded_hash(self, tmp_path, edit, match):
+        self._refuses(tmp_path, edit, match)
 
     @pytest.mark.parametrize("with_split", [True, False])
     def test_load_then_save_is_byte_identical(self, tmp_path, with_split):
