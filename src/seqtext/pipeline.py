@@ -39,8 +39,8 @@ class PipelineConfig:
     """The encoding settings. The constructor checks every value, types
     included, so a ``replace`` copy and stored settings are checked alike:
     ``vocab_size`` and ``max_len`` are ints (a bool or a float is refused),
-    and ``stopwords``, a list, tuple or set of strings, is stored as a
-    frozenset."""
+    ``max_len`` is at most 65536, and ``stopwords``, a list, tuple or set of
+    strings, is stored as a frozenset."""
     vocab_size: int = 10000
     max_len: int = 250
     stopwords: frozenset = frozenset()
@@ -54,6 +54,8 @@ class PipelineConfig:
             raise ConfigError(f"vocab_size must be >= 3 (pad + OOV + one token), got {self.vocab_size}")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
+        if self.max_len > 65536:  # 2**16: a 256-line predict chunk of int32 rows is 64 MB
+            raise ConfigError(f"max_len must be <= 65536, got {self.max_len}")
         words = self.stopwords
         if not isinstance(words, (list, tuple, set, frozenset)) or not all(
                 isinstance(w, str) for w in words):

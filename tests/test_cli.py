@@ -2,9 +2,11 @@
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +122,20 @@ class TestHappyPath:
                           "--split", "test", "--out-dir", str(out)]) == 0
         capsys.readouterr()
         assert (out / "metrics.txt").read_bytes() == (out / "eval_metrics.txt").read_bytes()
+
+    @pytest.mark.parametrize("run", ["sgd-gru", "adam-lstm", "lstm-epochs-0"])
+    def test_train_report_equals_evaluate_over_two_scoring_batches(
+            self, pinned, pinned_train, tmp_path, capsys, run):
+        # the 300 test rows span two scoring batches of 256, and length 70
+        # ends the recurrence on a partial 32-step chunk
+        out, _ = pinned_train(run, 1)
+        assert cli.entry(["evaluate", "--model", str(out / "model.sqt"),
+                          "--data", str(pinned / "built" / "dataset.sqt"),
+                          "--split", "test", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        metrics = _read_metrics(out / "metrics.txt")
+        assert int(metrics["support_neg"]) + int(metrics["support_pos"]) == 300
+        assert (out / "metrics.txt").read_bytes() == (tmp_path / "eval_metrics.txt").read_bytes()
 
     def test_evaluate_prints_report_table(self, workspace, tmp_path, capsys):
         rc = cli.entry([
@@ -242,6 +258,11 @@ class TestBatchedPredict:
                           "--seed", "2", "--quiet", "--out-dir", str(run)]) == 0
         err = capsys.readouterr().err
         assert "  learning_rate = 0.005\n" in err and "task =" not in err
+        assert cli.entry(["evaluate", "--model", str(run / "model.sqt"),
+                          "--data", str(pre / "dataset.sqt"), "--out-dir", str(run)]) == 0
+        capsys.readouterr()
+        supports = [k for k in _read_metrics(run / "eval_metrics.txt") if k.startswith("support_")]
+        assert supports == ["support_class0", "support_class1", "support_class2"]
         lines = [f"sig{i % 3}w{i % 10:02d} sig{i % 3}w{(i + 3) % 10:02d}" for i in range(300)]
         monkeypatch.setattr(sys, "stdin", _stdin("".join(l + "\n" for l in lines)))
         assert cli.entry(["predict", "--model", str(run / "model.sqt")]) == 0
@@ -280,6 +301,16 @@ class TestDeterminism:
         capsys.readouterr()
         for name in ("model.sqt", "curve.csv", "metrics.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("run", ["adam-lstm", "rmsprop-lstm", "sgd-gru", "adam-rnn"])
+    def test_reruns_in_processes_with_other_hash_seeds_write_identical_bytes(
+            self, pinned_train, run):
+        # one interpreter has one string-hash seed: a set's or a dict's
+        # iteration order that reaches an artifact shows only across two
+        (first, err1), (second, err2) = pinned_train(run, 1), pinned_train(run, 2)
+        for name in ("model.sqt", "curve.csv", "metrics.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        assert "Warning" not in err1 + err2
 
     def test_replay_from_the_logged_configuration_writes_identical_bytes(
             self, workspace, tmp_path, capsys):
@@ -579,9 +610,9 @@ class TestExitCodes:
         assert first == second
 
 
-def _run_cli(*args, stdin=""):
+def _run_cli(*args, stdin="", env=None):
     return subprocess.run([sys.executable, "-m", "seqtext", *map(str, args)],
-                          input=stdin, capture_output=True, text=True, timeout=120)
+                          input=stdin, capture_output=True, text=True, timeout=120, env=env)
 
 
 class TestMalformedArtifacts:
@@ -980,6 +1011,13 @@ _EXIT_CODE_CASES = [
     ("max-len-flag", lambda ws, tmp: [
         "train", "--data", ws["pre"] / "dataset.sqt", "--max-len", 3, "--out-dir", tmp], 1,
      "unrecognized arguments: --max-len 3"),
+    ("max-len-above-the-bound", lambda ws, tmp: [
+        "preprocess", "--data", ws["csv"], "--max-len", 65537, "--out-dir", tmp], 1,
+     "error: max_len must be <= 65536, got 65537\n"),
+    ("checkpoint-max-len-above-the-bound", lambda ws, tmp: [
+        "predict", "--model", rewrite_artifact(ws["run"] / "model.sqt", tmp / "long.sqt",
+                                               lambda h: h["pipeline"].update(max_len=10**30))],
+     2, f"long.sqt: pipeline: max_len must be <= 65536, got {10**30}\n"),
     ("vocab-size-config-line", lambda ws, tmp: [
         "train", "--data", ws["pre"] / "dataset.sqt",
         "--config", _config_file(tmp, "vocab_size = 20000"), "--out-dir", tmp], 1,
@@ -1062,11 +1100,37 @@ class TestExitCodeTable:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
-        if code:
-            assert "error:" in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == (1 if code else 0)
+
+
+# Imports the package and every module in it, and prints the modules
+# walked and the top-level modules that loaded from outside the standard
+# library, numpy and seqtext. Site hooks such as _distutils_hack and
+# certifi load before the first line.
+_IMPORT_EVERY_MODULE = """
+import importlib, json, pkgutil, sys
+before = set(sys.modules)
+seqtext = importlib.import_module("seqtext")
+names = [m.name for m in pkgutil.walk_packages(seqtext.__path__, "seqtext.")]
+for name in names:
+    importlib.import_module(name)
+tops = {m.partition(".")[0] for m in set(sys.modules) - before}
+print(json.dumps([names, sorted(tops - set(sys.stdlib_module_names) - {"numpy", "seqtext"})]))
+"""
 
 
 class TestModuleEntry:
+    def test_numpy_is_the_only_runtime_dependency(self):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_EVERY_MODULE],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        names, foreign = json.loads(proc.stdout)
+        package = Path(cli.__file__).parent
+        assert sorted(names) == sorted(f"seqtext.{p.stem}" for p in package.glob("*.py")
+                                       if p.stem != "__init__")
+        assert foreign == []
+
     def test_python_dash_m_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "seqtext", "--help"],
@@ -1095,18 +1159,57 @@ _PREPROCESS_PINS = [
 ]
 
 
-class TestPreprocessBytes:
-    @pytest.fixture(scope="class")
-    def pinned(self, tmp_path_factory):
-        """The CI smoke corpus preprocessed three ways, in case order."""
-        root = tmp_path_factory.mktemp("pins")
-        engine.make_synthetic_csv(root / "corpus.csv", 600, 2, seed=0)
-        (root / "stop.txt").write_text("fill0001\nfill0002\n", encoding="utf-8")
-        for name, args, _, _ in _PREPROCESS_PINS:
-            proc = _run_cli("preprocess", "--data", root / "corpus.csv", *args(root),
-                            "--out-dir", root / name)
+@pytest.fixture(scope="module")
+def pinned(tmp_path_factory):
+    """A 600-document corpus preprocessed three ways, in case order. The
+    "built" case holds 300 test rows of length 70."""
+    root = tmp_path_factory.mktemp("pins")
+    engine.make_synthetic_csv(root / "corpus.csv", 600, 2, seed=0)
+    (root / "stop.txt").write_text("fill0001\nfill0002\n", encoding="utf-8")
+    for name, args, _, _ in _PREPROCESS_PINS:
+        proc = _run_cli("preprocess", "--data", root / "corpus.csv", *args(root),
+                        "--out-dir", root / name)
+        assert proc.returncode == 0, proc.stderr
+    return root
+
+
+# train flags of the runs on the pinned corpus: each optimizer's in-place
+# update, each cell, and an lstm that train scores with no epoch run
+_PINNED_RUNS = {
+    "adam-lstm": ["--optimizer", "adam", "--cell", "lstm", "--epochs", 2],
+    "rmsprop-lstm": ["--optimizer", "rmsprop", "--cell", "lstm", "--epochs", 2],
+    "sgd-gru": ["--optimizer", "sgd", "--cell", "gru", "--epochs", 2],
+    "adam-rnn": ["--optimizer", "adam", "--cell", "rnn", "--epochs", 2],
+    "lstm-epochs-0": ["--cell", "lstm", "--epochs", 0],
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_train(pinned):
+    """``run(name, hash_seed)`` trains ``_PINNED_RUNS[name]`` on the pinned
+    "built" dataset in a child process with that PYTHONHASHSEED, once, and
+    returns its output directory and stderr."""
+    done = {}
+
+    def run(name, hash_seed):
+        if (name, hash_seed) not in done:
+            out = pinned / "runs" / f"{name}-{hash_seed}"
+            proc = _run_cli("train", "--data", pinned / "built" / "dataset.sqt",
+                            *_PINNED_RUNS[name], "--quiet", "--out-dir", out,
+                            env={**os.environ, "PYTHONHASHSEED": str(hash_seed)})
             assert proc.returncode == 0, proc.stderr
-        return root
+            done[name, hash_seed] = out, proc.stderr
+        return done[name, hash_seed]
+
+    return run
+
+
+class TestPreprocessBytes:
+    def test_generated_corpus_is_pinned(self, pinned):
+        # clean strips punctuation, so the dataset and vocabulary pins
+        # cannot see a comma that the generator moves
+        got = hashlib.sha256((pinned / "corpus.csv").read_bytes()).hexdigest()
+        assert got == "7e170b0cd76348c8e7c8a2b6f5328f629bc181e57140d2011c37650dc232ec04"
 
     @pytest.mark.parametrize("case", _PREPROCESS_PINS, ids=[c[0] for c in _PREPROCESS_PINS])
     def test_artifact_bytes_are_pinned(self, pinned, case):

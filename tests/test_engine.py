@@ -1073,6 +1073,12 @@ _SHARED_HEADER_FAULTS = [
                  id="vocab_text-unparsable"),
     pytest.param(lambda h: h["pipeline"].update(max_len=0), IntegrityError,
                  "pipeline: max_len must be >= 1", id="pipeline-max_len"),
+    # max_len is at most 2**16, however large the stored integer
+    *[pytest.param(lambda h, v=value: h["pipeline"].update(max_len=v), IntegrityError,
+                   f"pipeline: max_len must be <= 65536, got {value}$",
+                   id=f"pipeline-max_len-{tag}")
+      for value, tag in ((65537, "65537"), (2**31, "2^31"), (2**63, "2^63"),
+                         (10**30, "10^30"))],
     pytest.param(lambda h: h["pipeline"].update(vocab_size="many"), IntegrityError,
                  "pipeline: ", id="pipeline-vocab_size"),
     *[pytest.param(lambda h, k=key, v=value: h["pipeline"].update({k: v}), IntegrityError,
@@ -1161,9 +1167,6 @@ class TestCheckpointHeader:
         pytest.param(lambda h: h["config"].update(task=1), "task", id="head-1"),
         _shared_fault("class_names-string", "class_names-neg,pos"),
         _shared_fault("pipeline-int", "pipeline-3"),
-        _shared_fault("vocab_sha-None", "vocab_sha-None"),
-        _shared_fault("vocab_text-None", "vocab_text-None"),
-        _shared_fault("pipeline-None", "pipeline-None"),
     ])
     def test_wrong_field_type_is_integrity_error(self, ckpt, edit, match):
         rewrite_artifact(ckpt, ckpt, edit)
