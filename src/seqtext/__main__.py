@@ -3,9 +3,16 @@ import sys
 
 from .cli import entry
 
-if __name__ == "__main__":
+
+def main() -> int:
+    """The one way in: ``python -m seqtext`` and the ``seqtext`` console
+    script both run this."""
     rc = entry()
     # The command is done: frozen objects are left out of the collector's
     # passes, so tearing the interpreter down does not walk every one.
     gc.freeze()
-    sys.exit(rc)
+    return rc
+
+
+if __name__ == "__main__":
+    sys.exit(main())

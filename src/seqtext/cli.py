@@ -12,8 +12,9 @@ train, evaluate and predict is itself valid config-file syntax.
 
 Exit codes: 0 success, 1 usage or configuration error (a split fraction
 outside (0, 1) included), 2 data or file error (a class too small to
-split and a line of predict's standard input that is not UTF-8
-included), 3 numerical divergence during training.
+split, a line of predict's standard input that is not UTF-8 and a
+standard output that closes early included), 3 numerical divergence
+during training.
 """
 
 from __future__ import annotations
@@ -252,7 +253,3 @@ def entry(argv=None) -> int:
     except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(entry())

@@ -95,9 +95,11 @@ def clean(raw: str, cfg: PipelineConfig) -> list[str]:
 def decoded(lines, name, error=DataError):
     """Pass on the lines of the text stream ``lines``; a byte that does not
     decode raises ``error`` naming ``name``, but not the line, since the
-    decoder reads ahead."""
+    decoder reads ahead. Closing this generator leaves ``lines`` open,
+    which ``yield from`` would close."""
     try:
-        yield from lines
+        for line in lines:
+            yield line
     except UnicodeDecodeError as e:
         raise error(f"{name}: not UTF-8 text ({e.reason})") from None
 
@@ -213,14 +215,12 @@ def pad_rows(ids: np.ndarray, lengths, max_len: int) -> np.ndarray:
     to back, ``lengths[r]`` of them for document r, as the rows of one
     (len(lengths), max_len) int32 matrix. A row keeps its document's first
     max_len ids, pre-padded with ``PAD_INDEX``."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    kept = np.minimum(lengths, max_len)
-    if kept.sum() < ids.size:  # drop each document's run of cut ids
-        ids = ids[np.repeat(np.tile([True, False], kept.size),
-                            np.stack([kept, lengths - kept], axis=1).reshape(-1))]
-    out = np.zeros((kept.size, max_len), dtype=np.int32)
-    # a row's last kept[r] positions take its ids, filled in row-major order
-    out[np.arange(max_len) >= max_len - kept[:, None]] = ids
+    out = np.zeros((len(lengths), max_len), dtype=np.int32)
+    end = 0
+    for row, n in zip(out, lengths):
+        k = min(n, max_len)
+        row[max_len - k:] = ids[end:end + k]
+        end += n
     return out
 
 
@@ -253,6 +253,6 @@ def row_fault(indices: np.ndarray, lengths: np.ndarray, max_len: int) -> Optiona
 def encode(documents, vocab: Vocabulary, cfg: PipelineConfig) -> np.ndarray:
     """Map a list of token lists to their rows (``pad_rows``). A token
     outside the vocabulary maps to ``OOV_INDEX``."""
-    lengths = np.fromiter(map(len, documents), np.intp, len(documents))
+    lengths = list(map(len, documents))
     ids = map(vocab.token_to_index.get, chain.from_iterable(documents), repeat(OOV_INDEX))
-    return pad_rows(np.fromiter(ids, np.int32, int(lengths.sum())), lengths, cfg.max_len)
+    return pad_rows(np.fromiter(ids, np.int32, sum(lengths)), lengths, cfg.max_len)

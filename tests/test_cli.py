@@ -1,6 +1,7 @@
 """End-to-end command-line flows: preprocess, train, evaluate, predict."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqtext import __main__ as seqtext_main
 from seqtext import cli, engine, pipeline
 from seqtext.model import forward
 
@@ -512,6 +514,23 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert f"error: {model}: block 'cell.U' can overflow the forward pass\n" in proc.stderr
         assert proc.stdout == ""
+
+    def test_closed_stdout_is_one_error_line(self, workspace):
+        # the reader is gone before the first chunk's answers; the input
+        # still holds lines, so its reader is cut off mid-stream too
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "seqtext", "predict", "--model",
+                                   str(workspace["run"] / "model.sqt")],
+                                  input="sig1w00 sig1w01\n" * 300, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
     def test_diverged_train_prints_no_numpy_warning(self, tmp_path):
         # the run overflows on its way to the bound check; stderr ends with
@@ -1139,6 +1158,12 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert "preprocess" in proc.stdout
         assert "predict" in proc.stdout
+
+    def test_console_script_runs_the_module_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8"))
+        module, _, name = project["project"]["scripts"]["seqtext"].partition(":")
+        assert getattr(importlib.import_module(module), name) is seqtext_main.main
 
 
 # A dataset is integer work only, so its bytes do not depend on the BLAS

@@ -1,6 +1,7 @@
 """Text cleaning, vocabulary construction, and encoding contracts."""
 
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -156,6 +157,19 @@ class TestPadRows:
         ids = np.array([i for k in order for i in _ROWS[k][0]], dtype=np.int32)
         lengths = np.array([len(_ROWS[k][0]) for k in order], dtype=np.int32)
         assert pad_rows(ids, lengths, 4).tolist() == [_ROWS[k][1] for k in order]
+
+    def test_holds_only_its_output(self):
+        # preprocess's shape: some documents are cut, some padded, some empty
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(0, 301, 4000).tolist()
+        ids = rng.integers(2, 10000, sum(lengths)).astype(np.int32)
+        tracemalloc.start()
+        try:
+            out = pad_rows(ids, lengths, 250)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * out.nbytes
 
 
 class TestVocabularyPersistence:
