@@ -241,9 +241,22 @@ def _main(argv) -> int:
     return handler(args)
 
 
+def stdout_gone(e: BrokenPipeError) -> int:
+    """Report that standard output's reader is gone and return exit code 2.
+    What is still buffered for it goes to the null device, so the
+    interpreter's flush at exit cannot fail on it a second time."""
+    print(f"error: <stdout>: {e.strerror}", file=sys.stderr)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 2
+
+
 def entry(argv=None) -> int:
     try:
         return _main(sys.argv[1:] if argv is None else list(argv))
+    except BrokenPipeError as e:
+        return stdout_gone(e)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -515,20 +515,30 @@ class TestExitCodes:
         assert f"error: {model}: block 'cell.U' can overflow the forward pass\n" in proc.stderr
         assert proc.stdout == ""
 
-    def test_closed_stdout_is_one_error_line(self, workspace):
-        # the reader is gone before the first chunk's answers; the input
-        # still holds lines, so its reader is cut off mid-stream too
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_closed_stdout_is_one_error_line(self, workspace, tmp_path, command, buffering):
+        # the reader is gone before the first answers. predict's input still
+        # holds lines, so its reader is cut off mid-stream too; a buffered
+        # stdout still holds the failed chunk, and evaluate's buffered
+        # report first fails at the final flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        args = ["--model", str(workspace["run"] / "model.sqt")]
+        if command == "evaluate":
+            args += ["--data", str(workspace["pre"] / "dataset.sqt"), "--out-dir", str(tmp_path)]
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "seqtext", "predict", "--model",
-                                   str(workspace["run"] / "model.sqt")],
+            proc = subprocess.run([sys.executable, "-m", "seqtext", command, *args],
                                   input="sig1w00 sig1w01\n" * 300, stdout=write_end,
-                                  stderr=subprocess.PIPE, text=True, timeout=120)
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
         finally:
             os.close(write_end)
         assert proc.returncode == 2
-        assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
+        assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+            "error: <stdout>: Broken pipe"]
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
 
