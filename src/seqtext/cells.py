@@ -73,17 +73,18 @@ def _gates(kind: str) -> int:
     return GATES[kind]
 
 
-def sigmoid(x):
-    """Numerically stable logistic function, elementwise.
+def sigmoid(x, out=None):
+    """Numerically stable logistic function, elementwise, written into
+    ``out`` when given (which may be ``x`` itself).
 
     exp() is only ever taken of -|x|, so it never overflows for finite
-    input; the sign of x picks 1/(1+e) or e/(1+e). No masked indexing,
-    so strided gate slices cost no gather or scatter.
+    input; the sign of x picks the numerator, 1 or e, of one correctly
+    rounded division by 1 + e, which gives the bits of 1/(1+e) and
+    e/(1+e) taken branch by branch.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def init_weight(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -215,47 +216,66 @@ def run_sequence(xs: np.ndarray, cell: Cell, state: Optional[CellState] = None,
     if lstm:
         cs[0] = 0.0 if state is None or state.c is None else state.c
 
+    # Each step's products and sums go through contiguous scratch rows,
+    # and each gate group and state is written straight into its slot.
+    # The operands, their order and the U.T and V[...].T views are those
+    # of one fresh array per operation, so every bit is too.
     Ut, b = cell.U.T, cell.b
+    s1, s2 = np.empty((B, H)), np.empty((B, H))
     if gru:
         Uzr, Uc, bzr, bc = Ut[:, :2 * H], Ut[:, 2 * H:], b[:2 * H], b[2 * H:]
+        szr = np.empty((B, 2 * H))
         for t in range(T):
-            a, h = acts[t], hs[t % n]
-            zr = a[:, :2 * H]
-            zr += h @ Uzr
-            zr += bzr
-            zr[...] = sigmoid(zr)
-            z = a[:, :H]
-            rh = a[:, H:2 * H] * h  # the reset acts before U
-            cand = a[:, 2 * H:]
-            cand += rh @ Uc
-            cand += bc
-            np.tanh(cand, out=cand)
-            hs[(t + 1) % n] = (1.0 - z) * h + z * cand
+            a, h, h_next = acts[t], hs[t % n], hs[(t + 1) % n]
+            zr, z, r, cand = a[:, :2 * H], a[:, :H], a[:, H:2 * H], a[:, 2 * H:]
+            np.matmul(h, Uzr, out=szr)
+            np.add(zr, szr, out=szr)
+            np.add(szr, bzr, out=szr)
+            sigmoid(szr, out=zr)
+            np.multiply(r, h, out=s1)  # the reset acts before U
+            np.matmul(s1, Uc, out=s2)
+            np.add(cand, s2, out=s2)
+            np.add(s2, bc, out=s2)
+            np.tanh(s2, out=cand)
+            np.subtract(1.0, z, out=s1)
+            np.multiply(s1, h, out=s1)
+            np.multiply(z, cand, out=s2)
+            np.add(s1, s2, out=h_next)
     elif lstm:
         V = cell.V
+        if V is not None:
+            Vif, Vo = V[:2 * H].T, V[2 * H:].T
+        s4, sif = np.empty((B, 4 * H)), np.empty((B, 2 * H))
         for t in range(T):
-            a, c = acts[t], cs[t % n]
-            a += hs[t % n] @ Ut
-            a += b
-            ifg = a[:, :2 * H]
+            a, h, c = acts[t], hs[t % n], cs[t % n]
+            h_next, c_next = hs[(t + 1) % n], cs[(t + 1) % n]
+            ifg, o = a[:, :2 * H], a[:, 2 * H:3 * H]
+            i, f, cand = a[:, :H], a[:, H:2 * H], a[:, 3 * H:]
+            np.matmul(h, Ut, out=s4)
+            np.add(a, s4, out=a)
+            np.add(a, b, out=a)
             if V is not None:
-                ifg += c @ V[:2 * H].T
-            ifg[...] = sigmoid(ifg)
-            cand = a[:, 3 * H:]
+                np.matmul(c, Vif, out=sif)
+                np.add(ifg, sif, out=ifg)
+            sigmoid(ifg, out=ifg)
             np.tanh(cand, out=cand)
-            c = cs[(t + 1) % n] = a[:, H:2 * H] * c + a[:, :H] * cand
-            o = a[:, 2 * H:3 * H]
+            np.multiply(f, c, out=s1)
+            np.multiply(i, cand, out=s2)
+            np.add(s1, s2, out=c_next)
             if V is not None:
-                o += c @ V[2 * H:].T  # the output gate peeks at the updated cell
-            o[...] = sigmoid(o)
-            hs[(t + 1) % n] = o * np.tanh(c)
+                np.matmul(c_next, Vo, out=s1)  # the output gate peeks at the updated cell
+                np.add(o, s1, out=o)
+            sigmoid(o, out=o)
+            np.tanh(c_next, out=s1)
+            np.multiply(o, s1, out=h_next)
     else:
         g = np.tanh if cell.nonlinearity == "tanh" else sigmoid
         for t in range(T):
             a = acts[t]
-            a += hs[t % n] @ Ut
-            a += b
-            hs[(t + 1) % n] = g(a)
+            np.matmul(hs[t % n], Ut, out=s1)
+            np.add(a, s1, out=a)
+            np.add(a, b, out=a)
+            g(a, out=hs[(t + 1) % n])
     last = T % n
     if not history:
         return CellState(h=hs[last], c=cs[last] if lstm else None)

@@ -110,9 +110,26 @@ def read_lines(path, error=DataError):
         yield from decoded(fh, path, error)
 
 
+def is_token(word: str) -> bool:
+    """Whether ``clean`` can produce ``word``: lowercase ASCII letters and
+    digits, at least one."""
+    return word.isascii() and word.isalnum() and word == word.lower()
+
+
 def load_stopwords(path) -> frozenset:
-    """One token per line; blank lines ignored."""
-    return frozenset(line.strip() for line in read_lines(path) if line.strip())
+    """One token per line; blank lines ignored. A line that ``clean``
+    cannot produce would never match, so it is a DataError naming the
+    file and the line."""
+    words = set()
+    for n, line in enumerate(read_lines(path), start=1):
+        word = line.strip()
+        if not word:
+            continue
+        if not is_token(word):
+            raise DataError(f"{path} line {n}: stopword {word!r} is not lowercase ASCII "
+                            "letters and digits, so no cleaned text can reach it")
+        words.add(word)
+    return frozenset(words)
 
 
 def text_sha256(text: str) -> str:
@@ -180,7 +197,7 @@ class Vocabulary:
                                 f"got {tok!r}")
             if first_line.setdefault(tok, n) != n:
                 raise DataError(f"vocabulary line {n}: token {tok!r} repeats line {first_line[tok]}")
-            if idx >= len(reserved) and not (tok.isascii() and tok.isalnum() and tok == tok.lower()):
+            if idx >= len(reserved) and not is_token(tok):
                 raise DataError(f"vocabulary line {n}: token {tok!r} is not lowercase ASCII "
                                 "letters and digits, so no cleaned text can reach it")
             tokens.append(tok)

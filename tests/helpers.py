@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from seqtext.artifacts import read_container, write_container
-from seqtext.cells import GATES, Cell, CellState, backward_sequence, run_sequence
+from seqtext.cells import GATES, Cell, CellState, SequenceCache, backward_sequence, run_sequence
 from seqtext.engine import build_model, load_csv_dataset, make_synthetic_csv, train_epochs
 from seqtext.errors import ConfigError, ShapeError
 from seqtext.metrics import EvalReport
@@ -68,6 +68,72 @@ def gate_errors(analytic: np.ndarray, numeric: np.ndarray, hidden: int) -> list:
     large gate cannot hide the error of a small one in a shared norm."""
     n = analytic.shape[0] // hidden
     return [rel_error(a, b) for a, b in zip(np.split(analytic, n), np.split(numeric, n))]
+
+
+def _complex_mean_loss(model, blocks: dict, idx: np.ndarray, y: np.ndarray):
+    """The mean loss of ``model.forward`` on the (batch, T) ``idx``, with
+    every block taken from ``blocks`` and written with functions that
+    are analytic in each weight, so complex blocks carry a derivative in
+    the imaginary part. ReLU and the softmax shift read the real part."""
+    cell = model.cell
+    H, kind = cell.hidden_size, cell.kind
+    W, U, b, V = (blocks.get(f"cell.{n}") for n in "WUbV")
+    xs = blocks["embedding.weights"][idx]
+    B, T = idx.shape
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    h = np.zeros((B, H), dtype=complex)
+    c = np.zeros((B, H), dtype=complex)
+    for t in range(T):
+        a = xs[:, t] @ W.T + b
+        if kind == "gru":
+            zr = sig(a[:, :2 * H] + h @ U[:2 * H].T)
+            z, r = zr[:, :H], zr[:, H:]
+            cand = np.tanh(a[:, 2 * H:] + (r * h) @ U[2 * H:].T)
+            h = (1.0 - z) * h + z * cand
+        elif kind == "lstm":
+            a = a + h @ U.T
+            ifg = a[:, :2 * H] + (c @ V[:2 * H].T if V is not None else 0.0)
+            i, f = sig(ifg[:, :H]), sig(ifg[:, H:])
+            c = f * c + i * np.tanh(a[:, 3 * H:])
+            o = sig(a[:, 2 * H:3 * H] + (c @ V[2 * H:].T if V is not None else 0.0))
+            h = o * np.tanh(c)
+        else:
+            a = a + h @ U.T
+            h = np.tanh(a) if cell.nonlinearity == "tanh" else sig(a)
+    pre = h @ blocks["dense.W"].T + blocks["dense.b"]
+    logits = np.where(pre.real > 0, pre, 0.0) @ blocks["head.W"].T + blocks["head.b"]
+    if model.head == "sigmoid":
+        z = logits[:, 0]
+        losses = y * np.log(1.0 + np.exp(-z)) + (1.0 - y) * np.log(1.0 + np.exp(z))
+    else:
+        shift = logits - logits.real.max(axis=1, keepdims=True)
+        losses = np.log(np.exp(shift).sum(axis=1)) - shift[np.arange(B), y]
+    return losses.mean()
+
+
+def complex_step_gradients(model, idx: np.ndarray, y: np.ndarray,
+                           step: float = 1e-30) -> dict:
+    """The gradient of the mean loss in every trained block of ``model``,
+    one entry at a time as Im f(w + i*step) / step. No difference of two
+    losses is taken, so nothing cancels: the result is the derivative to
+    within rounding of the loss itself, about 1e-16 relative, which lets
+    a check hold ``model.backward`` to a bound far tighter than finite
+    differences can. The pad embedding row gets its true gradient here,
+    though ``backward`` zeroes it."""
+    blocks = {n: a.astype(complex) for n, a in model.state_blocks()}
+    grads = {}
+    for name in model.named_params():
+        flat = blocks[name].reshape(-1)
+        g = np.empty(flat.size)
+        for k in range(flat.size):
+            flat[k] += 1j * step
+            g[k] = _complex_mean_loss(model, blocks, idx, y).imag / step
+            flat[k] = flat[k].real
+        grads[name] = g.reshape(blocks[name].shape)
+    return grads
 
 
 def make_synthetic_corpus(n_docs: int, n_classes: int, seed: int, *,
@@ -182,6 +248,60 @@ def backward_document(cache, grad_h_final, cell: Cell):
     final gradient and returns (T, input) input gradients."""
     grads, dxs = backward_sequence(cache, _one_row(grad_h_final), cell)
     return grads, dxs[:, 0]
+
+
+def two_branch_sigmoid(x):
+    """The logistic function as 1/(1+e) for x >= 0 and e/(1+e) below,
+    with e = exp(-|x|): both divisions taken for every element."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def reference_run_sequence(xs, cell: Cell, state=None, history: bool = True):
+    """``run_sequence`` with a fresh array per operation: the same
+    operands in the same order, the same ``U.T`` and ``V[...].T`` views
+    and :func:`two_branch_sigmoid`. Kept as the bitwise oracle for the
+    loops that work in scratch rows and write into their slots."""
+    T, B, _ = xs.shape
+    H = cell.hidden_size
+    lstm, gru = cell.kind == "lstm", cell.kind == "gru"
+    acts = xs @ cell.W.T
+    n = T + 1 if history else 2
+    hs = np.empty((n, B, H))
+    cs = np.empty((n, B, H)) if lstm else None
+    hs[0] = 0.0 if state is None else state.h
+    if lstm:
+        cs[0] = 0.0 if state is None or state.c is None else state.c
+    Ut, b, V = cell.U.T, cell.b, cell.V
+    for t in range(T):
+        a, h = acts[t], hs[t % n]
+        if gru:
+            zr = two_branch_sigmoid(a[:, :2 * H] + h @ Ut[:, :2 * H] + b[:2 * H])
+            z, r = zr[:, :H], zr[:, H:]
+            cand = np.tanh(a[:, 2 * H:] + (r * h) @ Ut[:, 2 * H:] + b[2 * H:])
+            a[:, :2 * H], a[:, 2 * H:] = zr, cand
+            hs[(t + 1) % n] = (1.0 - z) * h + z * cand
+        elif lstm:
+            c = cs[t % n]
+            pre = a + h @ Ut + b
+            ifg = pre[:, :2 * H] + c @ V[:2 * H].T if V is not None else pre[:, :2 * H]
+            ifg = two_branch_sigmoid(ifg)
+            cand = np.tanh(pre[:, 3 * H:])
+            c = ifg[:, H:] * c + ifg[:, :H] * cand
+            o = pre[:, 2 * H:3 * H] + c @ V[2 * H:].T if V is not None else pre[:, 2 * H:3 * H]
+            o = two_branch_sigmoid(o)
+            a[:, :2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:] = ifg, o, cand
+            cs[(t + 1) % n] = c
+            hs[(t + 1) % n] = o * np.tanh(c)
+        else:
+            a[...] = a + h @ Ut + b
+            g = np.tanh if cell.nonlinearity == "tanh" else two_branch_sigmoid
+            hs[(t + 1) % n] = g(a)
+    last = T % n
+    if not history:
+        return CellState(h=hs[last], c=cs[last] if lstm else None)
+    return hs[last].copy(), SequenceCache(xs=xs, hs=hs, acts=acts, cs=cs)
 
 
 def reference_backward_sequence(cache, grad_h_final, cell: Cell):

@@ -14,7 +14,8 @@ from seqtext.cells import (GATES, Cell, CellState, backward_sequence, init_weigh
 from seqtext.errors import ConfigError, ShapeError
 
 from helpers import (backward_document, fd_gradient, gate_errors, one_step,
-                     reference_backward_sequence, rel_error, run_document, zero_cell)
+                     reference_backward_sequence, reference_run_sequence, rel_error,
+                     run_document, two_branch_sigmoid, zero_cell)
 
 
 class TestActivations:
@@ -46,8 +47,16 @@ class TestActivations:
                          for v in x])
         got = sigmoid(x)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(two_branch_sigmoid(x).view(np.int64), want.view(np.int64))
         strided = np.repeat(x[:, None], 3, axis=1)[:, 1]
         assert np.array_equal(sigmoid(strided), got)
+        # written into a strided column, and in place
+        cols = np.zeros((x.size, 3))
+        sigmoid(x, out=cols[:, 1])
+        assert cols[:, 1].tobytes() == got.tobytes() and not cols[:, ::2].any()
+        inplace = x.copy()
+        sigmoid(inplace, out=inplace)
+        assert inplace.tobytes() == got.tobytes()
 
 
 class TestAnalyticSteps:
@@ -320,6 +329,32 @@ def test_backward_equals_per_step_reference(label, factory, T, B):
         for name in ref:
             assert rel_error(grads[name], ref[name]) < 1e-12, name
         assert rel_error(dxs, ref_dxs) < 1e-12
+
+
+@pytest.mark.parametrize("label,factory", CELL_VARIANTS, ids=[v[0] for v in CELL_VARIANTS])
+def test_run_sequence_equals_fresh_array_reference_bitwise(label, factory):
+    # Random b, so that adding it at another point of the sum moves bits;
+    # batch heights 1 and 2 and the odd ones take other BLAS kernels.
+    rng = np.random.default_rng(21)
+    for H in (8, 16, 32):
+        p = factory(16, H, rng)
+        if not p.literal_mode:
+            p.b[:] = rng.normal(size=p.b.shape)
+        for B in (1, 2, 3, 32, 33, 256):
+            xs = rng.normal(size=(5, B, 16))
+            state = CellState(h=rng.uniform(-1, 1, size=(B, H)),
+                              c=rng.normal(size=(B, H)) if p.kind == "lstm" else None)
+            h, cache = run_sequence(xs.copy(), p, state)
+            ref_h, ref = reference_run_sequence(xs.copy(), p, state)
+            where = f"{label} H={H} B={B}"
+            assert h.tobytes() == ref_h.tobytes(), where
+            for got, want in zip(cache[1:], ref[1:]):
+                assert (got is None and want is None) or got.tobytes() == want.tobytes(), where
+            end = run_sequence(xs, p, state, history=False)
+            ref_end = reference_run_sequence(xs, p, state, history=False)
+            assert end.h.tobytes() == ref_end.h.tobytes(), where
+            assert (end.c is None and ref_end.c is None) or \
+                end.c.tobytes() == ref_end.c.tobytes(), where
 
 
 class TestShapesAndValidation:

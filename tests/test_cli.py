@@ -605,6 +605,19 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert f"error: {side}: not UTF-8 text (" in proc.stderr
 
+    @pytest.mark.parametrize("word", ["The", "don't"])
+    def test_stopword_that_cleaning_cannot_produce_is_data_error(self, workspace, tmp_path, word):
+        side = tmp_path / "stop.txt"
+        side.write_text(f"the\n{word}\n", encoding="utf-8")
+        proc = _run_cli("preprocess", "--data", workspace["csv"], "--stopwords", side,
+                        "--out-dir", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert [l for l in proc.stderr.splitlines() if l.startswith("error:")] == [
+            f"error: {side} line 2: stopword {word!r} is not lowercase ASCII letters and "
+            "digits, so no cleaned text can reach it"]
+        assert not (tmp_path / "out" / "vocab.tsv").exists()
+
     @pytest.mark.parametrize("flag", ["--stopwords", "--vocab", "--pretrained-vectors",
                                       "--config"])
     def test_side_file_may_start_with_a_bom(self, workspace, tmp_path, capsys, flag):

@@ -15,8 +15,8 @@ from seqtext.embedding import init_table
 from seqtext.config import ExperimentConfig
 from seqtext.errors import ConfigError, DivergenceError, ShapeError
 
-from helpers import (ReferenceAdam, ReferenceRmsProp, ReferenceSgd, cost, fd_gradient,
-                     gate_errors, rel_error)
+from helpers import (ReferenceAdam, ReferenceRmsProp, ReferenceSgd, complex_step_gradients,
+                     cost, fd_gradient, gate_errors, rel_error)
 
 
 class TestSoftmax:
@@ -296,20 +296,21 @@ class TestForward:
                 build_tiny(n_classes=n_classes)
 
 
-def build_paper_size(variant: str, n_classes: int = 2, vocab: int = 60,
-                     seed: int = 0) -> M.ClassifierModel:
-    """A model at the paper's sizes (E = H = 16, dense 8) for one cell
-    variant; the peephole blocks get nonzero weights so that c reaches h."""
+def build_paper_size(variant: str, n_classes: int = 2, vocab: int = 60, seed: int = 0,
+                     width: int = 16, dense: int = 8) -> M.ClassifierModel:
+    """A model for one cell variant, at the paper's sizes (E = H = 16,
+    dense 8) unless ``width`` (E and H) and ``dense`` say otherwise; the
+    peephole blocks get nonzero weights so that c reaches h."""
     rng = np.random.default_rng(seed)
     kind = variant.split("-")[0]
-    cell = make_cell(kind, 16, 16, rng, literal_mode=variant == "rnn-literal",
+    cell = make_cell(kind, width, width, rng, literal_mode=variant == "rnn-literal",
                      peepholes=variant != "lstm-plain")
     if variant == "rnn-sigmoid":
         cell = replace(cell, nonlinearity="sigmoid")
     if cell.V is not None:
         cell.V[...] = rng.normal(scale=0.3, size=cell.V.shape)
-    emb = init_table(vocab, 16, rng)
-    return M.ClassifierModel.build(emb, cell, 8, n_classes, rng)
+    emb = init_table(vocab, width, rng)
+    return M.ClassifierModel.build(emb, cell, dense, n_classes, rng)
 
 
 CELL_VARIANTS = ["rnn-tanh", "rnn-sigmoid", "rnn-literal", "lstm-peepholes", "lstm-plain", "gru"]
@@ -483,6 +484,29 @@ class TestBackward:
                         else [rel_error(grads[name], fd)])
                 for k, err in enumerate(errs):
                     assert err < 1e-4, f"{cell_kind}/{head} seed {seed} {name}[{k}]: {err:.2e}"
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("variant", CELL_VARIANTS)
+    def test_every_block_matches_complex_step(self, variant, n_classes):
+        # Bound fixed before any run: 1e-11 of the block's largest entry.
+        # The complex step is exact to rounding, so a gradient off by a
+        # factor 1 + 1e-7 fails it; the 1e-4 finite differences above
+        # cannot see that.
+        rng = np.random.default_rng(31)
+        m = build_paper_size(variant, n_classes, vocab=9, seed=32, width=3, dense=4)
+        if not m.cell.literal_mode:
+            m.cell.b[:] = rng.normal(scale=0.5, size=m.cell.b.shape)
+        idx = np.array([[0, 0, 3, 1, 8, 2], [4, 0, 5, 5, 7, 6], [0, 0, 0, 0, 2, 1]])
+        target = np.array([1.0, 0.0, 1.0]) if n_classes == 2 else np.array([2, 0, 1])
+        _, trace = M.forward(m, idx)
+        grads = M.backward(m, trace, target)
+        oracle = complex_step_gradients(m, idx, target)
+        assert sorted(grads) == sorted(oracle)
+        grads["embedding.weights"] = grads["embedding.weights"][1:]  # backward zeroes the pad row
+        oracle["embedding.weights"] = oracle["embedding.weights"][1:]
+        for name, want in oracle.items():
+            err = np.abs(grads[name] - want).max()
+            assert err <= 1e-11 * np.abs(want).max(), f"{variant} {name}: {err:.2e}"
 
     def test_one_sgd_step_decreases_loss(self):
         for seed in range(10):

@@ -237,6 +237,15 @@ def test_load_stopwords(tmp_path):
     assert load_stopwords(p) == frozenset({"the", "a", "an"})
 
 
+@pytest.mark.parametrize("word", ["The", "don't", "caf\u00e9", "a b"])
+def test_stopword_that_cleaning_cannot_produce_is_refused(tmp_path, word):
+    p = tmp_path / "stop.txt"
+    p.write_text(f"the\n{word}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{p} line 2: stopword {word!r} is not "
+                                                  "lowercase ASCII letters and digits")):
+        load_stopwords(p)
+
+
 def test_stopwords_file_may_start_with_a_bom(tmp_path):
     p = tmp_path / "stop.txt"
     p.write_text("the\nand\n", encoding="utf-8-sig")
