@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
+import os
+import signal
+import warnings
 from array import array
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -263,6 +267,13 @@ def _scored_rows(model: ClassifierModel, X: np.ndarray, rows: np.ndarray) -> np.
     ``X`` by index. A row scores as it would in an input-order batch
     wherever the BLAS rounds a row of a product alike at every batch
     height, as OpenBLAS does at the paper's sizes.
+
+    Batch k is scored by process k mod n, for n the cores this process
+    may run on, at most one per batch: ``_score_shares`` forks the n - 1
+    others. Every batch is the same computation in any process, so the
+    probabilities do not depend on n. If a fork or any share fails, the
+    batches are scored again here, in order, so that an error is raised
+    as the first failing batch raises it.
     """
     N, T = rows.size, X.shape[1]
     B = INFERENCE_BATCH_SIZE
@@ -271,11 +282,63 @@ def _scored_rows(model: ClassifierModel, X: np.ndarray, rows: np.ndarray) -> np.
         tokens = X[rows[b0:b0 + B]] != PAD_INDEX
         lead[b0:b0 + B] = np.where(tokens.any(axis=1), tokens.argmax(axis=1), T)
     order = np.argsort(lead, kind="stable")
-    probs = np.empty((N,) if model.head == "sigmoid" else (N, model.n_classes))
-    for b0 in range(0, N, B):
-        batch = order[b0:b0 + B]
-        probs[batch] = forward(model, X[rows[batch]], trace=False)[0]
+    batches = [order[b0:b0 + B] for b0 in range(0, N, B)]
+    shape = (N,) if model.head == "sigmoid" else (N, model.n_classes)
+    # anonymous shared memory, so that the rows a worker writes are seen here
+    size = math.prod(shape)
+    probs = np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), count=size).reshape(shape)
+
+    def score(share):
+        for batch in share:
+            probs[batch] = forward(model, X[rows[batch]], trace=False)[0]
+
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = max(1, min(len(os.sched_getaffinity(0)), len(batches)))
+    try:
+        _score_shares(score, batches, n)
+    except Exception:
+        if n == 1:
+            raise
+        score(batches)
     return probs
+
+
+def _score_shares(score, batches: list, n: int) -> None:
+    """Call ``score`` on batches k, k + n, k + 2n, ... in a forked worker
+    for each k from 1 to n - 1, and on batches 0, n, 2n, ... here; return
+    when every worker has ended well, or raise. No worker outlives the
+    call: on any failure here, those still running are killed and reaped.
+
+    The fork is safe although OpenBLAS runs threads: it stops them before
+    a fork, and a worker only computes, writes shared memory and ends by
+    ``os._exit``, so it runs no exit handler and flushes no buffer that
+    it shares with this process.
+    """
+    pids = []
+    try:
+        for k in range(1, n):
+            with warnings.catch_warnings():  # Python 3.12 warns of any thread at a fork
+                warnings.filterwarnings("ignore", ".*multi-threaded.*fork", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    score(batches[k::n])
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        score(batches[::n])
+        while pids:
+            status = os.waitpid(pids[-1], 0)[1]
+            pids.pop()
+            if status != 0:
+                raise ChildProcessError(f"a scoring worker ended with wait status {status}")
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _report(model: ClassifierModel, probs: np.ndarray, labels: np.ndarray) -> metrics.EvalReport:

@@ -139,6 +139,25 @@ class TestHappyPath:
         assert int(metrics["support_neg"]) + int(metrics["support_pos"]) == 300
         assert (out / "metrics.txt").read_bytes() == (tmp_path / "eval_metrics.txt").read_bytes()
 
+    def test_evaluate_over_two_batches_is_quiet_and_scores_as_one_core(
+            self, pinned, pinned_train, tmp_path, capsys, monkeypatch):
+        # on two cores the second batch of 256 is a forked worker's; with
+        # every warning shown, a fork of this multi-threaded process (OpenBLAS
+        # runs threads) must print none, and the report is the one-core one
+        out, _ = pinned_train("adam-lstm", 1)
+        args = ["evaluate", "--model", out / "model.sqt",
+                "--data", pinned / "built" / "dataset.sqt", "--split", "test"]
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "seqtext", *map(str, args),
+                               "--out-dir", str(tmp_path / "forked")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cli.entry([*map(str, args), "--out-dir", str(tmp_path / "serial")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "forked" / "eval_metrics.txt").read_bytes() == \
+            (tmp_path / "serial" / "eval_metrics.txt").read_bytes()
+
     def test_evaluate_prints_report_table(self, workspace, tmp_path, capsys):
         rc = cli.entry([
             "evaluate", "--model", str(workspace["run"] / "model.sqt"),

@@ -1,6 +1,7 @@
 """Config parsing, splits, CSV loading, training loop, and artifacts."""
 
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -1162,11 +1163,7 @@ class TestCheckpointHeader:
 
     @pytest.mark.parametrize("edit,match", [
         pytest.param(lambda h: h.update(config="lstm"), "config", id="config-lstm"),
-        _shared_fault("class_names-int", "n_classes-2"),
-        _shared_fault("class_names-bool", "n_classes-True"),
         pytest.param(lambda h: h["config"].update(task=1), "task", id="head-1"),
-        _shared_fault("class_names-string", "class_names-neg,pos"),
-        _shared_fault("pipeline-int", "pipeline-3"),
     ])
     def test_wrong_field_type_is_integrity_error(self, ckpt, edit, match):
         rewrite_artifact(ckpt, ckpt, edit)
@@ -1577,6 +1574,83 @@ class TestByteSweep:
         save_checkpoint(path, model, cfg, ds.class_names, vocab, pcfg)
         assert 1_000 < path.stat().st_size < 4_000
         assert self._escapes(path, load_checkpoint) == []
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestScoringWorkers:
+    """``_scored_rows`` hands every other batch to a forked worker on two
+    cores, every third on three; the split must not show in its results."""
+
+    @staticmethod
+    def _model(n_classes):
+        rng = np.random.default_rng(4)
+        emb = init_table(20, 4, rng)
+        return M.ClassifierModel.build(emb, make_cell("gru", 4, 5, rng), 3, n_classes, rng)
+
+    @staticmethod
+    def _rows(n, seed=1):
+        """``n`` rows of 6 tokens from 2-18, so index 19 is never used,
+        behind leading pads of 0 to 5 steps."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(2, 19, size=(n, 6))
+        X[np.arange(6) < rng.integers(0, 6, size=(n, 1))] = pipeline.PAD_INDEX
+        return X
+
+    @staticmethod
+    def _on_cores(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("n_classes", [2, 3], ids=["sigmoid", "softmax"])
+    @pytest.mark.parametrize("batch_size,n_rows,n_batches",
+                             [(4, 3, 1), (4, 5, 2), (4, 12, 3), (4, 33, 9), (1, 3, 3)])
+    def test_workers_leave_every_probability_bitwise(self, monkeypatch, n_classes, batch_size,
+                                                     n_rows, n_batches):
+        model, X = self._model(n_classes), self._rows(n_rows)
+        rows = np.random.default_rng(2).permutation(n_rows)
+        monkeypatch.setattr(engine, "INFERENCE_BATCH_SIZE", batch_size)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)  # a worker appends to its own copy
+            return M.forward(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "forward", counted)
+        got = {}
+        for cores in (1, 2, 3):
+            self._on_cores(monkeypatch, cores)
+            calls.clear()
+            got[cores] = engine._scored_rows(model, X, rows)
+            _no_child_left()
+            # this process scores batches 0, n, 2n, ... itself
+            assert len(calls) == -(-n_batches // min(cores, n_batches))
+        assert got[1].shape == ((n_rows,) if n_classes == 2 else (n_rows, 3))
+        assert got[2].tobytes() == got[1].tobytes()
+        assert got[3].tobytes() == got[1].tobytes()
+
+    # all 12 rows are full, so the batches of 4 keep input order: batch 0
+    # is this process's, batches 1 and 2 are workers' on three cores
+    @pytest.mark.parametrize("row", [1, 5, 10], ids=["batch-0", "batch-1", "batch-2"])
+    @pytest.mark.parametrize("token,error", [(19, DivergenceError), (25, IndexError)],
+                             ids=["nan-embedding", "index-out-of-range"])
+    def test_a_failing_batch_raises_as_on_one_core(self, monkeypatch, row, token, error):
+        model, X = self._model(2), np.full((12, 6), 7)
+        model.embedding[19] = np.nan
+        X[row, 2] = token
+        monkeypatch.setattr(engine, "INFERENCE_BATCH_SIZE", 4)
+        messages = []
+        for cores in (1, 2, 3):
+            self._on_cores(monkeypatch, cores)
+            with pytest.raises(error) as caught:
+                engine._scored_rows(model, X, np.arange(12))
+            _no_child_left()
+            messages.append(str(caught.value))
+        assert messages[1] == messages[2] == messages[0]
+        if error is DivergenceError:
+            assert "not a number" in messages[0]
 
 
 class TestEvaluate:
